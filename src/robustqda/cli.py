@@ -52,6 +52,9 @@ def _fraction_arg(value: str) -> float:
     return f
 
 
+_H_FRAC_HELP = "subset fraction in [0.5, 1) (default 0.5)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-qda",
@@ -61,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mcd = sub.add_parser("mcd", help="fit the blockwise MCD location/scatter estimate on a CSV")
     p_mcd.add_argument("--data", required=True, help="input CSV (all columns are features)")
-    p_mcd.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F",
-                       help="subset fraction in [0.5, 1] (default 0.5)")
+    p_mcd.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F", help=_H_FRAC_HELP)
     p_mcd.add_argument("--blocks", type=_blocks_arg, default="auto", metavar="Q",
                        help="block count, or 'auto' for the machine default")
     p_mcd.add_argument("--seed", type=int, default=0, help="shuffle seed (default 0)")
@@ -73,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="training CSV")
     p_train.add_argument("--label-col", required=True, help="name of the label column")
     p_train.add_argument("--mode", choices=("robust", "classical"), default="robust")
-    p_train.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F")
+    p_train.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F", help=_H_FRAC_HELP)
     p_train.add_argument("--blocks", type=_blocks_arg, default="auto", metavar="Q")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True, help="model file to write")

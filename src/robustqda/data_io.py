@@ -1,8 +1,12 @@
 """CSV ingestion and emission for the command-line tools.
 
 The dialect is deliberately plain: comma separators, a mandatory header
-row, LF line endings, one observation per row.  Feature cells must parse
-as finite decimals.  Labels may be integers (validated as 1..G at fit
+row, one observation per line and no blank lines.  LF and CRLF line
+endings are both read, and cells may be quoted.  Feature cells must
+parse as finite decimals.  A body without quotes is parsed by one
+``np.loadtxt`` call; the cell-by-cell parse runs only for inputs that
+call declines, to read quoted cells and to name the offending row and
+column in errors.  Labels may be integers (validated as 1..G at fit
 time) or arbitrary strings, in which case the distinct names are mapped
 to 1..G in sorted order and the mapping travels with the model file.
 """
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import write_text_atomic
+from .fileio import csv_text, write_text
 
 __all__ = [
     "Dataset",
@@ -53,12 +57,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _open_rows(source):
-    if hasattr(source, "read"):
-        return csv.reader(source)
-    return csv.reader(io.StringIO(Path(source).read_text(encoding="utf-8")))
-
-
 def read_dataset(source, label_col: str | None = None) -> Dataset:
     """Read a CSV file (path or open text file) into a Dataset.
 
@@ -67,10 +65,17 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     missing header, ragged rows, or any feature cell that is not a finite
     number, citing the data row (1-based) and column name.
     """
-    rows = list(_open_rows(source))
-    if not rows:
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    # A quoted cell may hold commas or line breaks, so a file with any quote
+    # goes through the csv module whole; otherwise the header is the first
+    # line and the body is left to _parse_body.
+    quoted = '"' in text
+    head, _, body = text.partition("\n")
+    rows = csv.reader(io.StringIO(text if quoted else head))
+    first = next(rows, None)
+    if first is None:
         raise DataError("empty CSV: expected a header row")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in first]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     label_idx = None
@@ -83,9 +88,60 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
         raise DataError("no feature columns left after removing the label column")
     names = tuple(header[j] for j in feature_idx)
 
-    data = np.empty((len(rows) - 1, len(feature_idx)))
+    parsed = None if quoted else _parse_body(body, len(header), feature_idx, label_idx)
+    if parsed is None:
+        body_rows = list(rows) if quoted else list(csv.reader(io.StringIO(body)))
+        parsed = _parse_cells(body_rows, header, feature_idx, label_idx)
+    data, labels = parsed
+    return Dataset(X=data, feature_names=names, labels_raw=labels)
+
+
+def _parse_body(body: str, n_cols: int, feature_idx: list, label_idx: int | None):
+    """Parse a quote-free CSV body with one ``np.loadtxt`` call.
+
+    Returns ``(X, labels)``, or None when the per-cell reader must decide:
+    a blank line (``loadtxt`` skips those, the dialect rejects them), a
+    ragged row, a cell ``loadtxt`` cannot read (``1_000``, non-ASCII
+    digits) or a non-finite value.  Every value it does return is the
+    one ``float(cell.strip())`` gives.
+    """
+    if not body or body.isspace():  # loadtxt warns when it finds no rows
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    try:
+        X = np.loadtxt(
+            lines,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=2,
+            usecols=None if label_idx is None else feature_idx,
+        )
+    except ValueError:
+        return None
+    if X.shape != (len(lines), len(feature_idx)) or not np.isfinite(X).all():
+        return None
+    if label_idx is None:
+        return X, None
+    # With usecols, loadtxt accepts rows wider than the header, so the
+    # label pass also checks every row's cell count.
+    labels = []
+    for line in lines:
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            return None
+        labels.append(cells[label_idx].strip())
+    return X, tuple(labels)
+
+
+def _parse_cells(rows: list, header: list, feature_idx: list, label_idx: int | None):
+    """Cell-by-cell parse of the data rows; raises the first DataError in
+    row order.  Handles every input, including those _parse_body declines."""
+    data = np.empty((len(rows), len(feature_idx)))
     labels: list[str] | None = [] if label_idx is not None else None
-    for i, row in enumerate(rows[1:], start=1):
+    for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
         for k, j in enumerate(feature_idx):
@@ -101,7 +157,7 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
             labels.append(row[label_idx].strip())
     if data.shape[0] == 0:
         raise DataError("CSV contains a header but no data rows")
-    return Dataset(X=data, feature_names=names, labels_raw=None if labels is None else tuple(labels))
+    return data, None if labels is None else tuple(labels)
 
 
 def encode_labels(labels_raw) -> tuple[np.ndarray, tuple | None]:
@@ -134,10 +190,6 @@ def encode_with_names(labels_raw, label_names) -> np.ndarray:
     return out
 
 
-def _cell(x: float) -> str:
-    return repr(float(x))
-
-
 def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label") -> None:
     """Write features (and optionally labels) as CSV.
 
@@ -151,24 +203,17 @@ def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label
         feature_names = tuple(f"x{j + 1}" for j in range(p))
     if len(feature_names) != p:
         raise DataError(f"expected {p} feature names, got {len(feature_names)}")
-    lines = []
     header = list(feature_names)
+    columns = list(X.T)
+    row_format = ",".join(["%r"] * p)
     if y is not None:
         y = np.asarray(y)
         if y.shape[0] != n:
             raise DataError("labels and data have different lengths")
         header.append(label_col)
-    lines.append(",".join(header))
-    for i in range(n):
-        cells = [_cell(v) for v in X[i]]
-        if y is not None:
-            cells.append(str(y[i]))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        write_text_atomic(target, text)
+        columns.append(y)
+        row_format += ",%s"
+    write_text(target, csv_text(",".join(header), row_format, columns))
 
 
 def write_predictions_csv(target, labels, scores, min_rd, label_names=None) -> None:
@@ -176,23 +221,11 @@ def write_predictions_csv(target, labels, scores, min_rd, label_names=None) -> N
     score column per class.  Predicted is the original class name when a
     name table is given; the outlier class always prints as 0.
     """
-    labels = np.asarray(labels)
+    codes = np.asarray(labels).astype(np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     min_rd = np.asarray(min_rd, dtype=np.float64)
     G = scores.shape[1]
     header = ["row", "predicted", "min_rd"] + [f"score_{g}" for g in range(1, G + 1)]
-    lines = [",".join(header)]
-    for i in range(labels.shape[0]):
-        lbl = int(labels[i])
-        if label_names is not None and lbl != 0:
-            shown = label_names[lbl - 1]
-        else:
-            shown = str(lbl)
-        cells = [str(i + 1), shown, f"{min_rd[i]:.9g}"]
-        cells += [f"{scores[i, g]:.9g}" for g in range(G)]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        write_text_atomic(target, text)
+    shown = codes if label_names is None else np.array(["0", *label_names], dtype=object)[codes]
+    columns = [np.arange(1, codes.shape[0] + 1), shown, min_rd, *scores.T]
+    write_text(target, csv_text(",".join(header), "%d,%s" + ",%.9g" * (G + 1), columns))

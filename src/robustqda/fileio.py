@@ -26,3 +26,38 @@ def write_text_atomic(path, text: str) -> Path:
             pass
         raise
     return path
+
+
+def write_text(target, text: str) -> None:
+    """Write ``text`` to an open text file, or atomically to a path."""
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        write_text_atomic(target, text)
+
+
+# Rows per ``%`` call in csv_text: large enough to amortise the call,
+# small enough that the per-chunk Python values stay a few megabytes.
+CHUNK_ROWS = 8192
+
+
+def csv_text(header: str, row_format: str, columns) -> str:
+    """CSV text: the ``header`` line, then ``row_format % row`` per row.
+
+    ``columns`` are equal-length 1-D numpy arrays, one per ``%`` field of
+    ``row_format``.  Rows are formatted ``CHUNK_ROWS`` at a time, each
+    chunk by a single ``%`` over ``.tolist()`` values, so ``%r`` gives
+    ``repr(float(x))`` and ``%.9g`` gives ``f"{x:.9g}"``, and the temporary
+    Python values scale with the chunk, not with the row count.
+    """
+    width = len(columns)
+    n = len(columns[0])
+    line = row_format + "\n"
+    parts = [header + "\n"]
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        values = [None] * ((stop - start) * width)
+        for j, column in enumerate(columns):
+            values[j::width] = column[start:stop].tolist()
+        parts.append((line * (stop - start)) % tuple(values))
+    return "".join(parts)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import as_data_matrix
 from .errors import DataError, DimensionMismatch
+from .fileio import csv_text, write_text
 from .qda import QdaModel, classify_rows
 
 __all__ = [
@@ -105,27 +106,15 @@ def lb_points(model: QdaModel, X, y, given_class: int) -> LbPlotSpec:
     return LbPlotSpec(given_class=g, points=tuple(points), rd_cutoff=float(model.outlier_cutoff), lb_cutoff=LB_CUTOFF)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def write_lb_csv(spec: LbPlotSpec, target) -> None:
     """Write the point list as CSV (comma, dot decimals, LF, header).
 
-    ``target`` may be a path or a text file object.  Floats carry nine
-    significant digits; re-reading and re-writing is byte-stable.
+    ``target`` may be a path, written atomically, or a text file object.
+    Floats carry nine significant digits; re-reading and re-writing is
+    byte-stable.
     """
-    lines = [_CSV_HEADER]
-    for pt in spec.points:
-        lines.append(
-            f"{pt.row},{_fmt(pt.rd_own)},{_fmt(pt.lb)},{pt.given},{pt.predicted},{int(pt.overall_outlier)}"
-        )
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    columns = [np.array([getattr(pt, f.name) for pt in spec.points]) for f in fields(LbPoint)]
+    write_text(target, csv_text(_CSV_HEADER, "%d,%.9g,%.9g,%d,%d,%d", columns))
 
 
 def read_lb_points(source) -> list[LbPoint]:

@@ -187,6 +187,27 @@ class TestTrainCommand:
         assert "class run:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["mcd", "train"])
+class TestHFracFlag:
+    def test_help_states_half_open_domain(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "subset fraction in [0.5, 1) (default 0.5)" in " ".join(capsys.readouterr().out.split())
+
+    def test_one_is_rejected_with_domain_message(self, command, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        make_training_csv(data, n_per_class=60)
+        argv = [command, "--data", str(data), "--h-frac", "1", "--blocks", "1"]
+        if command == "train":
+            argv += ["--label-col", "label", "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: ")
+        assert "coverage fraction must lie in [0.5, 1), got 1.0" in err
+        assert not (tmp_path / "m.json").exists()
+
 class TestPredictCommand:
     def test_round_trip_matches_in_process_scores(self, trained, tmp_path):
         feats = tmp_path / "feats.csv"

@@ -1,9 +1,16 @@
 """Tests for CSV reading, writing, and label encoding."""
+import csv
 import io
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from robustqda import data_io
 from robustqda.data_io import (
     encode_labels,
     encode_with_names,
@@ -12,6 +19,7 @@ from robustqda.data_io import (
     write_predictions_csv,
 )
 from robustqda.errors import DataError
+from robustqda.fileio import CHUNK_ROWS
 
 
 SAMPLE = "a,b,label\n1.5,2.0,1\n-0.25,3.5,2\n0.0,1e-3,1\n"
@@ -139,3 +147,294 @@ class TestWritePredictions:
         buf = io.StringIO()
         write_predictions_csv(buf, [1], np.array([[0.5, 1.5]]), [0.3])
         assert buf.getvalue().splitlines()[1].startswith("1,1,0.3,")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the cell-by-cell reader and writers that the
+# numpy paths replaced.  The tests below require identical results from
+# both, value for value and byte for byte, including error messages.
+
+
+def reference_read(source, label_col=None):
+    if hasattr(source, "read"):
+        rows = list(csv.reader(source))
+    else:
+        rows = list(csv.reader(io.StringIO(Path(source).read_text(encoding="utf-8"))))
+    if not rows:
+        raise DataError("empty CSV: expected a header row")
+    header = [name.strip() for name in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header")
+    label_idx = None
+    if label_col is not None:
+        if label_col not in header:
+            raise DataError(f"no column named {label_col!r} (header: {', '.join(header)})")
+        label_idx = header.index(label_col)
+    feature_idx = [j for j in range(len(header)) if j != label_idx]
+    if not feature_idx:
+        raise DataError("no feature columns left after removing the label column")
+    names = tuple(header[j] for j in feature_idx)
+    data = np.empty((len(rows) - 1, len(feature_idx)))
+    labels = [] if label_idx is not None else None
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+        for k, j in enumerate(feature_idx):
+            cell = row[j].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"row {i}, column {header[j]!r}: {cell!r} is not a number") from None
+            if not np.isfinite(value):
+                raise DataError(f"row {i}, column {header[j]!r}: {cell!r} is not finite")
+            data[i - 1, k] = value
+        if labels is not None:
+            labels.append(row[label_idx].strip())
+    if data.shape[0] == 0:
+        raise DataError("CSV contains a header but no data rows")
+    return data, names, None if labels is None else tuple(labels)
+
+
+def reference_write_dataset(X, feature_names=None, y=None, label_col="label"):
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    if feature_names is None:
+        feature_names = tuple(f"x{j + 1}" for j in range(p))
+    header = list(feature_names)
+    if y is not None:
+        y = np.asarray(y)
+        header.append(label_col)
+    lines = [",".join(header)]
+    for i in range(n):
+        cells = [repr(float(v)) for v in X[i]]
+        if y is not None:
+            cells.append(str(y[i]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_predictions(labels, scores, min_rd, label_names=None):
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    min_rd = np.asarray(min_rd, dtype=np.float64)
+    G = scores.shape[1]
+    header = ["row", "predicted", "min_rd"] + [f"score_{g}" for g in range(1, G + 1)]
+    lines = [",".join(header)]
+    for i in range(labels.shape[0]):
+        lbl = int(labels[i])
+        if label_names is not None and lbl != 0:
+            shown = label_names[lbl - 1]
+        else:
+            shown = str(lbl)
+        cells = [str(i + 1), shown, f"{min_rd[i]:.9g}"]
+        cells += [f"{scores[i, g]:.9g}" for g in range(G)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def read_both(text, label_col=None):
+    """Outcome of read_dataset and of the reference on ``text``, each
+    ("ok", shape, X bytes, names, labels) or ("error", type, message)."""
+    outcomes = []
+    for reader in (read_dataset, reference_read):
+        try:
+            got = reader(io.StringIO(text), label_col=label_col)
+        except (DataError, csv.Error) as exc:
+            outcomes.append(("error", type(exc), str(exc)))
+            continue
+        if reader is read_dataset:
+            got = (got.X, got.feature_names, got.labels_raw)
+        X, names, labels = got
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        outcomes.append(("ok", X.shape, X.tobytes(), names, labels))
+    return outcomes
+
+
+def per_cell_path_unused():
+    return mock.patch.object(data_io, "_parse_cells", side_effect=AssertionError("per-cell path ran"))
+
+
+def scaled(mantissa, exponent, sign):
+    return sign * mantissa * 10.0**exponent
+
+
+# Finite floats spanning 1e-300..1e300 in magnitude, plus both zeros.
+FINITE = st.one_of(
+    st.builds(scaled, st.floats(1.0, 9.999999), st.integers(-300, 299), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.floats(-1e6, 1e6),
+)
+FORMATS = (repr, "{:.17g}".format, "{:.6e}".format, "{:g}".format, "{:+.3E}".format)
+PAD = st.sampled_from(["", " ", "\t", " \t ", "  "])
+
+
+@st.composite
+def clean_csv(draw):
+    """A quote-free CSV that the dialect accepts, and its label column."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 4))
+    label_at = draw(st.one_of(st.none(), st.integers(0, p)))
+    string_labels = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = [f"c{j}" for j in range(p)]
+    if label_at is not None:
+        header.insert(label_at, "label")
+    lines = [",".join(header)]
+    for _ in range(n):
+        cells = [
+            draw(PAD) + draw(st.sampled_from(FORMATS))(draw(FINITE)) + draw(PAD) for _ in range(p)
+        ]
+        if label_at is not None:
+            labels = ["walk", "run", "a b"] if string_labels else ["1", "2", "3"]
+            cells.insert(label_at, draw(PAD) + draw(st.sampled_from(labels)) + draw(PAD))
+        lines.append(",".join(cells))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, None if label_at is None else "label"
+
+
+class TestReaderMatchesPerCellReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(clean_csv())
+    def test_clean_input_takes_numpy_path_with_identical_result(self, case):
+        text, label_col = case
+        with per_cell_path_unused():
+            new, ref = read_both(text, label_col)
+        assert new == ref
+        assert new[0] == "ok"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(alphabet="0123456789.,-+eE_ \t\r\n\"naifx", max_size=40),
+        st.sampled_from([None, "b"]),
+    )
+    def test_arbitrary_text_gives_identical_outcome(self, body, label_col):
+        new, ref = read_both("a,b,c\n" + body, label_col)
+        assert new == ref
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,2\n\n3,4\n",  # blank line mid-file
+            "1,2\n3,4\n\n",  # trailing blank line
+            "1,2\r\n\r\n3,4\r\n",  # blank CRLF line
+            "1,nan\n",
+            "inf,2\n",
+            "1,-inf\n",
+            "1e400,2\n",
+            "1,2\n3\n",  # ragged
+            "1,2,\n",  # trailing comma
+            "1,2\n3,oops\n",
+            "1,\n",  # empty cell
+            "\n",
+            "  \n",
+        ],
+    )
+    def test_declined_input_raises_identical_error(self, body):
+        new, ref = read_both("a,b\n" + body)
+        assert new == ref
+        assert new[:2] == ("error", DataError)
+
+    @pytest.mark.parametrize(
+        "text,label_col",
+        [
+            ('a,b\n"1.5",2\n', None),  # quoted cell
+            ('"a",b,label\n1,2,"x,y"\n', "label"),  # quoted header and label
+            ("a,b\n1_0,2\n", None),  # underscore digit grouping
+            ("a,b\n١,2\n", None),  # non-ASCII digit
+            ("a,label,b\n1,x,2\n3,y,4,5\n", "label"),  # ragged around the label
+            ("a,label\n1,x\n2\n", "label"),
+        ],
+    )
+    def test_declined_input_parses_or_fails_as_before(self, text, label_col):
+        new, ref = read_both(text, label_col)
+        assert new == ref
+
+    def test_path_source_with_crlf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,label,b\r\n1.5,x,-0.0\r\n2e-300,y,3\r\n")
+        ds = read_dataset(path, label_col="label")
+        ref = reference_read(path, label_col="label")
+        assert ds.X.tobytes() == ref[0].tobytes()
+        assert (ds.feature_names, ds.labels_raw) == ref[1:]
+
+
+def sink():
+    """A write-only text target that keeps nothing but the text."""
+    out = []
+    return mock.Mock(write=out.append), out
+
+
+class TestWritersMatchPerCellReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_write_dataset_bytes(self, n, p, with_y, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-300, 300, (n, p))
+        X.flat[:: 3] = rng.choice([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], X.flat[::3].shape)
+        y = rng.integers(1, 4, n) if with_y else None
+        buf = io.StringIO()
+        write_dataset(buf, X, y=y)
+        assert buf.getvalue() == reference_write_dataset(X, y=y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_write_predictions_bytes(self, n, G, named, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, G + 1, n)  # 0 is the outlier class
+        scores = rng.standard_normal((n, G)) * 10.0 ** rng.integers(-300, 300, (n, G))
+        scores.flat[:: 4] = rng.choice([0.0, -0.0, 5e-324, -np.inf, np.nan], scores.flat[::4].shape)
+        min_rd = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-20, 20, n)
+        names = tuple(f"class {g}" for g in range(1, G + 1)) if named else None
+        buf = io.StringIO()
+        write_predictions_csv(buf, labels, scores, min_rd, label_names=names)
+        assert buf.getvalue() == reference_write_predictions(labels, scores, min_rd, names)
+
+    def test_chunk_boundaries(self, tmp_path):
+        n = 2 * CHUNK_ROWS + 3
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((n, 3))
+        y = rng.integers(1, 4, n)
+        write_dataset(tmp_path / "d.csv", X, feature_names=("u", "v", "w"), y=y, label_col="cls")
+        expected = reference_write_dataset(X, ("u", "v", "w"), y, "cls")
+        assert (tmp_path / "d.csv").read_text(encoding="utf-8") == expected
+        labels = np.where(rng.random(n) < 0.1, 0, y)
+        scores = rng.standard_normal((n, 3))
+        min_rd = rng.random(n)
+        path = tmp_path / "p.csv"
+        names = ("x", "y", "z")
+        write_predictions_csv(path, labels, scores, min_rd, names)
+        expected = reference_write_predictions(labels, scores, min_rd, names)
+        assert path.read_text(encoding="utf-8") == expected
+
+    # Peak traced allocation during a write, over the size of the text it
+    # produces.  The text is built once from per-chunk parts, so about two
+    # copies of it plus one chunk's Python values are alive at the peak.
+    PEAK_OVER_TEXT = 2.6
+
+    @pytest.mark.parametrize("writer", ["dataset", "predictions"])
+    def test_peak_memory_bounded_by_output(self, writer):
+        n = 50_000
+        rng = np.random.default_rng(9)
+        target, out = sink()
+        if writer == "dataset":
+            X = rng.standard_normal((n, 5))
+            y = rng.integers(1, 4, n)
+            call = lambda: write_dataset(target, X, y=y)
+        else:
+            labels = rng.integers(0, 4, n)
+            scores = rng.standard_normal((n, 3))
+            min_rd = rng.random(n)
+            call = lambda: write_predictions_csv(target, labels, scores, min_rd, ("a", "b", "c"))
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(out[0])
+        assert peak < self.PEAK_OVER_TEXT * size, (peak, size)

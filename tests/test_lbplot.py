@@ -1,14 +1,19 @@
 """Tests for the label-bias diagnostic points, CSV, and SVG rendering."""
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from robustqda import fileio
 from robustqda.core import chi2_quantile
 from robustqda.errors import DataError, DimensionMismatch
 from robustqda.lbplot import (
     LB_CUTOFF,
+    LbPlotSpec,
+    LbPoint,
     class_color,
     lb_points,
     read_lb_points,
@@ -157,3 +162,71 @@ def test_class_color_cycles():
     assert class_color(1) == "#ff7f0e"
     assert class_color(2) == "#1f77b4"
     assert class_color(11) == class_color(1)
+
+
+def reference_lb_csv(spec):
+    """The per-point writer that write_lb_csv replaced."""
+    lines = ["row,rd_own,lb,given,predicted,overall_outlier"]
+    for pt in spec.points:
+        lines.append(
+            f"{pt.row},{pt.rd_own:.9g},{pt.lb:.9g},{pt.given},{pt.predicted},{int(pt.overall_outlier)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def random_spec(n, seed):
+    rng = np.random.default_rng(seed)
+    rd = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-30, 30, n)
+    rd[::7] = 0.0
+    points = tuple(
+        LbPoint(
+            row=int(rng.integers(0, 10**6)),
+            rd_own=float(rd[i]),
+            lb=float(rng.random()) if i % 5 else 0.0,
+            given=3,
+            predicted=int(rng.integers(1, 4)),
+            overall_outlier=bool(rng.random() < 0.2),
+        )
+        for i in range(n)
+    )
+    return LbPlotSpec(given_class=3, points=points, rd_cutoff=3.0, lb_cutoff=LB_CUTOFF)
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, fileio.CHUNK_ROWS + 5])
+def test_csv_matches_per_point_reference(n):
+    spec = random_spec(n, seed=n)
+    buf = io.StringIO()
+    write_lb_csv(spec, buf)
+    assert buf.getvalue() == reference_lb_csv(spec)
+
+
+def test_csv_path_is_written_atomically(tmp_path, monkeypatch):
+    calls = []
+    original = fileio.write_text_atomic
+
+    def spy(path, text):
+        calls.append(path)
+        return original(path, text)
+
+    monkeypatch.setattr(fileio, "write_text_atomic", spy)
+    spec = random_spec(20, seed=1)
+    target = tmp_path / "lb.csv"
+    write_lb_csv(spec, target)
+    assert calls == [target]
+    assert target.read_text(encoding="utf-8") == reference_lb_csv(spec)
+    assert [p.name for p in tmp_path.iterdir()] == ["lb.csv"]
+
+
+def test_csv_peak_memory_bounded_by_output():
+    # Rows are short (about 35 bytes), so the six column arrays built from
+    # the points weigh more against the text than in the data_io writers:
+    # 3.2x measured, against 4.6x for the per-point writer.
+    spec = random_spec(50_000, seed=2)
+    out = []
+    tracemalloc.start()
+    try:
+        write_lb_csv(spec, mock.Mock(write=out.append))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * len(out[0]), (peak, len(out[0]))
