@@ -5,201 +5,15 @@ deterministic MCD estimator, classifies with quadratic discriminant
 scores plus an explicit outlier class 0, and ships a label-bias
 diagnostic plot and a contamination study harness.  See the ``robust-qda``
 console script for the command-line surface.
+
+The top level re-exports the four entry points the README documents;
+everything else, the exception classes in :mod:`robustqda.errors`
+included, is imported from its own module.
 """
-from .block_mcd import (
-    BlockDiagnostics,
-    BlockPlan,
-    BlockwiseResult,
-    PooledRaw,
-    blockwise_mcd,
-    default_block_count,
-    kl_deviation,
-    median_pool,
-    select_and_pool,
-    split_blocks,
-)
-from .core import (
-    LocationScatter,
-    chi2_cdf,
-    chi2_quantile,
-    mahalanobis,
-    mvn_sample,
-    spd_cholesky,
-    substream,
-)
-from .data_io import Dataset, encode_labels, read_dataset, write_dataset
-from .errors import (
-    AllStartsDegenerate,
-    BlocksTooSmall,
-    ConfigError,
-    DataError,
-    DegenerateStart,
-    DimensionMismatch,
-    DomainError,
-    EmptyClassAfterTrim,
-    NotPositiveDefinite,
-    NumericError,
-    RobustQdaError,
-    TooFewInliers,
-    TooFewObservations,
-    UnknownClass,
-    ZeroNoise,
-    ZeroScale,
-)
-from .lbplot import (
-    LB_CUTOFF,
-    LbPlotSpec,
-    LbPoint,
-    class_color,
-    lb_points,
-    read_lb_points,
-    render_lb_svg,
-    write_lb_csv,
-)
-from .mcd import (
-    RawEstimate,
-    c_step,
-    consistency_factor,
-    fit_mcd,
-    h_from_fraction,
-    initial_starts,
-    raw_from_subset,
-    reweight,
-)
-from .model_io import load_model, model_from_json, model_to_json, save_model
-from .qda import (
-    OUTLIER_LABEL,
-    ClassModel,
-    Prediction,
-    QdaModel,
-    classify,
-    classify_rows,
-    discriminant_score,
-    fit_qda,
-    label_bias,
-    robust_priors,
-)
-from .robust_scale import (
-    MAD_TO_SD,
-    Standardizer,
-    destandardize_estimate,
-    fit_standardizer,
-    standardize,
-)
-from .sim import (
-    ClassSpec,
-    Contamination,
-    ExtendedConfusion,
-    MethodReport,
-    Scenario,
-    StudyReport,
-    Tags,
-    alpha_metric,
-    average_confusions,
-    extended_confusion,
-    format_scenario,
-    generate,
-    kl_metric,
-    parse_scenario,
-    preset_names,
-    preset_scenario,
-    run_study,
-    two_class_demo,
-    write_study_report,
-)
+from .block_mcd import blockwise_mcd
+from .lbplot import lb_points
+from .qda import classify_rows, fit_qda
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllStartsDegenerate",
-    "BlockDiagnostics",
-    "BlockPlan",
-    "BlocksTooSmall",
-    "BlockwiseResult",
-    "ClassModel",
-    "ClassSpec",
-    "ConfigError",
-    "Contamination",
-    "DataError",
-    "Dataset",
-    "DegenerateStart",
-    "DimensionMismatch",
-    "DomainError",
-    "EmptyClassAfterTrim",
-    "ExtendedConfusion",
-    "LB_CUTOFF",
-    "LbPlotSpec",
-    "LbPoint",
-    "LocationScatter",
-    "MAD_TO_SD",
-    "MethodReport",
-    "NotPositiveDefinite",
-    "NumericError",
-    "OUTLIER_LABEL",
-    "PooledRaw",
-    "Prediction",
-    "QdaModel",
-    "RawEstimate",
-    "RobustQdaError",
-    "Scenario",
-    "Standardizer",
-    "StudyReport",
-    "Tags",
-    "TooFewInliers",
-    "TooFewObservations",
-    "UnknownClass",
-    "ZeroNoise",
-    "ZeroScale",
-    "alpha_metric",
-    "average_confusions",
-    "blockwise_mcd",
-    "c_step",
-    "chi2_cdf",
-    "chi2_quantile",
-    "class_color",
-    "classify",
-    "classify_rows",
-    "consistency_factor",
-    "default_block_count",
-    "destandardize_estimate",
-    "discriminant_score",
-    "encode_labels",
-    "extended_confusion",
-    "fit_mcd",
-    "fit_qda",
-    "fit_standardizer",
-    "format_scenario",
-    "generate",
-    "h_from_fraction",
-    "initial_starts",
-    "kl_deviation",
-    "kl_metric",
-    "label_bias",
-    "lb_points",
-    "load_model",
-    "mahalanobis",
-    "median_pool",
-    "model_from_json",
-    "model_to_json",
-    "mvn_sample",
-    "parse_scenario",
-    "preset_names",
-    "preset_scenario",
-    "raw_from_subset",
-    "read_dataset",
-    "read_lb_points",
-    "render_lb_svg",
-    "reweight",
-    "robust_priors",
-    "run_study",
-    "save_model",
-    "select_and_pool",
-    "spd_cholesky",
-    "split_blocks",
-    "standardize",
-    "substream",
-    "two_class_demo",
-    "write_dataset",
-    "write_lb_csv",
-    "write_study_report",
-]
+__all__ = ["blockwise_mcd", "classify_rows", "fit_qda", "lb_points"]

@@ -1,9 +1,10 @@
 """Worker-pool helper.
 
 ``ROBUST_QDA_THREADS`` caps the number of threads used for independent
-sub-fits (blocks, classes, replications).  It only affects wall-clock
-time: every call site collects results in task order, so the output is
-identical for any thread count.
+sub-fits.  The only caller is ``blockwise_mcd``, which fits its blocks
+through :func:`ordered_map`; per-class fits and study replications run
+serially.  The cap only affects wall-clock time: results are collected
+in task order, so the output is identical for any thread count.
 """
 from __future__ import annotations
 

@@ -53,13 +53,18 @@ class BlockPlan:
 
 @dataclass(frozen=True)
 class PooledRaw:
-    """Raw pooled estimate over the h-subsets of the selected blocks."""
+    """Raw pooled estimate over the h-subsets of the selected blocks.
+
+    ``kl_deviations`` holds, per block, the KL deviation of the entry-wise
+    median estimate from that block's fit, which drove the selection.
+    """
 
     loc_scat: LocationScatter
     subset: np.ndarray = field(repr=False)
     c_alpha: float
     contributing_blocks: tuple
     n_selected: int
+    kl_deviations: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "subset", np.array(self.subset, dtype=np.intp))
@@ -209,6 +214,7 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
         c_alpha=c_alpha,
         contributing_blocks=tuple(int(b) + 1 for b in chosen),
         n_selected=n_selected,
+        kl_deviations=tuple(float(d) for d in deviations),
     )
 
 
@@ -258,8 +264,6 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
 
     estimates = ordered_map(fit_block, range(plan.q))
     pooled = select_and_pool(Zc, plan, estimates)
-    mu_med, sigma_med = median_pool(estimates)
-    deviations = tuple(float(_kl_core(sigma_med, mu_med, e.loc_scat)) for e in estimates)
     refined, weights_c = reweight(Zc, pooled)
     weights = np.empty(n, dtype=bool)
     weights[order] = weights_c
@@ -271,7 +275,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
         block_sizes=plan.sizes,
         h_values=tuple(int(e.h) for e in estimates),
         block_dets=tuple(float(e.det_uncorrected) for e in estimates),
-        kl_deviations=deviations,
+        kl_deviations=pooled.kl_deviations,
         selected_blocks=pooled.contributing_blocks,
         pooled_h=pooled.h,
         inlier_count=int(weights.sum()),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import stats
+from scipy import special
 
 from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefinite
 
@@ -82,7 +82,11 @@ def spd_cholesky(sigma, *, name: str = "sigma") -> tuple[np.ndarray, float, np.n
         ``p * machine_epsilon * max(diagonal)``.  An ill-conditioned but
         factorizable matrix goes through with a logged condition estimate.
     """
-    S = _check_square_symmetric(sigma, name=name)
+    return _cholesky_factors(_check_square_symmetric(sigma, name=name), name)
+
+
+def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`spd_cholesky` of a matrix already checked and symmetrised."""
     p = S.shape[0]
     try:
         L = np.linalg.cholesky(S)
@@ -128,12 +132,12 @@ class LocationScatter:
             raise DimensionMismatch(f"mu must be 1-D, got ndim={mu.ndim}")
         if not np.all(np.isfinite(mu)):
             raise DataError("mu contains non-finite entries")
-        L, log_det, precision = spd_cholesky(sigma)
+        sigma = _check_square_symmetric(sigma)
+        L, log_det, precision = _cholesky_factors(sigma, "sigma")
         if L.shape[0] != mu.shape[0]:
             raise DimensionMismatch(
                 f"mu has length {mu.shape[0]} but sigma is {L.shape[0]}x{L.shape[0]}"
             )
-        sigma = _check_square_symmetric(sigma)
         for arr in (mu, sigma, L, precision):
             arr.setflags(write=False)
         return cls(mu=mu, sigma=sigma, chol=L, log_det=log_det, precision=precision)
@@ -176,13 +180,14 @@ def chi2_quantile(dof: int, prob: float) -> float:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
     if not (0.0 < prob < 1.0):
         raise DomainError(f"prob must lie strictly inside (0, 1), got {prob!r}")
-    return float(stats.chi2.ppf(prob, int(dof)))
+    return float(2.0 * special.gammaincinv(int(dof) / 2, prob))
 
 
 def chi2_cdf(x: float, dof: int) -> float:
+    """Distribution function of the chi-square distribution, zero below 0."""
     if int(dof) != dof or dof < 1:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
-    return float(stats.chi2.cdf(x, int(dof)))
+    return 0.0 if x < 0 else float(special.chdtr(int(dof), x))
 
 
 def mvn_sample(rng: np.random.Generator, estimate: LocationScatter, n: int) -> np.ndarray:

@@ -63,9 +63,14 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     ``label_col`` names the column to split off as labels; the remaining
     columns are features, kept in header order.  Raises DataError for a
     missing header, ragged rows, or any feature cell that is not a finite
-    number, citing the data row (1-based) and column name.
+    number, citing the data row (1-based) and column name, and for bytes
+    that are not UTF-8.  Text the csv module rejects, such as a cell over
+    its field limit, raises ``csv.Error``.
     """
-    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    try:
+        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"CSV is not UTF-8 text: {exc}") from None
     # A quoted cell may hold commas or line breaks, so a file with any quote
     # goes through the csv module whole; otherwise the header is the first
     # line and the body is left to _parse_body.

@@ -129,12 +129,17 @@ def raw_from_subset(Z, subset) -> RawEstimate:
         raise DataError("subset contains duplicate row indices")
     if subset.min() < 0 or subset.max() >= n:
         raise DataError(f"subset indices must lie in [0, {n})")
-    subset = np.sort(subset)
+    return _fit_subset(Z, np.sort(subset), consistency_factor(h, n, p))
+
+
+def _fit_subset(Z: np.ndarray, subset: np.ndarray, c_alpha: float) -> RawEstimate:
+    """:func:`raw_from_subset` for a sorted subset of distinct, in-range rows
+    of a validated ``Z``, with its consistency factor already computed."""
+    h, p = subset.shape[0], Z.shape[1]
     rows = Z[subset]
     mu = rows.mean(axis=0)
     dev = rows - mu
     cov = (dev.T @ dev) / (h - 1)
-    c_alpha = consistency_factor(h, n, p)
     loc_scat = LocationScatter.from_sigma(mu, c_alpha * cov)
     log_det_plain = loc_scat.log_det - p * math.log(c_alpha)
     return RawEstimate(
@@ -216,10 +221,12 @@ def initial_starts(Z) -> list[LocationScatter]:
 
 
 def _concentrate(Z: np.ndarray, start: LocationScatter, h: int, max_steps: int) -> RawEstimate:
-    d2 = start.squared_distances(Z)
-    current = raw_from_subset(Z, _smallest_h(d2, h))
+    n, p = Z.shape
+    c_alpha = consistency_factor(h, n, p)
+    current = _fit_subset(Z, _smallest_h(start.squared_distances(Z), h), c_alpha)
     for _ in range(max_steps):
-        refined = c_step(Z, current)
+        d2 = current.loc_scat.squared_distances(Z)
+        refined = _fit_subset(Z, _smallest_h(d2, h), c_alpha)
         if refined.det_uncorrected > current.det_uncorrected * (1.0 + 1e-9):
             raise NumericError("concentration step increased the determinant")
         if np.array_equal(refined.subset, current.subset):
@@ -273,7 +280,7 @@ def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS)
         swapped = inside.copy()
         swapped[a_idx] = outside[b_idx]
         try:
-            refined = raw_from_subset(Z, swapped)
+            refined = _fit_subset(Z, np.sort(swapped), current.c_alpha)
         except NumericError:
             return current
         if refined.det_uncorrected >= current.det_uncorrected:

@@ -128,4 +128,8 @@ def save_model(path, model: QdaModel, label_names=None) -> Path:
 
 
 def load_model(path) -> tuple[QdaModel, tuple | None]:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"model file is not UTF-8 text: {exc}") from None
+    return model_from_json(text)

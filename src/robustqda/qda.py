@@ -136,7 +136,10 @@ def robust_priors(X, y, estimates, cutoff: float) -> np.ndarray:
     y, G = _validate_labels(y, X.shape[0])
     if len(estimates) != G:
         raise DimensionMismatch(f"expected {G} class estimates, got {len(estimates)}")
-    kept = _own_class_inlier_counts(X, y, estimates, cutoff, G)
+    return _trimmed_priors(_own_class_inlier_counts(X, y, estimates, cutoff, G))
+
+
+def _trimmed_priors(kept: np.ndarray) -> np.ndarray:
     if np.any(kept == 0):
         bad = int(np.argwhere(kept == 0)[0, 0]) + 1
         raise EmptyClassAfterTrim(f"class {bad}: every observation was trimmed as outlying")
@@ -190,13 +193,7 @@ def fit_qda(
             raise type(exc)(f"class {g}: {exc}") from exc
 
     inliers = _own_class_inlier_counts(X, y, fits, cutoff, G)
-    if mode == "robust":
-        if np.any(inliers == 0):
-            bad = int(np.argwhere(inliers == 0)[0, 0]) + 1
-            raise EmptyClassAfterTrim(f"class {bad}: every observation was trimmed as outlying")
-        priors = inliers / inliers.sum()
-    else:
-        priors = counts / counts.sum()
+    priors = _trimmed_priors(inliers) if mode == "robust" else counts / counts.sum()
 
     classes = tuple(
         ClassModel(

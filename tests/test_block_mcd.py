@@ -224,3 +224,28 @@ class TestBlockwiseMcd:
     def test_needs_enough_rows(self):
         with pytest.raises(TooFewObservations):
             blockwise_mcd(np.random.default_rng(0).standard_normal((6, 3)))
+
+
+class TestPoolingComputedOnce:
+    def test_pooled_kl_deviations_match_median_pool(self):
+        X, _, _ = contaminated(6, n=320, p=3)
+        plan = split_blocks(320, 4, np.random.default_rng(8))
+        estimates = [
+            fit_mcd(X[plan.assignments[b]], h_from_fraction(plan.sizes[b], 3, 0.5))
+            for b in range(4)
+        ]
+        pooled = select_and_pool(X, plan, estimates)
+        mu_med, sigma_med = median_pool(estimates)
+        expected = tuple(kl_deviation(sigma_med, mu_med, e.sigma, e.mu) for e in estimates)
+        assert pooled.kl_deviations == expected
+
+    def test_blockwise_mcd_pools_once(self):
+        from unittest import mock
+
+        from robustqda import block_mcd
+
+        X, _, _ = contaminated(7, n=400, p=3)
+        with mock.patch.object(block_mcd, "median_pool", wraps=median_pool) as spy:
+            res = blockwise_mcd(X, blocks=4, rng=1)
+        assert spy.call_count == 1
+        assert res.diagnostics.kl_deviations == res.raw.kl_deviations

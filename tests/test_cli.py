@@ -259,6 +259,33 @@ class TestPredictCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestUnreadableInput:
+    """Bytes that are not UTF-8 and cells the csv module refuses are input
+    errors (exit 2), not tracebacks."""
+
+    def test_non_utf8_data(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"a,b\n1.0,2.0\n\xff,3.0\n")
+        assert main(["mcd", "--data", str(data)]) == 2
+        assert "error: DataError: CSV is not UTF-8 text" in capsys.readouterr().err
+
+    def test_oversized_quoted_cell(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text('a,b\n"' + "1" * 200_000 + '",2.0\n')
+        assert main(["mcd", "--data", str(data)]) == 2
+        assert "error: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+    def test_non_utf8_model(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "mode": "\xff"}')
+        feats = tmp_path / "x.csv"
+        write_dataset(feats, np.zeros((3, 2)))
+        rc = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "error: DataError: model file is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
     root = tmp_path_factory.mktemp("lb")

@@ -184,3 +184,38 @@ class TestSampling:
         est = LocationScatter.from_sigma([0.0], [[1.0]])
         with pytest.raises(DomainError):
             mvn_sample(substream(0, 0), est, 0)
+
+
+class TestChi2MatchesScipyStats:
+    """The special-function forms equal ``scipy.stats.chi2`` bit for bit."""
+
+    def test_quantile_and_cdf_grid(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        probs = np.concatenate([rng.random(200), [1e-300, 1e-12, 0.5, 0.975, 0.99, 1 - 1e-12]])
+        probs = probs[(probs > 0.0) & (probs < 1.0)]
+        for dof in range(1, 40):
+            for prob in probs:
+                q = chi2_quantile(dof, float(prob))
+                assert q == float(stats.chi2.ppf(prob, dof))
+                assert chi2_cdf(q, dof) == float(stats.chi2.cdf(q, dof))
+            for x in (0.0, 1e-300, 0.3, 7.5, 1e3, math.inf, -1.0, -math.inf):
+                assert chi2_cdf(x, dof) == float(stats.chi2.cdf(x, dof))
+
+
+class TestFromSigmaChecksOnce:
+    def test_symmetry_check_runs_once(self):
+        from unittest import mock
+
+        from robustqda import core
+
+        with mock.patch.object(core, "_check_square_symmetric", wraps=core._check_square_symmetric) as spy:
+            LocationScatter.from_sigma(np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]]))
+        assert spy.call_count == 1
+
+    def test_sigma_errors_come_before_the_length_check(self):
+        with pytest.raises(DataError):
+            LocationScatter.from_sigma(np.zeros(3), np.array([[1.0, 0.5], [0.1, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            LocationScatter.from_sigma(np.zeros(3), np.zeros((2, 2)))

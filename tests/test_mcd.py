@@ -282,3 +282,42 @@ def test_polish_never_worse_than_plain_concentration():
                     break
                 current = nxt
             assert est.det_uncorrected <= current.det_uncorrected * (1 + 1e-12)
+
+
+class TestTrustedConcentration:
+    """The concentration loop skips the public checks but not their results."""
+
+    def test_consistency_factor_at_most_once_per_start(self):
+        from unittest import mock
+
+        from robustqda import mcd
+
+        rng = np.random.default_rng(21)
+        Z = rng.standard_normal((120, 3))
+        Z[:15] += 7.0
+        with mock.patch.object(mcd, "consistency_factor", wraps=consistency_factor) as spy:
+            fit_mcd(Z, h_from_fraction(120, 3, 0.5))
+        assert 1 <= spy.call_count <= 2
+
+    def test_matches_public_c_steps(self):
+        from robustqda.mcd import _concentrate, _smallest_h
+
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            Z = rng.standard_normal((80, 3))
+            Z[:10] = rng.standard_normal((10, 3)) * 0.3 + 6.0
+            h = h_from_fraction(80, 3, 0.5)
+            for start in initial_starts(Z):
+                current = raw_from_subset(Z, _smallest_h(start.squared_distances(Z), h))
+                for _ in range(100):
+                    refined = c_step(Z, current)
+                    done = np.array_equal(refined.subset, current.subset)
+                    current = refined
+                    if done:
+                        break
+                fast = _concentrate(Z, start, h, 100)
+                assert np.array_equal(fast.subset, current.subset)
+                assert fast.det_uncorrected == current.det_uncorrected
+                assert fast.c_alpha == current.c_alpha
+                assert np.array_equal(fast.sigma, current.sigma)
+                assert np.array_equal(fast.mu, current.mu)
