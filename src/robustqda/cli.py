@@ -246,7 +246,11 @@ def cmd_simulate(args) -> int:
         seed = 0 if args.seed is None else args.seed
         scenario = preset_scenario(args.scenario, scale=args.scale, seed=seed)
     else:
-        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.scenario).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"scenario file is not UTF-8 text: {exc}") from None
+        scenario = parse_scenario(text)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
     methods = ("robust", "classical") if args.methods == "both" else (args.methods,)

@@ -50,6 +50,11 @@ _EIGEN_FLOOR = 1e-8
 
 _MAX_CSTEPS = 100
 
+# Exchange pairs scored per block in the polish; bounds its scratch memory.
+_PAIR_CHUNK = 1 << 16
+
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class RawEstimate:
@@ -235,6 +240,85 @@ def _concentrate(Z: np.ndarray, start: LocationScatter, h: int, max_steps: int) 
     return current
 
 
+def _exchange_ratios(
+    h: int, W_in: np.ndarray, W_out: np.ndarray, q_in: np.ndarray, q_out: np.ndarray
+) -> np.ndarray:
+    """Determinant ratio of every (outside row, inside row) exchange.
+
+    Entry ``[b, a]`` is det(S') / det(S) after inside row ``a`` leaves
+    and outside row ``b`` enters, where ``W_*`` hold the rows' whitened
+    deviations and ``q_*`` their squared norms: det(I2 + C M) with
+    M = [[q_bb, q_ba], [q_ba, q_aa]] and C = [[1 - 1/h, 1/h], [1/h, -(1 + 1/h)]].
+    """
+    c1, c2, c3 = 1.0 - 1.0 / h, 1.0 / h, -(1.0 + 1.0 / h)
+    q_cross = W_out @ W_in.T
+    a00 = 1.0 + c1 * q_out[:, None] + c2 * q_cross
+    a01 = c1 * q_cross + c2 * q_in[None, :]
+    a10 = c2 * q_out[:, None] + c3 * q_cross
+    a11 = 1.0 + c2 * q_cross + c3 * q_in[None, :]
+    return a00 * a11 - a01 * a10
+
+
+def _best_exchange(Z: np.ndarray, current: RawEstimate) -> tuple[float, int, int]:
+    """The exchange with the smallest determinant ratio, as ``(ratio, row,
+    slot)``: row ``row`` of ``Z`` replaces ``current.subset[slot]``.
+
+    Ties go to the lowest ``b * h + slot``, ``b`` being the rank of
+    ``row`` among the outside rows.  When no exchange gets below the
+    stopping level ``1 - 1e-12``, ``ratio`` is only known to be at or
+    above it.
+
+    With ``x = q_ba`` the ratio expands to
+    ``(1 + c1 qo)(1 + c3 qi) - qi qo / h^2 + x^2 + 2x / h``, and since
+    ``x^2 + 2x / h >= -1/h^2`` it is at least
+    ``1 - 1/h^2 + c3 qi + (c1 - qi) qo``.  That bound falls as ``qi``
+    grows, so the inside row with the largest ``qi`` bounds every pair of
+    an outside row.  Only outside rows whose bound reaches the ratio of a
+    known pair (or the stopping level) are scored, against all inside
+    rows, in chunks of about ``_PAIR_CHUNK`` pairs.  The margin covers
+    the rounding of both evaluations, so a skipped pair cannot hold the
+    minimum.
+    """
+    n = Z.shape[0]
+    inside = current.subset
+    h = inside.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    mask[inside] = True
+    outside = np.flatnonzero(~mask)
+    # Whitened deviations: W @ W.T gives deviations' quadratic forms
+    # under the plain h-subset scatter (h - 1) * cov = sigma * (h-1)/c.
+    dev = Z - current.loc_scat.mu
+    W = sla.solve_triangular(current.loc_scat.chol, dev.T, lower=True).T
+    W *= math.sqrt(current.c_alpha / (h - 1))
+    W_in, W_out = W[inside], W[outside]
+    q_in = np.einsum("ij,ij->i", W_in, W_in)
+    q_out = np.einsum("ij,ij->i", W_out, W_out)
+    a_top, b_low = int(np.argmax(q_in)), int(np.argmin(q_out))
+    top = q_in[a_top]
+    # Evaluating a ratio rounds it by under 80 eps ((1 + qi^.5)(1 + qo^.5))^3,
+    # as |x| <= (qi qo)^.5; the margin allows three times that.
+    margin = 1e-9 + 256.0 * _EPS * ((1.0 + math.sqrt(top)) * (1.0 + np.sqrt(q_out))) ** 3
+    known = _exchange_ratios(h, W_in[[a_top]], W_out[[b_low]], q_in[[a_top]], q_out[[b_low]])
+    cap = min(float(known[0, 0]) + margin[b_low], 1.0 - 1e-12)
+    bound = 1.0 - 1.0 / (h * h) - (1.0 + 1.0 / h) * top + (1.0 - 1.0 / h - top) * q_out
+    rows = np.flatnonzero(bound <= cap + margin)
+    if rows.size == 0:
+        return math.inf, -1, -1
+    if rows.size == 1 and outside.shape[0] > 1:
+        # A one-row product runs as a matrix-vector BLAS call, which may
+        # round differently from a matrix-matrix one; score a neighbour too.
+        b = int(rows[0])
+        rows = np.array([b - 1, b] if b + 1 == outside.shape[0] else [b, b + 1])
+    best = (math.inf, -1, -1)
+    step = max(2, _PAIR_CHUNK // h)
+    for chunk in np.array_split(rows, max(1, rows.size // step)):
+        ratio = _exchange_ratios(h, W_in, W_out[chunk], q_in, q_out[chunk])
+        b_pos, slot = divmod(int(np.argmin(ratio)), h)
+        if ratio[b_pos, slot] < best[0]:
+            best = (float(ratio[b_pos, slot]), int(outside[chunk[b_pos]]), slot)
+    return best
+
+
 def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS) -> RawEstimate:
     """Exchange descent from a concentration fixed point.
 
@@ -243,42 +327,20 @@ def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS)
     optimality.  This pass keeps exchanging one subset row for one
     outside row as long as the determinant strictly decreases, so the
     returned subset is also optimal under single exchanges.  Each sweep
-    scores every (inside, outside) pair in O(n p^2 + h (n - h)) time via
-    a rank-two determinant-ratio identity and applies the best exchange.
+    applies the best exchange, found exactly by :func:`_best_exchange`
+    from a rank-two determinant-ratio identity; with ``k`` outside rows
+    left after its bound, a sweep costs O(n p^2 + k h) time and
+    O(n p + max(_PAIR_CHUNK, h)) memory.
     """
-    n, p = Z.shape
-    h = est.h
-    if h >= n:
+    if est.h >= Z.shape[0]:
         return est
     current = est
     for _ in range(max_sweeps):
-        inside = current.subset
-        mask = np.zeros(n, dtype=bool)
-        mask[inside] = True
-        outside = np.flatnonzero(~mask)
-        # Whitened deviations: W @ W.T gives deviations' quadratic forms
-        # under the plain h-subset scatter (h - 1) * cov = sigma * (h-1)/c.
-        dev = Z - current.loc_scat.mu
-        W = sla.solve_triangular(current.loc_scat.chol, dev.T, lower=True).T
-        W *= math.sqrt(current.c_alpha / (h - 1))
-        q_in = np.einsum("ij,ij->i", W[inside], W[inside])
-        q_out = np.einsum("ij,ij->i", W[outside], W[outside])
-        q_cross = W[outside] @ W[inside].T
-        # det ratio after swapping inside a for outside b:
-        # det(I2 + C M) with M = [[q_bb, q_ba], [q_ba, q_aa]] and
-        # C = [[1 - 1/h, 1/h], [1/h, -(1 + 1/h)]].
-        c1, c2, c3 = 1.0 - 1.0 / h, 1.0 / h, -(1.0 + 1.0 / h)
-        a00 = 1.0 + c1 * q_out[:, None] + c2 * q_cross
-        a01 = c1 * q_cross + c2 * q_in[None, :]
-        a10 = c2 * q_out[:, None] + c3 * q_cross
-        a11 = 1.0 + c2 * q_cross + c3 * q_in[None, :]
-        ratio = a00 * a11 - a01 * a10
-        flat = int(np.argmin(ratio))
-        if ratio.flat[flat] >= 1.0 - 1e-12:
+        ratio, row, slot = _best_exchange(Z, current)
+        if ratio >= 1.0 - 1e-12:
             return current
-        b_idx, a_idx = divmod(flat, inside.shape[0])
-        swapped = inside.copy()
-        swapped[a_idx] = outside[b_idx]
+        swapped = current.subset.copy()
+        swapped[slot] = row
         try:
             refined = _fit_subset(Z, np.sort(swapped), current.c_alpha)
         except NumericError:

@@ -285,6 +285,14 @@ class TestUnreadableInput:
         assert "error: DataError: model file is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_non_utf8_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_bytes(b"seed = 1\n\xff\n")
+        out = tmp_path / "study"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "error: DataError: scenario file is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):

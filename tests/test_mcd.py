@@ -321,3 +321,169 @@ class TestTrustedConcentration:
                 assert fast.c_alpha == current.c_alpha
                 assert np.array_equal(fast.sigma, current.sigma)
                 assert np.array_equal(fast.mu, current.mu)
+
+
+def _dense_best_exchange(Z, current):
+    """Reference exchange search: scores every (outside, inside) pair in
+    one dense matrix, as the polish did before its search was pruned."""
+    import scipy.linalg as sla
+
+    n = Z.shape[0]
+    inside = current.subset
+    h = inside.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    mask[inside] = True
+    outside = np.flatnonzero(~mask)
+    dev = Z - current.loc_scat.mu
+    W = sla.solve_triangular(current.loc_scat.chol, dev.T, lower=True).T
+    W *= math.sqrt(current.c_alpha / (h - 1))
+    q_in = np.einsum("ij,ij->i", W[inside], W[inside])
+    q_out = np.einsum("ij,ij->i", W[outside], W[outside])
+    q_cross = W[outside] @ W[inside].T
+    c1, c2, c3 = 1.0 - 1.0 / h, 1.0 / h, -(1.0 + 1.0 / h)
+    a00 = 1.0 + c1 * q_out[:, None] + c2 * q_cross
+    a01 = c1 * q_cross + c2 * q_in[None, :]
+    a10 = c2 * q_out[:, None] + c3 * q_cross
+    a11 = 1.0 + c2 * q_cross + c3 * q_in[None, :]
+    ratio = a00 * a11 - a01 * a10
+    flat = int(np.argmin(ratio))
+    b_idx, a_idx = divmod(flat, h)
+    return float(ratio.flat[flat]), int(outside[b_idx]), a_idx
+
+
+class TestExactExchangeSearch:
+    """The pruned exchange search picks the pair the dense one picks, with
+    the same ratio bits, on every sweep of both starts."""
+
+    @staticmethod
+    def _fit_both_ways(Z, h):
+        from unittest import mock
+
+        from robustqda import mcd
+
+        pruned = mcd._best_exchange
+        sweeps = []
+
+        def checked(Zc, current):
+            dense = _dense_best_exchange(Zc, current)
+            fast = pruned(Zc, current)
+            if dense[0] >= 1.0 - 1e-12:
+                assert fast[0] >= 1.0 - 1e-12
+            else:
+                assert fast == dense
+            sweeps.append(dense)
+            return fast
+
+        with mock.patch.object(mcd, "_best_exchange", checked):
+            checked_fit = fit_mcd(Z, h)
+        with mock.patch.object(mcd, "_best_exchange", _dense_best_exchange):
+            dense_fit = fit_mcd(Z, h)
+        assert np.array_equal(checked_fit.subset, dense_fit.subset)
+        assert np.array_equal(checked_fit.mu, dense_fit.mu)
+        assert np.array_equal(checked_fit.sigma, dense_fit.sigma)
+        assert checked_fit.det_uncorrected == dense_fit.det_uncorrected
+        return sweeps
+
+    @staticmethod
+    def _swaps(sweeps):
+        return sum(ratio < 1.0 - 1e-12 for ratio, _, _ in sweeps)
+
+    def test_tiny_blocks(self):
+        rng = np.random.default_rng(31)
+        sweeps = []
+        for _ in range(40):
+            n = int(rng.integers(12, 41))
+            p = int(rng.integers(1, 4))
+            X = rng.standard_normal((n, p))
+            X[: n // 4] += 5.0
+            sweeps += self._fit_both_ways(X, h_from_fraction(n, p, 0.5))
+        assert self._swaps(sweeps) >= 10
+
+    def test_h_near_n(self):
+        rng = np.random.default_rng(32)
+        sweeps = []
+        for frac in (0.6, 0.75, 0.9, 0.99):
+            for n in (20, 90, 400):
+                X = rng.standard_normal((n, 3))
+                X[: n // 10] *= 4.0
+                sweeps += self._fit_both_ways(X, h_from_fraction(n, 3, frac))
+        assert self._swaps(sweeps) >= 5
+
+    def test_contaminated_5d(self):
+        rng = np.random.default_rng(33)
+        sweeps = []
+        for n in (60, 300, 1500):
+            X = rng.standard_normal((n, 5))
+            X[: n // 5] = rng.standard_normal((n // 5, 5)) * 0.5 + 4.0
+            for frac in (0.5, 0.75):
+                sweeps += self._fit_both_ways(X, h_from_fraction(n, 5, frac))
+        assert self._swaps(sweeps) >= 5
+
+    def test_integer_data_with_ties(self):
+        rng = np.random.default_rng(34)
+        sweeps = []
+        for n, p, spread in ((40, 2, 3), (300, 3, 2), (1200, 2, 2)):
+            X = np.round(rng.standard_normal((n, p)) * spread)
+            X[: n // 6] += 6.0
+            sweeps += self._fit_both_ways(X, h_from_fraction(n, p, 0.5))
+        assert self._swaps(sweeps) >= 3
+
+    def test_survivors_span_several_chunks(self):
+        from unittest import mock
+
+        from robustqda import mcd
+
+        # Rounded data and copies of a few points tie many outside rows
+        # with the subset boundary, so the bound keeps them; a one-pair
+        # chunk size makes every chunk two or three rows.
+        rng = np.random.default_rng(35)
+        copies = np.repeat(rng.standard_normal((12, 2)), 60, axis=0)
+        blocks = [np.vstack([copies, rng.standard_normal((120, 2)) + 5.0])]
+        for spread in (1.0, 1.5):
+            for n in (30, 60, 200, 400):
+                X = np.round(rng.standard_normal((n, 2)) * spread)
+                X[: n // 6] += 6.0
+                blocks.append(X)
+        ratios = mcd._exchange_ratios
+        rows_scored = []
+
+        def spy(h, W_in, W_out, q_in, q_out):
+            rows_scored.append(W_out.shape[0])
+            return ratios(h, W_in, W_out, q_in, q_out)
+
+        sweeps = []
+        with mock.patch.object(mcd, "_exchange_ratios", spy), \
+                mock.patch.object(mcd, "_PAIR_CHUNK", 1):
+            for X in blocks:
+                sweeps += self._fit_both_ways(X, h_from_fraction(X.shape[0], 2, 0.5))
+        # each sweep scores its known pair (one row), then its chunks
+        chunks_per_sweep = []
+        for rows in rows_scored:
+            if rows == 1:
+                chunks_per_sweep.append(0)
+            else:
+                chunks_per_sweep[-1] += 1
+        assert max(rows_scored) == 3
+        assert max(chunks_per_sweep) >= 20
+        swapped_across_chunks = [
+            k >= 2 and ratio < 1.0 - 1e-12 for k, (ratio, _, _) in zip(chunks_per_sweep, sweeps)
+        ]
+        assert sum(swapped_across_chunks) >= 10
+
+
+def test_polish_memory_stays_linear_in_block_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(36)
+    n = 20_000
+    Z = rng.standard_normal((n, 5))
+    Z[: n // 10] = rng.standard_normal((n // 10, 5)) * 0.5 + 5.0
+    h = h_from_fraction(n, 5, 0.5)
+    tracemalloc.start()
+    try:
+        fit_mcd(Z, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense (n - h) x h float64 matrix alone would be 800 MB
+    assert peak < 32 * 2**20
