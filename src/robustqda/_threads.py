@@ -2,9 +2,14 @@
 
 ``ROBUST_QDA_THREADS`` caps the number of threads used for independent
 sub-fits.  The only caller is ``blockwise_mcd``, which fits its blocks
-through :func:`ordered_map`; per-class fits and study replications run
-serially.  The cap only affects wall-clock time: results are collected
-in task order, so the output is identical for any thread count.
+through :func:`ordered_map` when every block has at least
+``block_mcd._THREADED_BLOCK_ROWS`` rows.  Smaller blocks are fitted
+serially: their fits spend most of their time in Python-level per-step
+overhead that holds the GIL, so threads would only contend for it.
+Per-class fits and study replications always run serially.  The cap only
+affects wall-clock time: results are collected in task order, so the
+output is identical for any thread count.  It is validated on every
+``blockwise_mcd`` call, whether or not the pool runs.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Block-parallel minimum covariance determinant estimation.
 
 Pipeline: standardize robustly, shuffle rows into q blocks, fit each
-block independently (those fits may run on worker threads), pool the
+block independently (on worker threads when the blocks are large), pool the
 per-block estimates through entry-wise medians, discard the half of the
 blocks whose estimates deviate most from that median in a KL sense,
 re-pool the surviving h-subsets in a single pass, reweight once against
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._threads import ordered_map
+from ._threads import ordered_map, worker_count
 from .core import LocationScatter, as_data_matrix
 from .errors import BlocksTooSmall, DataError, DimensionMismatch, DomainError, TooFewObservations
 from .mcd import RawEstimate, consistency_factor, fit_mcd, h_from_fraction, reweight
@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 _MIN_BLOCK_ROWS = 20
+
+# Block fits go to the thread pool only when every block has at least
+# this many rows.  A fit holds the GIL for most of its per-step overhead,
+# which dominates on small blocks, so there threads only add contention:
+# with BLAS pinned to one thread and 4 blocks on 2 cores, two threads
+# were slower than one at 1000- and 2500-row blocks, tied at 5000 rows
+# and were faster from 10000 rows on (BENCH_threads_crossover.json).
+_THREADED_BLOCK_ROWS = 5_000
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,12 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
     blocks : int
         Number of blocks q.  ``default_block_count`` gives a sensible
         machine-dependent choice; q = 1 reduces to a single MCD fit
-        followed by reweighting.
+        followed by reweighting.  The blocks are fitted on the
+        ``ROBUST_QDA_THREADS`` pool when the smallest has at least
+        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
+        smaller fits spend most of their time in Python-level overhead
+        that holds the GIL, so threads would slow them down.  The result
+        is the same either way.
     rng : int or numpy Generator
         Seed (or generator) driving the single random element, the
         row shuffle.  Everything else is deterministic.
@@ -262,7 +275,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
         h = h_from_fraction(rows.shape[0], p, h_frac)
         return fit_mcd(Zc[rows], h)
 
-    estimates = ordered_map(fit_block, range(plan.q))
+    if min(plan.sizes) >= _THREADED_BLOCK_ROWS:
+        estimates = ordered_map(fit_block, range(plan.q))
+    else:
+        worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, threaded or not
+        estimates = [fit_block(b) for b in range(plan.q)]
     pooled = select_and_pool(Zc, plan, estimates)
     refined, weights_c = reweight(Zc, pooled)
     weights = np.empty(n, dtype=bool)

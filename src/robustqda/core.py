@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
+from scipy.linalg import lapack
 
-from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefinite, NumericError
 
 __all__ = [
     "LocationScatter",
@@ -82,11 +83,37 @@ def spd_cholesky(sigma, *, name: str = "sigma") -> tuple[np.ndarray, float, np.n
         ``p * machine_epsilon * max(diagonal)``.  An ill-conditioned but
         factorizable matrix goes through with a logged condition estimate.
     """
-    return _cholesky_factors(_check_square_symmetric(sigma, name=name), name)
+    L, log_det = _cholesky_factors(_check_square_symmetric(sigma, name=name), name)
+    return L, log_det, _precision(L)
 
 
-def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float, np.ndarray]:
-    """:func:`spd_cholesky` of a matrix already checked and symmetrised."""
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(L, B, lower=True)`` for a trusted
+    finite float64 lower factor ``L`` and a finite 2-D float64 ``B``.
+
+    Makes the same LAPACK call as the wrapper, so the result is identical
+    bit for bit, without its validation, which costs several times the
+    solve itself on the small systems of a concentration step.
+    """
+    if L.flags.f_contiguous:
+        X, info = lapack.dtrtrs(L, B, lower=1, trans=0)
+    else:
+        X, info = lapack.dtrtrs(L.T, B, lower=0, trans=1)
+    if info != 0:
+        raise NumericError(f"triangular solve failed (LAPACK dtrtrs info {info})")
+    return X
+
+
+def _precision(L: np.ndarray) -> np.ndarray:
+    """Inverse of ``L @ L.T``, symmetrised."""
+    inv_l = _solve_lower(L, np.eye(L.shape[0]))
+    precision = inv_l.T @ inv_l
+    return 0.5 * (precision + precision.T)
+
+
+def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """Lower factor and log-determinant of a matrix already checked and
+    symmetrised, with the checks of :func:`spd_cholesky`."""
     p = S.shape[0]
     try:
         L = np.linalg.cholesky(S)
@@ -103,11 +130,7 @@ def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float, np.n
     if cond_estimate > _COND_WARN:
         log.warning("%s is ill-conditioned (pivot-ratio estimate %.3e); proceeding", name, cond_estimate)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    identity = np.eye(p)
-    inv_l = sla.solve_triangular(L, identity, lower=True)
-    precision = inv_l.T @ inv_l
-    precision = 0.5 * (precision + precision.T)
-    return L, log_det, precision
+    return L, log_det
 
 
 @dataclass(frozen=True)
@@ -116,14 +139,13 @@ class LocationScatter:
 
     Instances are immutable (arrays are marked read-only) and therefore
     safe to share across threads.  Build through :meth:`from_sigma` so the
-    Cholesky factor, log-determinant, and precision stay consistent.
+    Cholesky factor and log-determinant stay consistent.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     chol: np.ndarray = field(repr=False)
     log_det: float
-    precision: np.ndarray = field(repr=False)
 
     @classmethod
     def from_sigma(cls, mu, sigma) -> "LocationScatter":
@@ -133,18 +155,26 @@ class LocationScatter:
         if not np.all(np.isfinite(mu)):
             raise DataError("mu contains non-finite entries")
         sigma = _check_square_symmetric(sigma)
-        L, log_det, precision = _cholesky_factors(sigma, "sigma")
+        L, log_det = _cholesky_factors(sigma, "sigma")
         if L.shape[0] != mu.shape[0]:
             raise DimensionMismatch(
                 f"mu has length {mu.shape[0]} but sigma is {L.shape[0]}x{L.shape[0]}"
             )
-        for arr in (mu, sigma, L, precision):
+        for arr in (mu, sigma, L):
             arr.setflags(write=False)
-        return cls(mu=mu, sigma=sigma, chol=L, log_det=log_det, precision=precision)
+        return cls(mu=mu, sigma=sigma, chol=L, log_det=log_det)
 
     @property
     def p(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Inverse of ``sigma``, computed on first read: the concentration
+        steps, which build most instances, never read it."""
+        precision = _precision(self.chol)
+        precision.setflags(write=False)
+        return precision
 
     def squared_distances(self, X) -> np.ndarray:
         """Squared Mahalanobis distance of every row of ``X``."""
@@ -153,7 +183,10 @@ class LocationScatter:
             X = X[None, :]
         if X.shape[1] != self.p:
             raise DimensionMismatch(f"rows have length {X.shape[1]}, expected {self.p}")
-        W = sla.solve_triangular(self.chol, (X - self.mu).T, lower=True)
+        dev = X - self.mu
+        if not np.isfinite(dev).all():
+            raise ValueError("array must not contain infs or NaNs")
+        W = _solve_lower(self.chol, dev.T)
         return np.einsum("ij,ij->j", W, W)
 
     def distances(self, X) -> np.ndarray:

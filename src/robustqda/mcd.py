@@ -11,13 +11,13 @@ invariant under row permutations.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
-from .core import LocationScatter, as_data_matrix, chi2_cdf, chi2_quantile
+from .core import LocationScatter, _solve_lower, as_data_matrix, chi2_cdf, chi2_quantile
 from .errors import (
     AllStartsDegenerate,
     DataError,
@@ -40,6 +40,8 @@ __all__ = [
     "raw_from_subset",
     "reweight",
 ]
+
+log = logging.getLogger(__name__)
 
 # Trimming quantile of the one-step reweighting that follows a raw fit.
 REWEIGHT_QUANTILE = 0.975
@@ -156,10 +158,18 @@ def _fit_subset(Z: np.ndarray, subset: np.ndarray, c_alpha: float) -> RawEstimat
 
 
 def _smallest_h(d2: np.ndarray, h: int) -> np.ndarray:
-    # Stable sort so that distance ties at rank h resolve to the lowest
-    # row indices, keeping the subset fully deterministic.
-    order = np.argsort(d2, kind="stable")
-    return np.sort(order[:h])
+    """Sorted indices of the ``h`` smallest distances.
+
+    Distance ties at rank ``h`` resolve to the lowest row indices, which
+    keeps the subset deterministic: the result equals
+    ``np.sort(np.argsort(d2, kind="stable")[:h])``, found by an O(n)
+    selection instead of a full sort.
+    """
+    kth = np.partition(d2, h - 1)[h - 1]
+    keep = d2 < kth
+    ties = np.flatnonzero(d2 == kth)
+    keep[ties[: h - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def c_step(Z, current: RawEstimate) -> RawEstimate:
@@ -193,7 +203,7 @@ def _rescale_shape(Z: np.ndarray, shape: np.ndarray) -> LocationScatter:
     lam = np.maximum(lam, _EIGEN_FLOOR * lam_max)
     sigma = (vecs * lam) @ vecs.T
     shell = LocationScatter.from_sigma(np.zeros(Z.shape[1]), sigma)
-    sphered = sla.solve_triangular(shell.chol, Z.T, lower=True).T
+    sphered = _solve_lower(shell.chol, Z.T).T
     mu = shell.chol @ np.median(sphered, axis=0)
     return LocationScatter.from_sigma(mu, sigma)
 
@@ -237,6 +247,11 @@ def _concentrate(Z: np.ndarray, start: LocationScatter, h: int, max_steps: int) 
         if np.array_equal(refined.subset, current.subset):
             return refined
         current = refined
+    log.warning(
+        "concentration steps did not converge within %d steps (n=%d, h=%d); "
+        "continuing from the last subset",
+        max_steps, n, h,
+    )
     return current
 
 
@@ -288,7 +303,7 @@ def _best_exchange(Z: np.ndarray, current: RawEstimate) -> tuple[float, int, int
     # Whitened deviations: W @ W.T gives deviations' quadratic forms
     # under the plain h-subset scatter (h - 1) * cov = sigma * (h-1)/c.
     dev = Z - current.loc_scat.mu
-    W = sla.solve_triangular(current.loc_scat.chol, dev.T, lower=True).T
+    W = _solve_lower(current.loc_scat.chol, dev.T).T
     W *= math.sqrt(current.c_alpha / (h - 1))
     W_in, W_out = W[inside], W[outside]
     q_in = np.einsum("ij,ij->i", W_in, W_in)
@@ -343,7 +358,8 @@ def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS)
         swapped[slot] = row
         try:
             refined = _fit_subset(Z, np.sort(swapped), current.c_alpha)
-        except NumericError:
+        except NumericError as exc:
+            log.warning("exchange polish stopped early: refit failed (%s)", exc)
             return current
         if refined.det_uncorrected >= current.det_uncorrected:
             return current

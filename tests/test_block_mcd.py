@@ -249,3 +249,58 @@ class TestPoolingComputedOnce:
             res = blockwise_mcd(X, blocks=4, rng=1)
         assert spy.call_count == 1
         assert res.diagnostics.kl_deviations == res.raw.kl_deviations
+
+
+class TestThreadedPath:
+    """Small blocks run serially; forcing them onto the pool changes no bit."""
+
+    @staticmethod
+    def _fits(X, y):
+        from robustqda.qda import fit_qda
+
+        res = blockwise_mcd(X, blocks=4, rng=3)
+        model = fit_qda(X, y, mode="robust", blocks=4, seed=5)
+        return res, model
+
+    @staticmethod
+    def _assert_same(a, b):
+        res_a, model_a = a
+        res_b, model_b = b
+        for name in ("mu", "sigma", "chol"):
+            assert np.array_equal(getattr(res_a.estimate, name), getattr(res_b.estimate, name))
+        assert res_a.estimate.log_det == res_b.estimate.log_det
+        assert np.array_equal(res_a.weights, res_b.weights)
+        assert np.array_equal(res_a.raw.subset, res_b.raw.subset)
+        assert res_a.diagnostics == res_b.diagnostics
+        for ca, cb in zip(model_a.classes, model_b.classes):
+            assert (ca.prior, ca.n_raw, ca.n_inlier, ca.blocks) == (cb.prior, cb.n_raw, cb.n_inlier, cb.blocks)
+            assert np.array_equal(ca.loc_scat.mu, cb.loc_scat.mu)
+            assert np.array_equal(ca.loc_scat.sigma, cb.loc_scat.sigma)
+
+    def test_thread_counts_and_serial_path_agree(self, monkeypatch):
+        from unittest import mock
+
+        from robustqda import block_mcd
+
+        X, _, _ = contaminated(13, n=800, p=3)
+        y = np.where(np.arange(800) % 3 == 0, 2, 1)
+        assert 800 // 4 < block_mcd._THREADED_BLOCK_ROWS
+        with mock.patch.object(block_mcd, "ordered_map") as pool:
+            serial = self._fits(X, y)
+        assert pool.call_count == 0
+        monkeypatch.setattr(block_mcd, "_THREADED_BLOCK_ROWS", 0)
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("ROBUST_QDA_THREADS", workers)
+            with mock.patch.object(block_mcd, "ordered_map", wraps=block_mcd.ordered_map) as pool:
+                threaded = self._fits(X, y)
+            assert pool.call_count == 3  # one blockwise_mcd call, two classes
+            self._assert_same(serial, threaded)
+
+    def test_serial_path_still_validates_thread_env(self, monkeypatch):
+        from robustqda.errors import ConfigError
+
+        X, _, _ = contaminated(14, n=400, p=3)
+        for bad in ("0", "two"):
+            monkeypatch.setenv("ROBUST_QDA_THREADS", bad)
+            with pytest.raises(ConfigError):
+                blockwise_mcd(X, blocks=4, rng=0)

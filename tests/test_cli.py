@@ -425,3 +425,17 @@ class TestThreadEnvIndependence:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_zero_threads_exits_2_on_small_mcd_run(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_dataset(data, np.random.default_rng(12).standard_normal((200, 3)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "robustqda.cli", "mcd", "--data", str(data),
+             "--blocks", "2", "--out", str(tmp_path / "r.txt")],
+            env=dict(os.environ, ROBUST_QDA_THREADS="0"),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "ROBUST_QDA_THREADS" in proc.stderr
+        assert not (tmp_path / "r.txt").exists()

@@ -219,3 +219,67 @@ class TestFromSigmaChecksOnce:
             LocationScatter.from_sigma(np.zeros(3), np.array([[1.0, 0.5], [0.1, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
             LocationScatter.from_sigma(np.zeros(3), np.zeros((2, 2)))
+
+
+class TestTrustedTriangularSolve:
+    """``core._solve_lower`` makes the LAPACK call of ``solve_triangular``."""
+
+    def test_bit_equal_to_scipy_for_c_and_f_order(self):
+        import scipy.linalg as sla
+
+        from robustqda.core import _solve_lower
+
+        rng = np.random.default_rng(31)
+        for p in range(1, 9):
+            A = rng.standard_normal((p, p + 4))
+            L = np.linalg.cholesky(A @ A.T + 0.1 * np.eye(p))
+            for B in (rng.standard_normal((p, 37)), rng.standard_normal((37, p)).T):
+                for factor in (np.ascontiguousarray(L), np.asfortranarray(L)):
+                    want = sla.solve_triangular(factor, B, lower=True)
+                    got = _solve_lower(factor, B)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (p, factor.flags.f_contiguous)
+
+    def test_does_not_write_to_its_arguments(self):
+        from robustqda.core import _solve_lower
+
+        L = np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        B = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        L0, B0 = L.copy(), B.copy()
+        _solve_lower(L, B)
+        assert np.array_equal(L, L0) and np.array_equal(B, B0)
+
+    def test_squared_distances_rejects_non_finite_rows(self):
+        ls = LocationScatter.from_sigma([0.0, 0.0], np.eye(2))
+        for bad in (np.nan, np.inf):
+            X = np.ones((3, 2))
+            X[1, 0] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                ls.squared_distances(X)
+
+
+class TestPrecisionOnFirstRead:
+    def test_no_solve_until_read_then_cached(self, monkeypatch):
+        from robustqda import core
+
+        calls = []
+        real = core._solve_lower
+        monkeypatch.setattr(core, "_solve_lower", lambda L, B: calls.append(1) or real(L, B))
+        ls = LocationScatter.from_sigma([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
+        assert calls == []
+        first = ls.precision
+        assert len(calls) == 1
+        assert ls.precision is first
+        assert len(calls) == 1
+
+    def test_read_only_and_bit_equal_to_spd_cholesky(self):
+        rng = np.random.default_rng(32)
+        for p in range(1, 7):
+            A = rng.standard_normal((p, p + 3))
+            S = A @ A.T + 0.1 * np.eye(p)
+            ls = LocationScatter.from_sigma(np.zeros(p), S)
+            _, _, want = spd_cholesky(S)
+            assert np.array_equal(ls.precision, want)
+            assert not ls.precision.flags.writeable
+            with pytest.raises(ValueError):
+                ls.precision[0, 0] = 1.0

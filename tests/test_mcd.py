@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustqda.errors import (
     AllStartsDegenerate,
@@ -487,3 +489,82 @@ def test_polish_memory_stays_linear_in_block_size():
         tracemalloc.stop()
     # a dense (n - h) x h float64 matrix alone would be 800 MB
     assert peak < 32 * 2**20
+
+
+class TestSmallestH:
+    """The O(n) selection keeps the subset of a stable full sort."""
+
+    @staticmethod
+    def reference(d2, h):
+        return np.sort(np.argsort(d2, kind="stable")[:h])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    def test_matches_stable_argsort_on_ties(self, values):
+        from robustqda.mcd import _smallest_h
+
+        d2 = np.array(values, dtype=np.float64)
+        for h in range(1, d2.shape[0] + 1):
+            got = _smallest_h(d2, h)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, self.reference(d2, h)), (values, h)
+
+    def test_ties_at_rank_h_keep_the_lowest_indices(self):
+        from robustqda.mcd import _smallest_h
+
+        d2 = np.array([3.0, 1.0, 2.0, 2.0, 0.0, 2.0])
+        assert _smallest_h(d2, 3).tolist() == [1, 2, 4]
+        assert _smallest_h(d2, 4).tolist() == [1, 2, 3, 4]
+
+
+class TestNonConvergenceIsLogged:
+    def test_concentration_cap_warns_and_keeps_output(self, caplog):
+        from robustqda.mcd import _concentrate
+
+        rng = np.random.default_rng(41)
+        Z = rng.standard_normal((200, 3))
+        Z[:30] += 6.0
+        h = h_from_fraction(200, 3, 0.5)
+        start = initial_starts(Z)[0]
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            capped = _concentrate(Z, start, h, 1)
+        assert any("did not converge within 1 steps" in r.message for r in caplog.records)
+        # the output is the subset after the one step, as before
+        first = raw_from_subset(Z, np.sort(np.argsort(start.squared_distances(Z), kind="stable")[:h]))
+        assert np.array_equal(capped.subset, c_step(Z, first).subset)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            _concentrate(Z, start, h, 100)
+        assert not caplog.records
+
+    def test_fit_mcd_with_one_step_warns(self, caplog):
+        rng = np.random.default_rng(42)
+        Z = rng.standard_normal((300, 4))
+        Z[:60] = rng.standard_normal((60, 4)) * 0.2 + 5.0
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            fit_mcd(Z, h_from_fraction(300, 4, 0.5), max_csteps=1)
+        assert any("did not converge" in r.message for r in caplog.records)
+
+    def test_polish_refit_failure_warns_and_returns_input(self, caplog, monkeypatch):
+        from robustqda import mcd
+        from robustqda.errors import NotPositiveDefinite
+
+        rng = np.random.default_rng(43)
+        Z = rng.standard_normal((120, 3))
+        Z[:20] += 5.0
+        h = h_from_fraction(120, 3, 0.5)
+        start = initial_starts(Z)[0]
+        est = mcd._concentrate(Z, start, h, 100)
+        assert mcd._best_exchange(Z, est)[0] < 1.0 - 1e-12  # the polish would swap
+
+        def failing_refit(*args, **kwargs):
+            raise NotPositiveDefinite("refit made to fail")
+
+        monkeypatch.setattr(mcd, "_fit_subset", failing_refit)
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            out = mcd._swap_polish(Z, est)
+        assert out is est
+        assert any(
+            "exchange polish stopped early" in r.message and "refit made to fail" in r.message
+            for r in caplog.records
+        )

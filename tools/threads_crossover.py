@@ -1,0 +1,92 @@
+"""Block size at which fitting blocks on threads starts to pay off.
+
+Times ``blockwise_mcd`` calls with 4 blocks at each block size, with
+the block fits forced onto the thread pool, at ``ROBUST_QDA_THREADS=1``
+and ``2`` in alternating order, and prints a JSON record of the median
+time per call.  Each sample repeats the call until it has fitted about
+``SAMPLE_ROWS`` rows, so that small blocks are not timed from a single
+call of a few tens of milliseconds.  BLAS is pinned to one thread, as the benchmark pins it, so the
+package's own pool is the only parallelism.  The crossover constant
+``block_mcd._THREADED_BLOCK_ROWS`` is set from this sweep.
+
+    PYTHONPATH=src python tools/threads_crossover.py [--repeats 5]
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS pinning above)
+
+from robustqda import block_mcd  # noqa: E402
+
+BLOCKS = 4
+P = 5
+BLOCK_ROWS = (1_000, 2_500, 5_000, 10_000, 15_000, 20_000, 25_000, 50_000, 100_000)
+THREADS = ("1", "2")
+SAMPLE_ROWS = 160_000
+
+
+def sample(n: int, seed: int) -> np.ndarray:
+    """5-D normal rows with unequal variances and 10% shifted outliers."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, P)) * np.sqrt(np.arange(1, P + 1))
+    X[: n // 10] += 8.0
+    return X
+
+
+def fit_seconds(X: np.ndarray, threads: str) -> float:
+    """Seconds per ``blockwise_mcd`` call, over enough calls to fit
+    about ``SAMPLE_ROWS`` rows."""
+    os.environ["ROBUST_QDA_THREADS"] = threads
+    calls = max(1, SAMPLE_ROWS // X.shape[0])
+    start = time.perf_counter()
+    for _ in range(calls):
+        block_mcd.blockwise_mcd(X, blocks=BLOCKS, rng=0)
+    return (time.perf_counter() - start) / calls
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    block_mcd._THREADED_BLOCK_ROWS = 0
+    rows = []
+    for size in BLOCK_ROWS:
+        X = sample(BLOCKS * size, seed=size)
+        fit_seconds(X, "1")  # warm-up
+        times = {t: [] for t in THREADS}
+        for rep in range(args.repeats):
+            order = THREADS if rep % 2 == 0 else THREADS[::-1]
+            for t in order:
+                times[t].append(fit_seconds(X, t))
+        t1, t2 = (statistics.median(times[t]) for t in THREADS)
+        rows.append({
+            "block_rows": size,
+            "t1_s": {"runs": [round(v, 4) for v in times["1"]], "median": round(t1, 4)},
+            "t2_s": {"runs": [round(v, 4) for v in times["2"]], "median": round(t2, 4)},
+            "speedup_t2_over_t1": round(t1 / t2, 3),
+        })
+        print(json.dumps(rows[-1]), flush=True)
+    record = {
+        "blocks": BLOCKS,
+        "dims": P,
+        "repeats": args.repeats,
+        "sample_rows": SAMPLE_ROWS,
+        "os_cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "rows": rows,
+    }
+    print(json.dumps(record, indent=2))
+
+
+if __name__ == "__main__":
+    main()
