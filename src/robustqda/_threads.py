@@ -6,10 +6,10 @@ through :func:`ordered_map` when every block has at least
 ``block_mcd._THREADED_BLOCK_ROWS`` rows.  Smaller blocks are fitted
 serially: their fits spend most of their time in Python-level per-step
 overhead that holds the GIL, so threads would only contend for it.
-Per-class fits and study replications always run serially.  The cap only
-affects wall-clock time: results are collected in task order, so the
-output is identical for any thread count.  It is validated on every
-``blockwise_mcd`` call, whether or not the pool runs.
+Per-class fits and study replications always run serially.  The cap,
+like the core count, only affects wall-clock time: results are collected
+in task order, and the block count reads neither.  The cap is validated
+on every ``blockwise_mcd`` call, whether or not the pool runs.
 """
 from __future__ import annotations
 

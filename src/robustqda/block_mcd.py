@@ -11,7 +11,6 @@ count, any block processing order, and any row permutation of the input.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,12 +36,14 @@ __all__ = [
 
 _MIN_BLOCK_ROWS = 20
 
-# Block fits go to the thread pool only when every block has at least
-# this many rows.  A fit holds the GIL for most of its per-step overhead,
-# which dominates on small blocks, so there threads only add contention:
-# with BLAS pinned to one thread and 4 blocks on 2 cores, two threads
-# were slower than one at 1000- and 2500-row blocks, tied at 5000 rows
-# and were faster from 10000 rows on (BENCH_threads_crossover.json).
+# The smallest block worth splitting off, and worth a thread.  Small
+# fits are dominated by per-step Python overhead: on 100k rows, 5000-row
+# blocks fit as fast as 25000-row ones and 1000-row blocks took 60%
+# longer, so ``"auto"`` never splits below this size.  That overhead
+# holds the GIL, so threads pay off only from here: with BLAS pinned to
+# one thread and 4 blocks on 2 cores, two threads were slower than one
+# at 1000- and 2500-row blocks, tied at 5000 rows and were faster from
+# 10000 rows on (BENCH_threads_crossover.json).
 _THREADED_BLOCK_ROWS = 5_000
 
 
@@ -108,11 +109,11 @@ class BlockwiseResult:
 
 
 def default_block_count(n: int, p: int) -> int:
-    """Default q: one block per available core, capped so blocks stay big
-    enough (at least ``20 p`` rows per block and the hard minimum size)."""
-    cores = os.cpu_count() or 1
+    """The q that ``blocks="auto"`` resolves to: one block per full
+    ``_THREADED_BLOCK_ROWS`` rows, capped so blocks keep at least ``20 p``
+    rows and the hard minimum size.  Reads n and p only, never the machine."""
     cap = min(n // (20 * p), n // max(2 * (p + 1), _MIN_BLOCK_ROWS))
-    return max(1, min(cores, cap))
+    return max(1, min(n // _THREADED_BLOCK_ROWS, cap))
 
 
 def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
@@ -226,7 +227,7 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     )
 
 
-def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> BlockwiseResult:
+def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> BlockwiseResult:
     """Robust location/scatter of ``X`` via block-parallel MCD.
 
     Parameters
@@ -236,11 +237,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
     h_frac : float
         Coverage fraction in [0.5, 1) handed to :func:`h_from_fraction`
         within every block.
-    blocks : int
-        Number of blocks q.  ``default_block_count`` gives a sensible
-        machine-dependent choice; q = 1 reduces to a single MCD fit
-        followed by reweighting.  The blocks are fitted on the
-        ``ROBUST_QDA_THREADS`` pool when the smallest has at least
+    blocks : int or "auto"
+        Number of blocks q; ``"auto"`` takes :func:`default_block_count`
+        of the data's shape, the same on any machine.  q = 1 reduces to a
+        single MCD fit followed by reweighting.  The blocks are fitted on
+        the ``ROBUST_QDA_THREADS`` pool when the smallest has at least
         ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
         smaller fits spend most of their time in Python-level overhead
         that holds the GIL, so threads would slow them down.  The result
@@ -268,7 +269,8 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int = 1, rng=0) -> Blockwis
     # the caller's row ordering, bit for bit.
     order = np.lexsort(Z.T[::-1])
     Zc = Z[order]
-    plan = split_blocks(n, blocks, rng, min_block_size=max(2 * (p + 1), _MIN_BLOCK_ROWS))
+    q = default_block_count(n, p) if blocks == "auto" else blocks
+    plan = split_blocks(n, q, rng, min_block_size=max(2 * (p + 1), _MIN_BLOCK_ROWS))
 
     def fit_block(b: int) -> RawEstimate:
         rows = plan.assignments[b]

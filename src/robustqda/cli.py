@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 import time
 from dataclasses import replace
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_mcd import blockwise_mcd, default_block_count
+from .block_mcd import blockwise_mcd
 from .data_io import encode_labels, encode_with_names, read_dataset, write_predictions_csv
 from .errors import DataError, NumericError
 from .fileio import write_text_atomic
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mcd.add_argument("--data", required=True, help="input CSV (all columns are features)")
     p_mcd.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F", help=_H_FRAC_HELP)
     p_mcd.add_argument("--blocks", type=_blocks_arg, default="auto", metavar="Q",
-                       help="block count, or 'auto' for the machine default")
+                       help="block count, or 'auto' to size blocks from the data (default)")
     p_mcd.add_argument("--seed", type=int, default=0, help="shuffle seed (default 0)")
     p_mcd.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_mcd.set_defaults(func=cmd_mcd)
@@ -147,9 +146,8 @@ def _mcd_report(result, names, h_frac, blocks_flag, seed) -> str:
 
 def cmd_mcd(args) -> int:
     dataset = read_dataset(args.data)
-    q = default_block_count(dataset.n, dataset.p) if args.blocks == "auto" else args.blocks
     start = time.perf_counter()
-    result = blockwise_mcd(dataset.X, h_frac=args.h_frac, blocks=q, rng=args.seed)
+    result = blockwise_mcd(dataset.X, h_frac=args.h_frac, blocks=args.blocks, rng=args.seed)
     elapsed = time.perf_counter() - start
     report = _mcd_report(result, dataset.feature_names, args.h_frac, args.blocks, args.seed)
     if args.out is None:
@@ -191,9 +189,7 @@ def cmd_predict(args) -> int:
     start = time.perf_counter()
     labels, scores, _, min_rd = classify_rows(model, dataset.X)
     elapsed = time.perf_counter() - start
-    buffer = io.StringIO()
-    write_predictions_csv(buffer, labels, scores, min_rd, label_names)
-    write_text_atomic(args.out, buffer.getvalue())
+    write_predictions_csv(args.out, labels, scores, min_rd, label_names)
     outliers = int(np.count_nonzero(labels == 0))
     print(
         f"wrote {args.out}: {labels.shape[0]} rows, {outliers} outliers "
@@ -230,9 +226,7 @@ def cmd_lbplot(args) -> int:
     if not spec.points:
         shown = label_names[g - 1] if label_names else g
         raise DataError(f"class {shown} has no rows in {args.data}")
-    buffer = io.StringIO()
-    write_lb_csv(spec, buffer)
-    write_text_atomic(args.csv, buffer.getvalue())
+    write_lb_csv(spec, args.csv)
     written = [args.csv]
     if args.svg is not None:
         write_text_atomic(args.svg, render_lb_svg(spec))

@@ -364,6 +364,11 @@ def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS)
         if refined.det_uncorrected >= current.det_uncorrected:
             return current
         current = refined
+    log.warning(
+        "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
+        "keeping the last subset",
+        max_sweeps, Z.shape[0], current.h,
+    )
     return current
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block_mcd import blockwise_mcd, default_block_count
+from .block_mcd import blockwise_mcd
 from .core import LocationScatter, as_data_matrix, chi2_quantile, substream
 from .errors import (
     DataError,
@@ -159,7 +159,7 @@ def fit_qda(
     """Train a QDA model with classical or robust class-conditional fits.
 
     Robust mode estimates each class with :func:`blockwise_mcd` (block
-    count from ``blocks``, or the machine default when ``"auto"``) and
+    count from ``blocks``; ``"auto"`` sizes it from the class's rows) and
     derives priors from the trimmed per-class counts.  Classical mode
     uses sample moments and empirical priors.  ``seed`` makes robust fits
     reproducible; each class consumes its own substream, so the result
@@ -182,10 +182,10 @@ def fit_qda(
         counts[g - 1] = Xg.shape[0]
         try:
             if mode == "robust":
-                q = default_block_count(Xg.shape[0], p) if blocks == "auto" else int(blocks)
+                q = blocks if blocks == "auto" else int(blocks)
                 result = blockwise_mcd(Xg, h_frac=h_frac, blocks=q, rng=substream(seed, g))
                 fits.append(result.estimate)
-                resolved_blocks.append(q)
+                resolved_blocks.append(result.diagnostics.q)
             else:
                 fits.append(_fit_classical(Xg))
                 resolved_blocks.append(1)

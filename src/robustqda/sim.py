@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import LocationScatter, mvn_sample, spd_cholesky
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
-from .fileio import write_text_atomic
+from .fileio import csv_text, write_text_atomic
 from .qda import classify_rows, fit_qda
 
 __all__ = [
@@ -651,39 +651,21 @@ def two_class_demo(seed: int = 0, *, n1: int = 80, n2: int = 100, swaps=(4, 4), 
 # Report files.  Timings are kept out of these on purpose so that reruns
 # with the same seed are byte-identical; the CLI prints them separately.
 
-def _csv_num(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _confusion_csv(conf: ExtendedConfusion) -> str:
     G = conf.n_classes
     header = ["origin", "given"] + [f"pred_{g}" for g in range(1, G + 1)] + ["pred_0", "rows"]
-    lines = [",".join(header)]
-    for r, (origin, given) in enumerate(conf.row_keys):
-        cells = [str(origin), str(given)]
-        cells += [_csv_num(conf.rates[r, c]) for c in range(G + 1)]
-        cells.append(_csv_num(float(conf.row_counts[r])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    keys = np.array(conf.row_keys, dtype=np.int64).reshape(-1, 2)
+    columns = [keys[:, 0], keys[:, 1], *conf.rates.T, conf.row_counts]
+    return csv_text(",".join(header), "%d,%d" + ",%.9g" * (G + 2), columns)
 
 
 def _metrics_csv(report: MethodReport, G: int) -> str:
     header = "class,kl_mean,kl_sd,det_mean,det_sd,alpha_mean,alpha_sd"
-    lines = [header]
-    for g in range(G):
-        cells = [
-            str(g + 1),
-            _csv_num(report.kl_mean[g]),
-            _csv_num(report.kl_sd[g]),
-            _csv_num(report.det_mean[g]),
-            _csv_num(report.det_sd[g]),
-        ]
-        if report.alpha_mean is None:
-            cells += ["", ""]
-        else:
-            cells += [_csv_num(report.alpha_mean[g]), _csv_num(report.alpha_sd[g])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = [np.arange(1, G + 1), report.kl_mean, report.kl_sd, report.det_mean, report.det_sd]
+    if report.alpha_mean is None:
+        return csv_text(header, "%d" + ",%.9g" * 4 + ",,", columns)
+    columns += [report.alpha_mean, report.alpha_sd]
+    return csv_text(header, "%d" + ",%.9g" * 6, columns)
 
 
 def _text_report(study: StudyReport) -> str:

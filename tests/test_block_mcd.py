@@ -66,8 +66,20 @@ class TestDefaultBlockCount:
     def test_small_n_collapses_to_one(self):
         assert default_block_count(30, 2) == 1
 
-    def test_never_exceeds_core_count(self):
-        assert default_block_count(10**6, 2) <= (os.cpu_count() or 1)
+    def test_auto_blocks_reach_the_threading_crossover(self):
+        from robustqda.block_mcd import _THREADED_BLOCK_ROWS
+
+        for p in (1, 2, 5, 10):
+            for n in (30, 999, 5_000, 9_999):
+                assert default_block_count(n, p) == 1
+            for n in (10_000, 10_001, 14_999, 15_000, 60_001):
+                q = default_block_count(n, p)
+                assert q > 1
+                plan = split_blocks(n, q, np.random.default_rng(0))
+                assert min(plan.sizes) >= _THREADED_BLOCK_ROWS
+        assert default_block_count(10**6, 2) == 10**6 // _THREADED_BLOCK_ROWS
+        # at p = 300 the 20 p rows per block exceed the crossover, so the cap binds
+        assert default_block_count(10**6, 300) == 10**6 // (20 * 300)
 
     def test_blocks_keep_minimum_rows(self):
         q = default_block_count(400, 5)
@@ -304,3 +316,36 @@ class TestThreadedPath:
             monkeypatch.setenv("ROBUST_QDA_THREADS", bad)
             with pytest.raises(ConfigError):
                 blockwise_mcd(X, blocks=4, rng=0)
+
+
+class TestAutoBlocksIgnoreTheMachine:
+    """``blocks="auto"`` reads the data's shape only, never the core count."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        for name in ("mu", "sigma", "chol"):
+            assert np.array_equal(getattr(a.estimate, name), getattr(b.estimate, name))
+        assert a.estimate.log_det == b.estimate.log_det
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.raw.subset, b.raw.subset)
+        assert a.diagnostics == b.diagnostics
+
+    def test_auto_is_the_default_block_count(self):
+        X, _, _ = contaminated(21, n=10_400, p=2)
+        q = default_block_count(10_400, 2)
+        assert q == 2
+        auto = blockwise_mcd(X, blocks="auto", rng=7)
+        assert auto.diagnostics.q == q
+        self._assert_same(auto, blockwise_mcd(X, blocks=q, rng=7))
+
+    def test_core_count_changes_no_bit(self, monkeypatch):
+        monkeypatch.delenv("ROBUST_QDA_THREADS", raising=False)
+        X, _, _ = contaminated(22, n=10_400, p=2)
+        runs = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            qs = (default_block_count(10_400, 2), default_block_count(10**6, 2))
+            runs.append((qs, blockwise_mcd(X, blocks="auto", rng=7)))
+        (q_one, res_one), (q_many, res_many) = runs
+        assert q_one == q_many == (2, 200)
+        self._assert_same(res_one, res_many)

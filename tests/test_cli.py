@@ -168,6 +168,21 @@ class TestTrainCommand:
         for ca, cb in zip(a.classes, b.classes):
             assert np.all(np.abs(ca.loc_scat.mu - cb.loc_scat.mu) < 0.05)
 
+    def test_auto_blocks_model_ignores_core_count(self, tmp_path, monkeypatch):
+        data = tmp_path / "large.csv"
+        make_training_csv(data, n_per_class=10_000, seed=8)
+        monkeypatch.delenv("ROBUST_QDA_THREADS", raising=False)
+        outputs = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            out = tmp_path / f"model_{cores}.json"
+            argv = ["train", "--data", str(data), "--label-col", "label", "--blocks", "auto"]
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        model, _ = load_model(tmp_path / "model_1.json")
+        assert [cm.blocks for cm in model.classes] == [2, 2]
+
     def test_text_labels_round_trip(self, tmp_path, capsys):
         data = tmp_path / "named.csv"
         rng = np.random.default_rng(5)

@@ -568,3 +568,28 @@ class TestNonConvergenceIsLogged:
             "exchange polish stopped early" in r.message and "refit made to fail" in r.message
             for r in caplog.records
         )
+
+    def test_polish_cap_warns_and_keeps_the_one_sweep_estimate(self, caplog):
+        from robustqda import mcd
+
+        rng = np.random.default_rng(45)
+        Z = rng.standard_normal((120, 3))
+        Z[:20] += 5.0
+        h = h_from_fraction(120, 3, 0.5)
+        est = mcd._concentrate(Z, initial_starts(Z)[0], h, 100)
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            full = mcd._swap_polish(Z, est)
+        assert not caplog.records
+        _, row, slot = mcd._best_exchange(Z, est)
+        swapped = est.subset.copy()
+        swapped[slot] = row
+        one_sweep = mcd._fit_subset(Z, np.sort(swapped), est.c_alpha)
+        assert mcd._best_exchange(Z, one_sweep)[0] < 1.0 - 1e-12  # a second swap follows
+        assert not np.array_equal(full.subset, one_sweep.subset)
+
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            capped = mcd._swap_polish(Z, est, max_sweeps=1)
+        assert any("did not converge within 1 sweeps" in r.message for r in caplog.records)
+        assert np.array_equal(capped.subset, one_sweep.subset)
+        assert np.array_equal(capped.loc_scat.sigma, one_sweep.loc_scat.sigma)
+        assert capped.det_uncorrected == one_sweep.det_uncorrected

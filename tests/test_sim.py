@@ -1,5 +1,6 @@
 """Tests for the contamination study harness."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -404,6 +405,38 @@ class TestReportFiles:
         paths = write_study_report(study, tmp_path)
         text = (tmp_path / "scenario.txt").read_text()
         assert parse_scenario(text) == sc
+
+    def test_csv_cells_keep_nine_significant_digits(self):
+        from robustqda.sim import ExtendedConfusion, MethodReport, _confusion_csv, _metrics_csv
+
+        odd = np.array([1 / 3, -0.0, 1e-300, 123456789012.0, math.inf, math.nan])
+        conf = ExtendedConfusion(
+            row_keys=((1, 1), (1, 0), (2, 2)),
+            rates=np.array([odd[:3], odd[3:], [0.25, 0.5, 0.25]]),
+            row_counts=np.array([40.0, 2.5, 1e9 + 0.5]),
+            n_classes=2,
+        )
+        assert _confusion_csv(conf) == (
+            "origin,given,pred_1,pred_2,pred_0,rows\n"
+            "1,1,0.333333333,-0,1e-300,40\n"
+            "1,0,1.23456789e+11,inf,nan,2.5\n"
+            "2,2,0.25,0.5,0.25,1e+09\n"
+        )
+        report = MethodReport(
+            mode="classical", confusion=conf, kl_mean=odd[:2], kl_sd=odd[2:4],
+            det_mean=odd[4:], det_sd=np.array([2.0, 1e-5]),
+            alpha_mean=None, alpha_sd=None, seconds=(),
+        )
+        header = "class,kl_mean,kl_sd,det_mean,det_sd,alpha_mean,alpha_sd\n"
+        assert _metrics_csv(report, 2) == header + (
+            "1,0.333333333,1e-300,inf,2,,\n"
+            "2,-0,1.23456789e+11,nan,1e-05,,\n"
+        )
+        report = replace(report, alpha_mean=np.array([0.98, 1.0]), alpha_sd=np.zeros(2))
+        assert _metrics_csv(report, 2).splitlines()[1:] == [
+            "1,0.333333333,1e-300,inf,2,0.98,0",
+            "2,-0,1.23456789e+11,nan,1e-05,1,0",
+        ]
 
     def test_confusion_csv_header(self, tmp_path):
         sc = small_scenario(seed=15)
