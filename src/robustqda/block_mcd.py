@@ -11,6 +11,7 @@ count, any block processing order, and any row permutation of the input.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from ._threads import ordered_map, worker_count
 from .core import LocationScatter, as_data_matrix
 from .errors import BlocksTooSmall, DataError, DimensionMismatch, DomainError, TooFewObservations
-from .mcd import RawEstimate, consistency_factor, fit_mcd, h_from_fraction, reweight
+from .mcd import RawEstimate, _fit_canonical, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
 
 __all__ = [
@@ -119,10 +120,12 @@ def default_block_count(n: int, p: int) -> int:
 def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
     """Shuffle rows 0..n-1 and chunk them into q nearly equal blocks.
 
-    The first ``n mod q`` blocks receive one extra row.  With q = 1 the
-    single block keeps all rows (no shuffle needed, no size constraint).
+    The first ``n mod q`` blocks receive one extra row, and each block
+    lists its rows in ascending order, so a block of rows in canonical
+    order stays in canonical order.  With q = 1 the single block keeps
+    all rows (no shuffle needed, no size constraint).
     """
-    if q < 1 or int(q) != q:
+    if not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
         raise DomainError(f"q must be a positive integer, got {q!r}")
     q = int(q)
     if n < 1:
@@ -139,7 +142,7 @@ def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: in
     start = 0
     for block in range(q):
         size = base + (1 if block < extra else 0)
-        assignments.append(perm[start : start + size].astype(np.intp))
+        assignments.append(np.sort(perm[start : start + size]).astype(np.intp))
         start += size
     return BlockPlan(q=q, assignments=tuple(assignments), sizes=tuple(len(a) for a in assignments))
 
@@ -239,7 +242,8 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         within every block.
     blocks : int or "auto"
         Number of blocks q; ``"auto"`` takes :func:`default_block_count`
-        of the data's shape, the same on any machine.  q = 1 reduces to a
+        of the data's shape, the same on any machine.  Anything else that
+        is not a positive integer raises ``DomainError``.  q = 1 reduces to a
         single MCD fit followed by reweighting.  The blocks are fitted on
         the ``ROBUST_QDA_THREADS`` pool when the smallest has at least
         ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
@@ -266,7 +270,9 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     standardizer = fit_standardizer(X)
     Z = standardize(X, standardizer)
     # Canonical row order: makes every accumulation below independent of
-    # the caller's row ordering, bit for bit.
+    # the caller's row ordering, bit for bit.  Blocks list their rows in
+    # ascending order, so each block of Zc is canonical as it stands and
+    # is fitted without sorting it again.
     order = np.lexsort(Z.T[::-1])
     Zc = Z[order]
     q = default_block_count(n, p) if blocks == "auto" else blocks
@@ -275,7 +281,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     def fit_block(b: int) -> RawEstimate:
         rows = plan.assignments[b]
         h = h_from_fraction(rows.shape[0], p, h_frac)
-        return fit_mcd(Zc[rows], h)
+        return _fit_canonical(Zc[rows], h)
 
     if min(plan.sizes) >= _THREADED_BLOCK_ROWS:
         estimates = ordered_map(fit_block, range(plan.q))

@@ -3,6 +3,11 @@
 Covers validated data matrices, a location/scatter pair with cached
 Cholesky machinery, chi-square quantiles, Mahalanobis distances, and
 seeded multivariate normal sampling with reproducible substreams.
+
+Linear algebra runs on numpy alone: distances whiten through one matrix
+product with a cached inverse Cholesky factor.  SciPy is imported only
+by the chi-square functions, on their first call, so scoring a saved
+model never loads it.
 """
 from __future__ import annotations
 
@@ -11,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefinite, NumericError
 
@@ -84,29 +87,35 @@ def spd_cholesky(sigma, *, name: str = "sigma") -> tuple[np.ndarray, float, np.n
         factorizable matrix goes through with a logged condition estimate.
     """
     L, log_det = _cholesky_factors(_check_square_symmetric(sigma, name=name), name)
-    return L, log_det, _precision(L)
+    return L, log_det, _precision(_inverse_factor(L))
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(L, B, lower=True)`` for a trusted
-    finite float64 lower factor ``L`` and a finite 2-D float64 ``B``.
+    """Solution of ``L X = B`` for a lower-triangular float64 ``L``.
 
-    Makes the same LAPACK call as the wrapper, so the result is identical
-    bit for bit, without its validation, which costs several times the
-    solve itself on the small systems of a concentration step.
+    Raises
+    ------
+    NumericError
+        If ``L`` is singular or the solution overflows.
     """
-    if L.flags.f_contiguous:
-        X, info = lapack.dtrtrs(L, B, lower=1, trans=0)
-    else:
-        X, info = lapack.dtrtrs(L.T, B, lower=0, trans=1)
-    if info != 0:
-        raise NumericError(f"triangular solve failed (LAPACK dtrtrs info {info})")
+    try:
+        X = np.linalg.solve(L, B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"triangular solve failed: {exc}") from None
+    if not np.isfinite(X).all():
+        raise NumericError("triangular solve overflowed")
     return X
 
 
-def _precision(L: np.ndarray) -> np.ndarray:
-    """Inverse of ``L @ L.T``, symmetrised."""
-    inv_l = _solve_lower(L, np.eye(L.shape[0]))
+def _inverse_factor(L: np.ndarray) -> np.ndarray:
+    """Read-only inverse of the lower factor ``L``, exactly lower triangular."""
+    inv_l = np.tril(_solve_lower(L, np.eye(L.shape[0])))
+    inv_l.setflags(write=False)
+    return inv_l
+
+
+def _precision(inv_l: np.ndarray) -> np.ndarray:
+    """Inverse of ``L @ L.T`` from the inverse factor ``inv_l``, symmetrised."""
     precision = inv_l.T @ inv_l
     return 0.5 * (precision + precision.T)
 
@@ -169,10 +178,16 @@ class LocationScatter:
         return self.mu.shape[0]
 
     @cached_property
+    def inv_chol(self) -> np.ndarray:
+        """Inverse of ``chol``, computed on first read and read-only.
+        Every distance whitens deviations through one product with it."""
+        return _inverse_factor(self.chol)
+
+    @cached_property
     def precision(self) -> np.ndarray:
         """Inverse of ``sigma``, computed on first read: the concentration
         steps, which build most instances, never read it."""
-        precision = _precision(self.chol)
+        precision = _precision(self.inv_chol)
         precision.setflags(write=False)
         return precision
 
@@ -184,10 +199,14 @@ class LocationScatter:
         if X.shape[1] != self.p:
             raise DimensionMismatch(f"rows have length {X.shape[1]}, expected {self.p}")
         dev = X - self.mu
-        if not np.isfinite(dev).all():
+        with np.errstate(invalid="ignore", over="ignore"):
+            W = self.inv_chol @ dev.T
+            d2 = np.einsum("ij,ij->j", W, W)
+        # A non-finite deviation always yields a non-finite distance, so
+        # the n x p check runs only when the n distances fail theirs.
+        if not np.isfinite(d2).all() and not np.isfinite(dev).all():
             raise ValueError("array must not contain infs or NaNs")
-        W = _solve_lower(self.chol, dev.T)
-        return np.einsum("ij,ij->j", W, W)
+        return d2
 
     def distances(self, X) -> np.ndarray:
         return np.sqrt(self.squared_distances(X))
@@ -213,6 +232,8 @@ def chi2_quantile(dof: int, prob: float) -> float:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
     if not (0.0 < prob < 1.0):
         raise DomainError(f"prob must lie strictly inside (0, 1), got {prob!r}")
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(int(dof) / 2, prob))
 
 
@@ -220,7 +241,11 @@ def chi2_cdf(x: float, dof: int) -> float:
     """Distribution function of the chi-square distribution, zero below 0."""
     if int(dof) != dof or dof < 1:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
-    return 0.0 if x < 0 else float(special.chdtr(int(dof), x))
+    if x < 0:
+        return 0.0
+    from scipy import special
+
+    return float(special.chdtr(int(dof), x))
 
 
 def mvn_sample(rng: np.random.Generator, estimate: LocationScatter, n: int) -> np.ndarray:

@@ -7,17 +7,19 @@ converged subset by exchange descent (swap one inside row for one
 outside row while the determinant strictly drops), and keeps the
 h-subset with the smaller covariance determinant.  Rows are processed
 in a canonical lexicographic order, which makes the result exactly
-invariant under row permutations.
+invariant under row permutations.  Distances and exchange ratios whiten
+deviations through the cached inverse Cholesky factor of each estimate
+(``LocationScatter.inv_chol``), one matrix product per pass.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import LocationScatter, _solve_lower, as_data_matrix, chi2_cdf, chi2_quantile
+from .core import LocationScatter, as_data_matrix, chi2_cdf, chi2_quantile
 from .errors import (
     AllStartsDegenerate,
     DataError,
@@ -203,8 +205,8 @@ def _rescale_shape(Z: np.ndarray, shape: np.ndarray) -> LocationScatter:
     lam = np.maximum(lam, _EIGEN_FLOOR * lam_max)
     sigma = (vecs * lam) @ vecs.T
     shell = LocationScatter.from_sigma(np.zeros(Z.shape[1]), sigma)
-    sphered = _solve_lower(shell.chol, Z.T).T
-    mu = shell.chol @ np.median(sphered, axis=0)
+    sphered = shell.inv_chol @ Z.T
+    mu = shell.chol @ np.median(sphered, axis=1)
     return LocationScatter.from_sigma(mu, sigma)
 
 
@@ -303,7 +305,7 @@ def _best_exchange(Z: np.ndarray, current: RawEstimate) -> tuple[float, int, int
     # Whitened deviations: W @ W.T gives deviations' quadratic forms
     # under the plain h-subset scatter (h - 1) * cov = sigma * (h-1)/c.
     dev = Z - current.loc_scat.mu
-    W = _solve_lower(current.loc_scat.chol, dev.T).T
+    W = dev @ current.loc_scat.inv_chol.T
     W *= math.sqrt(current.c_alpha / (h - 1))
     W_in, W_out = W[inside], W[outside]
     q_in = np.einsum("ij,ij->i", W_in, W_in)
@@ -398,7 +400,14 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     if not (p + 1 <= h < n):
         raise DomainError(f"h must satisfy p + 1 <= h < n, got h={h} for n={n}, p={p}")
     order = np.lexsort(Z.T[::-1])
-    Zc = Z[order]
+    best = _fit_canonical(Z[order], h, max_csteps)
+    return replace(best, subset=np.sort(order[best.subset]))
+
+
+def _fit_canonical(Zc: np.ndarray, h: int, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
+    """:func:`fit_mcd` for a validated block whose rows are already in
+    canonical order (``np.lexsort(Zc.T[::-1])`` is the identity) and a
+    valid ``h``; the returned subset indexes the rows of ``Zc``."""
     best: RawEstimate | None = None
     for builder in (_start_spatial_sign, _start_tanh_corr):
         try:
@@ -410,12 +419,7 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
             best = candidate
     if best is None:
         raise AllStartsDegenerate("both initial scatter estimates are degenerate")
-    return RawEstimate(
-        loc_scat=best.loc_scat,
-        subset=np.sort(order[best.subset]),
-        det_uncorrected=best.det_uncorrected,
-        c_alpha=best.c_alpha,
-    )
+    return best
 
 
 def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:

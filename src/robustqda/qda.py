@@ -182,8 +182,7 @@ def fit_qda(
         counts[g - 1] = Xg.shape[0]
         try:
             if mode == "robust":
-                q = blocks if blocks == "auto" else int(blocks)
-                result = blockwise_mcd(Xg, h_frac=h_frac, blocks=q, rng=substream(seed, g))
+                result = blockwise_mcd(Xg, h_frac=h_frac, blocks=blocks, rng=substream(seed, g))
                 fits.append(result.estimate)
                 resolved_blocks.append(result.diagnostics.q)
             else:

@@ -21,6 +21,7 @@ from robustqda.errors import (
     TooFewObservations,
 )
 from robustqda.mcd import consistency_factor, fit_mcd, h_from_fraction, reweight
+from robustqda.robust_scale import standardize
 
 
 def contaminated(seed: int, n: int = 1200, p: int = 3, frac: float = 0.15):
@@ -60,6 +61,10 @@ class TestSplitBlocks:
     def test_domain(self):
         with pytest.raises(DomainError):
             split_blocks(100, 0, np.random.default_rng(0))
+
+    def test_blocks_list_rows_in_ascending_order(self):
+        plan = split_blocks(103, 4, np.random.default_rng(0))
+        assert all(np.all(np.diff(rows) > 0) for rows in plan.assignments)
 
 
 class TestDefaultBlockCount:
@@ -236,6 +241,35 @@ class TestBlockwiseMcd:
     def test_needs_enough_rows(self):
         with pytest.raises(TooFewObservations):
             blockwise_mcd(np.random.default_rng(0).standard_normal((6, 3)))
+
+
+class TestCanonicalOrderOnce:
+    def test_block_counts_that_are_not_positive_integers(self):
+        X, _, _ = contaminated(6, n=200)
+        for blocks in ("x", "4", None, 2.5, 0, -1, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                blockwise_mcd(X, blocks=blocks)
+
+    def test_one_sort_per_class_and_block_fits_unchanged(self, monkeypatch):
+        from robustqda import mcd
+
+        X, _, _ = contaminated(9, n=1200)
+        X = np.round(X * 2.0) / 2.0  # ties and duplicate rows
+        sorts = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or real(keys))
+        res = blockwise_mcd(X, blocks=4, rng=11)
+        assert len(sorts) == 1
+        monkeypatch.setattr(np, "lexsort", real)
+        # Fitting each block from its rows in shuffled order, through the
+        # public fit, gives the same determinants.
+        Z = standardize(X, res.standardizer)
+        Zc = Z[np.lexsort(Z.T[::-1])]
+        plan = split_blocks(1200, 4, np.random.default_rng(np.random.SeedSequence(11)))
+        for b, rows in enumerate(plan.assignments):
+            shuffled = np.random.default_rng(b).permutation(rows)
+            est = fit_mcd(Zc[shuffled], h_from_fraction(rows.shape[0], 3, 0.5))
+            assert est.det_uncorrected == res.diagnostics.block_dets[b]
 
 
 class TestPoolingComputedOnce:

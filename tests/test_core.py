@@ -20,6 +20,7 @@ from robustqda.errors import (
     DimensionMismatch,
     DomainError,
     NotPositiveDefinite,
+    NumericError,
 )
 
 
@@ -221,26 +222,29 @@ class TestFromSigmaChecksOnce:
             LocationScatter.from_sigma(np.zeros(3), np.zeros((2, 2)))
 
 
-class TestTrustedTriangularSolve:
-    """``core._solve_lower`` makes the LAPACK call of ``solve_triangular``."""
+class TestInverseFactorWhitening:
+    """Distances whiten through the cached inverse factor ``inv_chol``."""
 
-    def test_bit_equal_to_scipy_for_c_and_f_order(self):
+    # Relative to the largest entry; measured errors stay below 1e-15 on
+    # these well-conditioned factors, so this leaves a hundredfold margin.
+    RTOL = 1e-13
+
+    def test_matches_scipy_triangular_solve(self):
         import scipy.linalg as sla
-
-        from robustqda.core import _solve_lower
 
         rng = np.random.default_rng(31)
         for p in range(1, 9):
             A = rng.standard_normal((p, p + 4))
-            L = np.linalg.cholesky(A @ A.T + 0.1 * np.eye(p))
-            for B in (rng.standard_normal((p, 37)), rng.standard_normal((37, p)).T):
-                for factor in (np.ascontiguousarray(L), np.asfortranarray(L)):
-                    want = sla.solve_triangular(factor, B, lower=True)
-                    got = _solve_lower(factor, B)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want), (p, factor.flags.f_contiguous)
+            ls = LocationScatter.from_sigma(rng.standard_normal(p), A @ A.T + 0.1 * np.eye(p))
+            assert np.array_equal(ls.inv_chol, np.tril(ls.inv_chol))
+            X = rng.standard_normal((37, p)) * 3.0
+            want = sla.solve_triangular(ls.chol, (X - ls.mu).T, lower=True)
+            got = ls.inv_chol @ (X - ls.mu).T
+            assert np.abs(got - want).max() <= self.RTOL * np.abs(want).max(), p
+            d2 = np.einsum("ij,ij->j", want, want)
+            assert np.abs(ls.squared_distances(X) - d2).max() <= self.RTOL * d2.max(), p
 
-    def test_does_not_write_to_its_arguments(self):
+    def test_solve_does_not_write_to_its_arguments(self):
         from robustqda.core import _solve_lower
 
         L = np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -251,11 +255,38 @@ class TestTrustedTriangularSolve:
 
     def test_squared_distances_rejects_non_finite_rows(self):
         ls = LocationScatter.from_sigma([0.0, 0.0], np.eye(2))
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             X = np.ones((3, 2))
             X[1, 0] = bad
             with pytest.raises(ValueError, match="infs or NaNs"):
                 ls.squared_distances(X)
+
+    def test_singular_factor_raises_numeric_error(self):
+        singular = np.array([[1.0, 0.0], [1.0, 0.0]])
+        ls = LocationScatter(mu=np.zeros(2), sigma=singular @ singular.T, chol=singular, log_det=0.0)
+        with pytest.raises(NumericError):
+            ls.inv_chol
+        with pytest.raises(NumericError):
+            ls.squared_distances(np.ones((3, 2)))
+
+    def test_inverse_computed_once_and_read_only(self, monkeypatch):
+        from robustqda import core
+
+        calls = []
+        real = core._solve_lower
+        monkeypatch.setattr(core, "_solve_lower", lambda L, B: calls.append(1) or real(L, B))
+        ls = LocationScatter.from_sigma([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
+        assert calls == []
+        X = np.arange(10.0).reshape(5, 2)
+        first = ls.squared_distances(X)
+        inv_l = ls.inv_chol
+        assert np.array_equal(ls.squared_distances(X), first)
+        ls.precision
+        assert ls.inv_chol is inv_l
+        assert len(calls) == 1
+        assert not inv_l.flags.writeable
+        with pytest.raises(ValueError):
+            inv_l[0, 0] = 1.0
 
 
 class TestPrecisionOnFirstRead:

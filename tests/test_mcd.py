@@ -210,6 +210,24 @@ class TestFitMcd:
         with pytest.raises(AllStartsDegenerate):
             fit_mcd(np.ones((20, 2)), 10)
 
+    def test_canonical_entry_point_matches_fit_mcd(self):
+        from robustqda.mcd import _fit_canonical
+
+        rng = np.random.default_rng(41)
+        for n, p in ((40, 2), (300, 3), (1200, 5)):
+            # Half-integer values: many tied coordinates and duplicate rows.
+            Z = np.round(rng.standard_normal((n, p)) * 2.0) / 2.0
+            Z[: n // 5] += 4.0
+            Zc = Z[np.lexsort(Z.T[::-1])]
+            h = h_from_fraction(n, p, 0.5)
+            trusted = _fit_canonical(Zc, h)
+            for public in (fit_mcd(Zc, h), fit_mcd(Z, h)):
+                assert np.array_equal(public.mu, trusted.mu)
+                assert np.array_equal(public.sigma, trusted.sigma)
+                assert public.det_uncorrected == trusted.det_uncorrected
+                assert public.c_alpha == trusted.c_alpha
+            assert np.array_equal(fit_mcd(Zc, h).subset, trusted.subset)
+
 
 class TestInitialStarts:
     def test_two_positive_definite_starts(self):
@@ -328,8 +346,6 @@ class TestTrustedConcentration:
 def _dense_best_exchange(Z, current):
     """Reference exchange search: scores every (outside, inside) pair in
     one dense matrix, as the polish did before its search was pruned."""
-    import scipy.linalg as sla
-
     n = Z.shape[0]
     inside = current.subset
     h = inside.shape[0]
@@ -337,7 +353,7 @@ def _dense_best_exchange(Z, current):
     mask[inside] = True
     outside = np.flatnonzero(~mask)
     dev = Z - current.loc_scat.mu
-    W = sla.solve_triangular(current.loc_scat.chol, dev.T, lower=True).T
+    W = dev @ current.loc_scat.inv_chol.T
     W *= math.sqrt(current.c_alpha / (h - 1))
     q_in = np.einsum("ij,ij->i", W[inside], W[inside])
     q_out = np.einsum("ij,ij->i", W[outside], W[outside])

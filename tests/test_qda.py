@@ -8,6 +8,7 @@ from robustqda.core import LocationScatter, chi2_quantile, mvn_sample, substream
 from robustqda.errors import (
     DataError,
     DimensionMismatch,
+    DomainError,
     EmptyClassAfterTrim,
     UnknownClass,
 )
@@ -230,6 +231,11 @@ class TestInputChecks:
         X, y = two_gaussians(17)
         with pytest.raises(DataError):
             fit_qda(X, y, mode="fast")
+
+    def test_block_count_that_is_not_an_integer(self):
+        X, y = two_gaussians(17)
+        with pytest.raises(DomainError, match="class 1"):
+            fit_qda(X, y, mode="robust", blocks="x")
 
     def test_column_mismatch_at_predict(self):
         X, y = two_gaussians(18)
