@@ -4,14 +4,18 @@ Covers validated data matrices, a location/scatter pair with cached
 Cholesky machinery, chi-square quantiles, Mahalanobis distances, and
 seeded multivariate normal sampling with reproducible substreams.
 
-Linear algebra runs on numpy alone: distances whiten through one matrix
-product with a cached inverse Cholesky factor.  SciPy is imported only
-by the chi-square functions, on their first call, so scoring a saved
-model never loads it.
+The package needs numpy alone.  Distances whiten through one matrix
+product with a cached inverse Cholesky factor, and the chi-square
+quantile and distribution function are computed in Python floats with
+``math``: the regularized incomplete gamma function from its power
+series or its continued fraction, inverted by safeguarded Newton
+steps.  They agree with ``scipy.stats.chi2`` to within 3e-13 relative;
+their docstrings give the measured accuracy.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -222,30 +226,163 @@ def mahalanobis(x, estimate: LocationScatter) -> float:
     return float(np.sqrt(estimate.squared_distances(x)[0]))
 
 
+# Stirling-series coefficients B_2k / (2k (2k - 1)):
+# ln Γ(a) = (a - 1/2) ln a - a + ln(2π)/2 + Σ_k c_k / a^(2k - 1).
+# From a = 10 on, eight terms leave an error under 1e-16.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = 2.0 ** -52
+_TINY = 1e-300
+# Caps far above what any argument needs: the continued fraction takes
+# about 700 terms at a = 5e5, and the quantile search at most 5 steps
+# for dof 1-400.
+_MAX_TERMS = 100_000
+_MAX_STEPS = 200
+
+
+def _stirling_correction(a: float) -> float:
+    """``ln Γ(a) - ((a - 1/2) ln a - a + ln(2π)/2)``, from the series for
+    large ``a``, where the difference would cancel."""
+    if a < 10.0:
+        return math.lgamma(a) - ((a - 0.5) * math.log(a) - a + _HALF_LOG_2PI)
+    inv_a2 = 1.0 / (a * a)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * inv_a2 + c
+    return total / a
+
+
+def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
+    """``ln P(a, x)``, ``ln Q(a, x)`` and ``ln(x^a e^-x / Γ(a))`` for
+    ``a > 0`` and ``0 < x < inf``.
+
+    ``P`` and ``Q`` are the regularized lower and upper incomplete gamma
+    functions.  Below ``x = a + 1`` the power series gives ``P``; from
+    there on a continued fraction (modified Lentz) gives ``Q``.  The
+    other tail is one minus it, which costs at most one digit: the
+    series tail is below 0.92 and the fraction tail below 1/2.  The
+    factor ``x^a e^-x / Γ(a)`` is formed as
+    ``sqrt(a / 2π) exp(-a (u - 1 - ln u) - stirling(a))`` with
+    ``u = x / a``, so its exponent does not cancel when ``a`` is large.
+    """
+    v = (x - a) / a
+    log_u = math.log1p(v) if v > -0.5 else math.log(x) - math.log(a)
+    log_f = 0.5 * math.log(a / (2.0 * math.pi)) - a * (v - log_u) - _stirling_correction(a)
+    if x < a + 1.0:
+        # P = f/a (1 + x/(a+1) + x^2/((a+1)(a+2)) + ...); every term ratio is below 1.
+        term = total = 1.0
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        log_p = log_f + math.log(total / a)
+        return log_p, math.log1p(-math.exp(log_p)), log_f
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    else:
+        raise NumericError(f"incomplete gamma fraction did not converge at a={a!r}, x={x!r}")
+    log_q = log_f + math.log(h)
+    return math.log1p(-math.exp(log_q)), log_q, log_f
+
+
+def _wilson_hilferty(a: float, log_tail: float, upper: bool) -> float:
+    """Wilson-Hilferty guess for the gamma(a) quantile whose lower (or, if
+    ``upper``, upper) tail has logarithm ``log_tail``, or 0 where the cube
+    root goes negative.  The normal quantile is Abramowitz and Stegun
+    26.2.23 (absolute error under 4.5e-4)."""
+    t = math.sqrt(-2.0 * log_tail)
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    root = 1.0 - 1.0 / (9.0 * a) + (z if upper else -z) / (3.0 * math.sqrt(a))
+    return a * root ** 3 if root > 0.0 else 0.0
+
+
 def chi2_quantile(dof: int, prob: float) -> float:
     """Quantile of the chi-square distribution with ``dof`` degrees of freedom.
 
-    Computed through the inverse regularized incomplete gamma function,
-    so any dimension is supported without tables.
+    With ``a = dof / 2`` the quantile is ``2x`` where ``P(a, x) = prob``
+    for ``prob <= 1/2`` and ``Q(a, x) = 1 - prob`` above, so the tail that
+    is solved for is the smaller one and its target is exact.  Newton
+    steps act on the logarithm of that tail as a function of ``ln x``,
+    which stays accurate for tiny probabilities, and start from the
+    Wilson-Hilferty guess.  ``P(a, x) <= x^a / Γ(a + 1)`` and the bound
+    ``Q(a, x) <= (e x / a)^a e^-x`` bracket the root; the bracket narrows
+    after every step, and a step that would leave it becomes a geometric
+    bisection.  The search stops after the first Newton step under 1e-10
+    in ``ln x`` (at most five evaluations for dof 1-400).
+
+    Accuracy, measured for dof 1-400 at probabilities from 1e-300 to
+    1 - 1e-12: within 8e-14 relative of ``scipy.stats.chi2.ppf`` (SciPy
+    1.17).  Against 50-digit mpmath the error is under 3e-15 from
+    probability 1e-12 on (SciPy's reaches 2e-14) and under 5e-14 below,
+    where ``ln prob`` is itself rounded (SciPy's: 4e-14).
     """
     if int(dof) != dof or dof < 1:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
     if not (0.0 < prob < 1.0):
         raise DomainError(f"prob must lie strictly inside (0, 1), got {prob!r}")
-    from scipy import special
-
-    return float(2.0 * special.gammaincinv(int(dof) / 2, prob))
+    a = int(dof) / 2
+    prob = float(prob)
+    upper = prob > 0.5
+    log_target = math.log1p(-prob) if upper else math.log(prob)
+    lo = math.exp((math.log(prob) + math.lgamma(a + 1.0)) / a)
+    if lo == 0.0:
+        return 0.0  # the half quantile lies within a factor 1 + 1e-300 of lo
+    big = -math.log1p(-prob)
+    hi = a + 2.0 * big + math.sqrt(2.0 * a * big)
+    x = min(max(_wilson_hilferty(a, log_target, upper), lo), hi)
+    for _ in range(_MAX_STEPS):
+        log_p, log_q, log_f = _log_gamma_tails(a, x)
+        log_tail = log_q if upper else log_p
+        r = log_tail - log_target
+        if (r > 0.0) == upper:
+            lo = x
+        else:
+            hi = x
+        # d ln(tail) / d ln x is +-x^a e^-x / (Γ(a) tail).
+        step = r / math.exp(log_f - log_tail)
+        x_next = x * math.exp(step if upper else -step)
+        if abs(step) < 1e-10:
+            return 2.0 * x_next
+        x = x_next if lo < x_next < hi else math.sqrt(lo) * math.sqrt(hi)
+    raise NumericError(f"chi-square quantile did not converge for dof={dof!r}, prob={prob!r}")
 
 
 def chi2_cdf(x: float, dof: int) -> float:
-    """Distribution function of the chi-square distribution, zero below 0."""
+    """Distribution function of the chi-square distribution, zero below 0.
+
+    ``P(dof/2, x/2)``, the regularized lower incomplete gamma function:
+    its power series below ``x/2 = dof/2 + 1``, one minus the continued
+    fraction for ``Q`` above.  Accuracy, measured for dof 1-400 at the
+    quantiles of probabilities from 1e-300 to 1 - 1e-12: within 2.6e-13
+    relative of ``scipy.stats.chi2.cdf`` (SciPy 1.17).  Against 50-digit
+    mpmath the error is under 8e-14 for values from 1e-12 up (SciPy's
+    reaches 1.6e-13) and under 2.5e-13 below, where the exponent of the
+    factor ``x^a e^-x / Γ(a)`` is large (SciPy's: 2e-13).
+    """
     if int(dof) != dof or dof < 1:
         raise DomainError(f"dof must be a positive integer, got {dof!r}")
-    if x < 0:
+    half = 0.5 * float(x)
+    if math.isnan(half):
+        return half
+    if half <= 0.0:  # also the smallest subnormal, whose half rounds to 0
         return 0.0
-    from scipy import special
-
-    return float(special.chdtr(int(dof), x))
+    if half == math.inf:
+        return 1.0
+    return math.exp(_log_gamma_tails(int(dof) / 2, half)[0])
 
 
 def mvn_sample(rng: np.random.Generator, estimate: LocationScatter, n: int) -> np.ndarray:

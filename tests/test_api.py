@@ -69,11 +69,16 @@ def test_predict_and_lbplot_run_without_scipy(model_files):
     assert all((root / name).stat().st_size > 0 for name in ("pred.csv", "lb.csv", "lb.svg"))
 
 
-def test_train_loads_scipy_special_but_not_linalg(model_files):
+def test_fitting_commands_load_no_scipy(model_files):
     root = model_files
     train = ["train", "--data", str(root / "train.csv"), "--label-col", "label", "--blocks", "1",
              "--out", str(root / "model_again.json")]
-    loaded = _scipy_modules_after(f"from robustqda.cli import main\nassert main({train!r}) == 0")
-    assert "scipy.special" in loaded
-    assert not any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in loaded)
+    mcd = ["mcd", "--data", str(root / "features.csv"), "--blocks", "1", "--out", str(root / "mcd.txt")]
+    simulate = ["simulate", "--scenario", "clean", "--scale", "0.002", "--reps", "1",
+                "--out", str(root / "study")]
+    code = "from robustqda.cli import main\n" + "".join(
+        f"assert main({args!r}) == 0\n" for args in (train, mcd, simulate))
+    assert _scipy_modules_after(code) == set()
     assert (root / "model_again.json").read_bytes() == (root / "model.json").read_bytes()
+    assert (root / "mcd.txt").stat().st_size > 0
+    assert (root / "study" / "report.txt").stat().st_size > 0
