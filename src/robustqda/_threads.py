@@ -1,23 +1,34 @@
-"""Worker-pool helper.
+"""Worker pools: threads for block fits, forked processes for replications.
 
-``ROBUST_QDA_THREADS`` caps the number of threads used for independent
-sub-fits.  The only caller is ``blockwise_mcd``, which fits its blocks
-through :func:`ordered_map` when every block has at least
-``block_mcd._THREADED_BLOCK_ROWS`` rows.  Smaller blocks are fitted
-serially: their fits spend most of their time in Python-level per-step
-overhead that holds the GIL, so threads would only contend for it.
-Per-class fits and study replications always run serially.  The cap,
-like the core count, only affects wall-clock time: results are collected
-in task order, and the block count reads neither.  The cap is validated
-on every ``blockwise_mcd`` call, whether or not the pool runs.
+``ROBUST_QDA_THREADS`` is the one cap on parallel work (default: the CPU
+count), validated by :func:`worker_count` before any pool starts.
+
+* :func:`ordered_map` fits the blocks of one ``blockwise_mcd`` call on
+  threads, and only when every block has at least
+  ``block_mcd._THREADED_BLOCK_ROWS`` rows.  Smaller fits spend most of
+  their time in Python-level per-step overhead that holds the GIL, so
+  threads would only contend for it; they run one after another.
+* :func:`process_map` runs the replications of ``sim.run_study`` on up to
+  ``min(cap, reps)`` forked processes, since each one is a whole study
+  fit that threads cannot overlap.  Inside each worker the cap reads
+  ``max(1, cap // workers)``, so block threads started there never add
+  up to more than the cap.  Every worker holds one replication's data,
+  so ``simulate`` needs about ``min(cap, reps)`` times the memory of one.
+  While other threads are alive the replications run in-process, since
+  ``fork`` cannot copy a process with threads safely.
+
+Per-class fits run serially.  Results are collected in task order and
+neither pool changes any arithmetic, so the cap, like the core count,
+only affects wall-clock time.
 """
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import ConfigError
+from .errors import ConfigError, WorkerDied
 
 _ENV_VAR = "ROBUST_QDA_THREADS"
 
@@ -26,7 +37,7 @@ R = TypeVar("R")
 
 
 def worker_count() -> int:
-    """Resolve the thread cap from the environment (default: CPU count)."""
+    """Resolve the worker cap from the environment (default: CPU count)."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return os.cpu_count() or 1
@@ -51,3 +62,51 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def process_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
+    """Apply ``fn`` to every item on forked processes, in input order.
+
+    Uses ``min(worker_count(), len(items))`` processes.  With one, this
+    is the plain loop in the calling process, and ``multiprocessing`` is
+    never imported.  The loop also runs where the ``fork`` start method is
+    not offered, and while other threads run in the calling process: a
+    forked child would inherit any lock they hold, but not the thread that
+    would release it.
+
+    ``fn``, the items and the results travel by pickle.  An exception
+    raised by ``fn`` is re-raised here with its type and message, the
+    first in item order winning as in the loop; a worker that dies raises
+    ``WorkerDied``.
+    """
+    items = list(items)
+    cap = worker_count()
+    workers = min(cap, len(items))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _fork_map(fn, items, multiprocessing.get_context("fork"), workers, cap)
+    return [fn(item) for item in items]
+
+
+def _fork_map(fn, items: list, context, workers: int, cap: int) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=_set_worker_cap,
+        initargs=(max(1, cap // workers),),
+    )
+    try:
+        return list(pool.map(fn, items))
+    except BrokenProcessPool:
+        raise WorkerDied(f"a worker process died before all {len(items)} tasks finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _set_worker_cap(cap: int) -> None:
+    os.environ[_ENV_VAR] = str(cap)

@@ -169,7 +169,9 @@ def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, ls_b: LocationScatter) -> fl
     trace = float(np.sum(sigma_a * ls_b.precision))
     diff = mu_a - ls_b.mu
     quad = float(diff @ ls_b.precision @ diff)
-    return trace - p - (logdet_a - ls_b.log_det) + quad
+    # Nonnegative in exact arithmetic; clamp the rounding noise of equal
+    # arguments (a one-block fit) at 0.
+    return max(trace - p - (logdet_a - ls_b.log_det) + quad, 0.0)
 
 
 def kl_deviation(sigma_a, mu_a, sigma_b, mu_b) -> float:
@@ -245,11 +247,14 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         of the data's shape, the same on any machine.  Anything else that
         is not a positive integer raises ``DomainError``.  q = 1 reduces to a
         single MCD fit followed by reweighting.  The blocks are fitted on
-        the ``ROBUST_QDA_THREADS`` pool when the smallest has at least
-        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
-        smaller fits spend most of their time in Python-level overhead
-        that holds the GIL, so threads would slow them down.  The result
-        is the same either way.
+        a pool of up to ``ROBUST_QDA_THREADS`` threads when the smallest
+        has at least ``_THREADED_BLOCK_ROWS`` rows, and one after another
+        otherwise: smaller fits spend most of their time in Python-level
+        overhead that holds the GIL, so threads would slow them down.
+        Inside a ``simulate`` worker process the cap is that worker's
+        share, ``max(1, cap // workers)``, since the study's replications
+        already run on up to ``cap`` processes.  The result is the same
+        either way.
     rng : int or numpy Generator
         Seed (or generator) driving the single random element, the
         row shuffle.  Everything else is deterministic.

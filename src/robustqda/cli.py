@@ -7,7 +7,7 @@ no timestamps or timings, and depends only on the flags and seed, so a
 rerun with the same arguments is byte-identical.  Timings go to stderr.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric failure,
-4 I/O failure.
+4 I/O failure, 5 a ``simulate`` worker process died.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .block_mcd import blockwise_mcd
 from .data_io import encode_labels, encode_with_names, read_dataset, write_predictions_csv
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, WorkerDied
 from .fileio import write_text_atomic
 from .lbplot import lb_points, render_lb_svg, write_lb_csv
 from .model_io import load_model, save_model
@@ -248,11 +248,15 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
     methods = ("robust", "classical") if args.methods == "both" else (args.methods,)
+    start = time.perf_counter()
     study = run_study(scenario, reps=args.reps, methods=methods)
+    elapsed = time.perf_counter() - start
     written = write_study_report(study, args.out)
     for report in study.methods:
         total = sum(report.seconds)
-        print(f"{report.mode}: {study.reps} reps in {total:.3f}s", file=sys.stderr)
+        print(f"{report.mode}: {study.reps} reps, fit time summed over reps {total:.3f}s",
+              file=sys.stderr)
+    print(f"study wall time {elapsed:.3f}s", file=sys.stderr)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -275,6 +279,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except WorkerDied as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

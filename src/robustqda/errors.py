@@ -2,7 +2,8 @@
 
 Two broad families matter for callers (and for CLI exit codes): problems
 with the input itself (``DataError``) and failures that arise while
-estimating (``NumericError``).
+estimating (``NumericError``).  ``WorkerDied`` stands apart: a worker
+process of a parallel study was lost, whatever it was computing.
 """
 
 
@@ -68,3 +69,7 @@ class TooFewInliers(NumericError):
 
 class EmptyClassAfterTrim(NumericError):
     """Outlier trimming removed every observation of a class."""
+
+
+class WorkerDied(RobustQdaError):
+    """A worker process ended abruptly (killed, or out of memory) mid-task."""

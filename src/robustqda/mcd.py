@@ -242,12 +242,12 @@ def _concentrate(Z: np.ndarray, start: LocationScatter, h: int, max_steps: int) 
     c_alpha = consistency_factor(h, n, p)
     current = _fit_subset(Z, _smallest_h(start.squared_distances(Z), h), c_alpha)
     for _ in range(max_steps):
-        d2 = current.loc_scat.squared_distances(Z)
-        refined = _fit_subset(Z, _smallest_h(d2, h), c_alpha)
+        subset = _smallest_h(current.loc_scat.squared_distances(Z), h)
+        if np.array_equal(subset, current.subset):
+            return current  # converged: a refit would reproduce ``current``
+        refined = _fit_subset(Z, subset, c_alpha)
         if refined.det_uncorrected > current.det_uncorrected * (1.0 + 1e-9):
             raise NumericError("concentration step increased the determinant")
-        if np.array_equal(refined.subset, current.subset):
-            return refined
         current = refined
     log.warning(
         "concentration steps did not converge within %d steps (n=%d, h=%d); "

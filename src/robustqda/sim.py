@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._threads import process_map
 from .core import LocationScatter, mvn_sample, spd_cholesky
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
@@ -362,6 +364,37 @@ def _spread(values: np.ndarray) -> np.ndarray:
     return values.std(axis=0, ddof=1)
 
 
+def _run_rep(scenario: Scenario, methods: tuple, fit_options: dict, rep: int) -> dict:
+    """Replication ``rep`` of the study: per method, a dict of its
+    confusion, per-class kl, det and alpha (None without planted noise),
+    and the seconds taken by the fit and the scoring."""
+    rep_ss = np.random.SeedSequence(scenario.seed, spawn_key=(rep,))
+    data_ss, fit_ss = rep_ss.spawn(2)
+    X, y, tags = generate(scenario, np.random.default_rng(data_ss))
+    fit_seed = int(fit_ss.generate_state(1)[0])
+    G = scenario.n_classes
+    true_sigmas = [np.array(cls.sigma) for cls in scenario.classes]
+    has_noise = scenario.eps_label + scenario.eps_meas > 0.0
+    rows = {}
+    for mode in methods:
+        start = time.perf_counter()
+        model = fit_qda(X, y, mode=mode, seed=fit_seed, **fit_options)
+        labels, _, rd, _ = classify_rows(model, X)
+        elapsed = time.perf_counter() - start
+        alpha = None
+        if has_noise:
+            rd_own = rd[np.arange(rd.shape[0]), y - 1]
+            alpha = [alpha_metric(rd_own, tags, g, model.outlier_cutoff) for g in range(1, G + 1)]
+        rows[mode] = {
+            "confusion": extended_confusion(labels, tags, G),
+            "kl": [kl_metric(model.classes[g].loc_scat.sigma, true_sigmas[g]) for g in range(G)],
+            "det": [math.exp(model.classes[g].loc_scat.log_det) for g in range(G)],
+            "alpha": alpha,
+            "seconds": elapsed,
+        }
+    return rows
+
+
 def run_study(
     scenario: Scenario,
     reps: int = 5,
@@ -375,68 +408,36 @@ def run_study(
 
     Replication r draws its data from substream r of the scenario seed
     and hands the fit another substream-derived seed, so the study is
-    reproducible end to end and replications are independent.
+    reproducible end to end and replications are independent.  They run
+    on up to ``ROBUST_QDA_THREADS`` forked processes
+    (:func:`~robustqda._threads.process_map`) and are averaged in
+    replication order, so the report is the same for any worker count.
     """
     if reps < 1:
         raise ConfigError(f"reps must be positive, got {reps}")
     for mode in methods:
         if mode not in ("robust", "classical"):
             raise ConfigError(f"unknown method {mode!r}")
-    G = scenario.n_classes
-    true_sigmas = [np.array(cls.sigma) for cls in scenario.classes]
-    has_noise = scenario.eps_label + scenario.eps_meas > 0.0
-
-    per_method: dict[str, dict[str, list]] = {
-        mode: {"confusion": [], "kl": [], "det": [], "alpha": [], "seconds": []} for mode in methods
-    }
-    for rep in range(reps):
-        rep_ss = np.random.SeedSequence(scenario.seed, spawn_key=(rep,))
-        data_ss, fit_ss = rep_ss.spawn(2)
-        X, y, tags = generate(scenario, np.random.default_rng(data_ss))
-        fit_seed = int(fit_ss.generate_state(1)[0])
-        for mode in methods:
-            start = time.perf_counter()
-            model = fit_qda(
-                X,
-                y,
-                mode=mode,
-                h_frac=h_frac,
-                blocks=blocks,
-                seed=fit_seed,
-                outlier_quantile=outlier_quantile,
-            )
-            labels, _, rd, _ = classify_rows(model, X)
-            elapsed = time.perf_counter() - start
-            acc = per_method[mode]
-            acc["confusion"].append(extended_confusion(labels, tags, G))
-            acc["kl"].append(
-                [kl_metric(model.classes[g].loc_scat.sigma, true_sigmas[g]) for g in range(G)]
-            )
-            acc["det"].append([math.exp(model.classes[g].loc_scat.log_det) for g in range(G)])
-            if has_noise:
-                rd_own = rd[np.arange(rd.shape[0]), y - 1]
-                acc["alpha"].append(
-                    [alpha_metric(rd_own, tags, g, model.outlier_cutoff) for g in range(1, G + 1)]
-                )
-            acc["seconds"].append(elapsed)
+    fit_options = {"h_frac": h_frac, "blocks": blocks, "outlier_quantile": outlier_quantile}
+    per_rep = process_map(partial(_run_rep, scenario, methods, fit_options), range(reps))
 
     reports = []
     for mode in methods:
-        acc = per_method[mode]
-        kl = np.asarray(acc["kl"])
-        det = np.asarray(acc["det"])
-        alpha = np.asarray(acc["alpha"]) if has_noise else None
+        rows = [rep_rows[mode] for rep_rows in per_rep]
+        kl = np.asarray([row["kl"] for row in rows])
+        det = np.asarray([row["det"] for row in rows])
+        alpha = None if rows[0]["alpha"] is None else np.asarray([row["alpha"] for row in rows])
         reports.append(
             MethodReport(
                 mode=mode,
-                confusion=average_confusions(acc["confusion"]),
+                confusion=average_confusions(row["confusion"] for row in rows),
                 kl_mean=kl.mean(axis=0),
                 kl_sd=_spread(kl),
                 det_mean=det.mean(axis=0),
                 det_sd=_spread(det),
                 alpha_mean=None if alpha is None else alpha.mean(axis=0),
                 alpha_sd=None if alpha is None else _spread(alpha),
-                seconds=tuple(acc["seconds"]),
+                seconds=tuple(row["seconds"] for row in rows),
             )
         )
     return StudyReport(

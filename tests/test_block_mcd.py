@@ -117,6 +117,16 @@ class TestMedianPoolAndDeviation:
             other = B @ B.T + np.eye(3)
             assert kl_deviation(other, mu, sigma, mu) > -1e-12
 
+    def test_one_block_deviation_is_never_negative(self):
+        # The median of one block is that block: the deviation is 0 up to
+        # rounding, which must not show as a negative value.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((2000, 3))
+            X[:160] += 6.0
+            (dev,) = blockwise_mcd(X, blocks=1).diagnostics.kl_deviations
+            assert 0.0 <= dev < 1e-12
+
     def test_kl_mean_shift_term(self):
         v = kl_deviation(np.eye(2), np.array([3.0, 4.0]), np.eye(2), np.zeros(2))
         assert v == pytest.approx(25.0, abs=1e-12)
