@@ -1,4 +1,5 @@
-"""Worker pools: threads for block fits, forked processes for replications.
+"""Worker pools: threads for block fits, forked processes for replications
+and for ``predict``'s row ranges.
 
 ``ROBUST_QDA_THREADS`` is the one cap on parallel work (default: the CPU
 count), validated by :func:`worker_count` before any pool starts.
@@ -16,6 +17,12 @@ count), validated by :func:`worker_count` before any pool starts.
   so ``simulate`` needs about ``min(cap, reps)`` times the memory of one.
   While other threads are alive the replications run in-process, since
   ``fork`` cannot copy a process with threads safely.
+* ``predict`` maps the same :func:`process_map` over up to
+  ``min(cap, rows // cli.MIN_ROWS_PER_WORKER)`` contiguous row ranges of
+  its input, each parsed, scored and formatted in a worker, since CSV
+  parsing and float formatting hold the GIL.  The parent holds the input
+  and the output text, each worker its own range; the texts are joined
+  in row order.
 
 Per-class fits run serially.  Results are collected in task order and
 neither pool changes any arithmetic, so the cap, like the core count,
@@ -74,10 +81,12 @@ def process_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[
     forked child would inherit any lock they hold, but not the thread that
     would release it.
 
-    ``fn``, the items and the results travel by pickle.  An exception
-    raised by ``fn`` is re-raised here with its type and message, the
-    first in item order winning as in the loop; a worker that dies raises
-    ``WorkerDied``.
+    ``fn`` reaches the workers through the pool's initializer, whose
+    arguments a forked child inherits without pickling, so it may be a
+    closure over large data; only the items and the results travel by
+    pickle.  An exception raised by ``fn`` is re-raised here with its type
+    and message, the first in item order winning as in the loop; a worker
+    that dies raises ``WorkerDied``.
     """
     items = list(items)
     cap = worker_count()
@@ -97,16 +106,26 @@ def _fork_map(fn, items: list, context, workers: int, cap: int) -> list:
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=context,
-        initializer=_set_worker_cap,
-        initargs=(max(1, cap // workers),),
+        initializer=_start_worker,
+        initargs=(fn, max(1, cap // workers)),
     )
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_call_worker_fn, items))
     except BrokenProcessPool:
         raise WorkerDied(f"a worker process died before all {len(items)} tasks finished") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _set_worker_cap(cap: int) -> None:
+# The function a forked worker applies; set once by _start_worker.
+_worker_fn: Callable | None = None
+
+
+def _start_worker(fn: Callable, cap: int) -> None:
+    global _worker_fn
+    _worker_fn = fn
     os.environ[_ENV_VAR] = str(cap)
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)

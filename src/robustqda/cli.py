@@ -7,12 +7,13 @@ no timestamps or timings, and depends only on the flags and seed, so a
 rerun with the same arguments is byte-identical.  Timings go to stderr.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric failure,
-4 I/O failure, 5 a ``simulate`` worker process died.
+4 I/O failure, 5 a worker process died.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import time
 from dataclasses import replace
@@ -20,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._threads import process_map, worker_count
 from .block_mcd import blockwise_mcd
-from .data_io import encode_labels, encode_with_names, read_dataset, write_predictions_csv
-from .errors import DataError, NumericError, WorkerDied
+from .data_io import encode_labels, encode_with_names, read_dataset, read_rows, write_predictions_csv
+from .errors import DataError, DimensionMismatch, NumericError, WorkerDied
 from .fileio import write_text_atomic
 from .lbplot import lb_points, render_lb_svg, write_lb_csv
 from .model_io import load_model, save_model
@@ -30,6 +32,14 @@ from .qda import classify_rows, fit_qda
 from .sim import parse_scenario, preset_names, preset_scenario, run_study, write_study_report
 
 __all__ = ["build_parser", "main"]
+
+# Fewest rows a ``predict`` worker process is given: a file of n rows is
+# cut into min(cap, n // MIN_ROWS_PER_WORKER) ranges, so below twice this
+# it is scored in-process.  On 2 cores two workers lost to one at 100k
+# rows and won from 150k up (``BENCH_predict_workers.json``, from
+# ``tools/predict_workers.py``): below that, starting the workers and
+# sending their text back cost more than half the parse and format.
+MIN_ROWS_PER_WORKER = 75_000
 
 
 def _blocks_arg(value: str):
@@ -185,15 +195,28 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, label_names = load_model(args.model)
-    dataset = read_dataset(args.data)
+    rows = read_rows(args.data)
+    if len(rows.feature_idx) != model.p:
+        raise DimensionMismatch(f"X has {len(rows.feature_idx)} columns, model expects {model.p}")
+    cap = worker_count()
+    parts = rows.split(1 if cap == 1 else min(cap, rows.line_count // MIN_ROWS_PER_WORKER))
+
+    def predict_range(part):
+        X, _ = rows.parse(part)
+        labels, scores, _, min_rd = classify_rows(model, X)
+        text = io.StringIO()
+        write_predictions_csv(text, labels, scores, min_rd, label_names, first_row=part.first_row)
+        return text.getvalue(), labels.shape[0], int(np.count_nonzero(labels == 0))
+
     start = time.perf_counter()
-    labels, scores, _, min_rd = classify_rows(model, dataset.X)
+    results = process_map(predict_range, parts)
     elapsed = time.perf_counter() - start
-    write_predictions_csv(args.out, labels, scores, min_rd, label_names)
-    outliers = int(np.count_nonzero(labels == 0))
+    write_text_atomic(args.out, "".join(text for text, _, _ in results))
+    n = sum(count for _, count, _ in results)
+    outliers = sum(count for _, _, count in results)
     print(
-        f"wrote {args.out}: {labels.shape[0]} rows, {outliers} outliers "
-        f"(scoring took {elapsed:.3f}s)",
+        f"wrote {args.out}: {n} rows, {outliers} outliers (parsing, scoring and "
+        f"formatting {len(parts)} row range{'s' if len(parts) > 1 else ''} took {elapsed:.3f}s)",
         file=sys.stderr,
     )
     return 0

@@ -203,9 +203,13 @@ class LocationScatter:
         if X.shape[1] != self.p:
             raise DimensionMismatch(f"rows have length {X.shape[1]}, expected {self.p}")
         dev = X - self.mu
+        if dev.shape[0] == 1:
+            # A one-row product runs as a matrix-vector BLAS call, which may
+            # round differently from the matrix-matrix one of a batch.
+            dev = np.repeat(dev, 2, axis=0)
         with np.errstate(invalid="ignore", over="ignore"):
             W = self.inv_chol @ dev.T
-            d2 = np.einsum("ij,ij->j", W, W)
+            d2 = np.einsum("ij,ij->j", W, W)[: X.shape[0]]
         # A non-finite deviation always yields a non-finite distance, so
         # the n x p check runs only when the n distances fail theirs.
         if not np.isfinite(d2).all() and not np.isfinite(dev).all():

@@ -27,6 +27,7 @@ __all__ = [
     "encode_labels",
     "encode_with_names",
     "read_dataset",
+    "read_rows",
     "write_dataset",
     "write_predictions_csv",
 ]
@@ -67,19 +68,91 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     that are not UTF-8.  Text the csv module rejects, such as a cell over
     its field limit, raises ``csv.Error``.
     """
+    rows = read_rows(source, label_col)
+    X, labels = rows.parse(*rows.split(1))
+    return Dataset(X=X, feature_names=rows.feature_names, labels_raw=labels)
+
+
+@dataclass(frozen=True)
+class RowRange:
+    """Whole lines ``body[start:stop]`` of a CSV body; ``first_row`` is
+    the 1-based data row number of the first of them."""
+
+    first_row: int
+    start: int
+    stop: int
+
+
+@dataclass(frozen=True)
+class CsvRows:
+    """A CSV whose header is read and checked, with its body kept as text
+    so that ranges of rows can be parsed apart, even in other processes."""
+
+    header: list
+    feature_idx: list
+    label_idx: int | None
+    body: str
+    quoted: bool
+
+    @property
+    def feature_names(self) -> tuple:
+        return tuple(self.header[j] for j in self.feature_idx)
+
+    @property
+    def line_count(self) -> int:
+        """Lines in the body; a final line break ends the last line."""
+        return self.body.count("\n") + (self.body[-1:] not in ("", "\n"))
+
+    def split(self, parts: int) -> list[RowRange]:
+        """Cut the body at line breaks into at most ``parts`` ranges of
+        about equal length.  A quoted body stays whole, since a quoted
+        cell may hold a line break."""
+        body = self.body
+        cuts = [0]
+        for i in range(1, 1 if self.quoted else parts):
+            cut = body.find("\n", max(0, i * len(body) // parts - 1)) + 1
+            if cuts[-1] < cut < len(body):
+                cuts.append(cut)
+        cuts.append(len(body))
+        ranges = [RowRange(1, 0, cuts[1])]
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            first_row = ranges[-1].first_row + body.count("\n", ranges[-1].start, start)
+            ranges.append(RowRange(first_row, start, stop))
+        return ranges
+
+    def parse(self, part: RowRange) -> tuple[np.ndarray, tuple | None]:
+        """``(X, labels)`` of one range, by :func:`_parse_body` or, when
+        it declines, :func:`_parse_cells`; errors cite file rows."""
+        text = self.body[part.start:part.stop]
+        header, feature_idx, label_idx = self.header, self.feature_idx, self.label_idx
+        parsed = None if self.quoted else _parse_body(text, len(header), feature_idx, label_idx)
+        if parsed is None:
+            rows = list(csv.reader(io.StringIO(text)))
+            parsed = _parse_cells(rows, header, feature_idx, label_idx, part.first_row)
+        return parsed
+
+
+def read_rows(source, label_col: str | None = None) -> CsvRows:
+    """Read a CSV's text and check its header, as :func:`read_dataset`
+    does, leaving the body unparsed."""
     try:
         text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"CSV is not UTF-8 text: {exc}") from None
-    # A quoted cell may hold commas or line breaks, so a file with any quote
-    # goes through the csv module whole; otherwise the header is the first
-    # line and the body is left to _parse_body.
+    # A quoted cell may hold commas or line breaks, so with any quote in the
+    # file the csv module reads the header, and the body starts after the
+    # lines it took; otherwise the header is the first line.
     quoted = '"' in text
     head, _, body = text.partition("\n")
     rows = csv.reader(io.StringIO(text if quoted else head))
     first = next(rows, None)
     if first is None:
         raise DataError("empty CSV: expected a header row")
+    if quoted:
+        start = 0
+        for _ in range(rows.line_num):
+            start = text.find("\n", start) + 1 or len(text)
+        body = text[start:]
     header = [name.strip() for name in first]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
@@ -91,14 +164,7 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     feature_idx = [j for j in range(len(header)) if j != label_idx]
     if not feature_idx:
         raise DataError("no feature columns left after removing the label column")
-    names = tuple(header[j] for j in feature_idx)
-
-    parsed = None if quoted else _parse_body(body, len(header), feature_idx, label_idx)
-    if parsed is None:
-        body_rows = list(rows) if quoted else list(csv.reader(io.StringIO(body)))
-        parsed = _parse_cells(body_rows, header, feature_idx, label_idx)
-    data, labels = parsed
-    return Dataset(X=data, feature_names=names, labels_raw=labels)
+    return CsvRows(header, feature_idx, label_idx, body, quoted)
 
 
 def _parse_body(body: str, n_cols: int, feature_idx: list, label_idx: int | None):
@@ -141,12 +207,14 @@ def _parse_body(body: str, n_cols: int, feature_idx: list, label_idx: int | None
     return X, tuple(labels)
 
 
-def _parse_cells(rows: list, header: list, feature_idx: list, label_idx: int | None):
-    """Cell-by-cell parse of the data rows; raises the first DataError in
-    row order.  Handles every input, including those _parse_body declines."""
+def _parse_cells(rows: list, header: list, feature_idx: list, label_idx: int | None,
+                 first_row: int = 1):
+    """Cell-by-cell parse of the data rows, numbered from ``first_row``;
+    raises the first DataError in row order.  Handles every input,
+    including those _parse_body declines."""
     data = np.empty((len(rows), len(feature_idx)))
     labels: list[str] | None = [] if label_idx is not None else None
-    for i, row in enumerate(rows, start=1):
+    for i, row in enumerate(rows, start=first_row):
         if len(row) != len(header):
             raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
         for k, j in enumerate(feature_idx):
@@ -157,7 +225,7 @@ def _parse_cells(rows: list, header: list, feature_idx: list, label_idx: int | N
                 raise DataError(f"row {i}, column {header[j]!r}: {cell!r} is not a number") from None
             if not np.isfinite(value):
                 raise DataError(f"row {i}, column {header[j]!r}: {cell!r} is not finite")
-            data[i - 1, k] = value
+            data[i - first_row, k] = value
         if labels is not None:
             labels.append(row[label_idx].strip())
     if data.shape[0] == 0:
@@ -221,10 +289,14 @@ def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label
     write_text(target, csv_text(",".join(header), row_format, columns))
 
 
-def write_predictions_csv(target, labels, scores, min_rd, label_names=None) -> None:
+def write_predictions_csv(target, labels, scores, min_rd, label_names=None, first_row=1) -> None:
     """Write classification output: row, predicted, min_rd, then one
     score column per class.  Predicted is the original class name when a
     name table is given; the outlier class always prints as 0.
+
+    Rows are numbered from ``first_row``, and the header line comes before
+    row 1 only, so the texts written for consecutive ranges of rows join
+    into the text of the whole file.
     """
     codes = np.asarray(labels).astype(np.int64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -232,5 +304,6 @@ def write_predictions_csv(target, labels, scores, min_rd, label_names=None) -> N
     G = scores.shape[1]
     header = ["row", "predicted", "min_rd"] + [f"score_{g}" for g in range(1, G + 1)]
     shown = codes if label_names is None else np.array(["0", *label_names], dtype=object)[codes]
-    columns = [np.arange(1, codes.shape[0] + 1), shown, min_rd, *scores.T]
-    write_text(target, csv_text(",".join(header), "%d,%s" + ",%.9g" * (G + 1), columns))
+    columns = [np.arange(first_row, first_row + codes.shape[0]), shown, min_rd, *scores.T]
+    head = ",".join(header) if first_row == 1 else None
+    write_text(target, csv_text(head, "%d,%s" + ",%.9g" * (G + 1), columns))

@@ -41,8 +41,9 @@ def write_text(target, text: str) -> None:
 CHUNK_ROWS = 8192
 
 
-def csv_text(header: str, row_format: str, columns) -> str:
-    """CSV text: the ``header`` line, then ``row_format % row`` per row.
+def csv_text(header: str | None, row_format: str, columns) -> str:
+    """CSV text: the ``header`` line (none if it is None), then
+    ``row_format % row`` per row.
 
     ``columns`` are equal-length 1-D numpy arrays, one per ``%`` field of
     ``row_format``.  Rows are formatted ``CHUNK_ROWS`` at a time, each
@@ -53,7 +54,7 @@ def csv_text(header: str, row_format: str, columns) -> str:
     width = len(columns)
     n = len(columns[0])
     line = row_format + "\n"
-    parts = [header + "\n"]
+    parts = [] if header is None else [header + "\n"]
     for start in range(0, n, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n)
         values = [None] * ((stop - start) * width)

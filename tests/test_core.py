@@ -348,6 +348,20 @@ class TestInverseFactorWhitening:
         _solve_lower(L, B)
         assert np.array_equal(L, L0) and np.array_equal(B, B0)
 
+    def test_one_row_gives_the_bits_of_its_row_in_a_batch(self):
+        # A lone row is scored as a two-row product: as a matrix-vector
+        # BLAS call, its distance differed in the last bits for about
+        # 40% of rows.
+        rng = np.random.default_rng(41)
+        for p in (2, 5, 8):
+            A = rng.standard_normal((p, p + 3))
+            ls = LocationScatter.from_sigma(rng.standard_normal(p), A @ A.T + 0.1 * np.eye(p))
+            X = rng.standard_normal((2000, p)) * 3.0
+            batch = ls.squared_distances(X)
+            alone = np.array([ls.squared_distances(row)[0] for row in X])
+            assert np.array_equal(alone, batch), p
+            assert ls.squared_distances(X[:1]).shape == (1,)
+
     def test_squared_distances_rejects_non_finite_rows(self):
         ls = LocationScatter.from_sigma([0.0, 0.0], np.eye(2))
         for bad in (np.nan, np.inf, -np.inf):

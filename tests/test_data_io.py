@@ -438,3 +438,71 @@ class TestWritersMatchPerCellReference:
             tracemalloc.stop()
         size = len(out[0])
         assert peak < self.PEAK_OVER_TEXT * size, (peak, size)
+
+
+class TestRowRanges:
+    """``read_rows`` keeps the body as text; ``split`` cuts it into ranges
+    of whole lines that parse to the rows of the whole file."""
+
+    @staticmethod
+    def text(n: int, seed: int, newline: str = "\n") -> str:
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 6, (n, 1))
+        lines = ["a,b,c"] + [",".join(map(repr, row)) for row in X.tolist()]
+        return newline.join(lines) + newline
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_ranges_are_whole_lines_numbered_from_the_file(self, newline):
+        for n, seed in ((1, 0), (2, 1), (13, 2), (100, 3)):
+            text = self.text(n, seed, newline)
+            rows = data_io.read_rows(io.StringIO(text))
+            whole = read_dataset(io.StringIO(text)).X
+            assert rows.line_count == n
+            for parts in (1, 2, 3, 7, n, n + 5):
+                ranges = rows.split(parts)
+                assert 1 <= len(ranges) <= max(1, min(parts, n))
+                assert "".join(rows.body[r.start:r.stop] for r in ranges) == rows.body
+                assert all(rows.body[r.stop - 1] == "\n" for r in ranges)
+                starts = [1 + rows.body.count("\n", 0, r.start) for r in ranges]
+                assert [r.first_row for r in ranges] == starts
+                X = np.vstack([rows.parse(r)[0] for r in ranges])
+                assert X.tobytes() == whole.tobytes()
+
+    def test_error_cites_the_file_row_of_a_later_range(self):
+        text = self.text(20, 4).splitlines(keepends=True)
+        text[15] = "1.0,oops,2.0\n"  # data row 15
+        rows = data_io.read_rows(io.StringIO("".join(text)))
+        first, second = rows.split(2)
+        assert second.first_row <= 15
+        with pytest.raises(DataError, match="^row 15, column 'b': 'oops' is not a number$"):
+            rows.parse(second)
+
+    def test_quoted_body_stays_one_range(self):
+        text = 'a,"b\nc"\n1,2\n3,4\n"5",6\n'
+        rows = data_io.read_rows(io.StringIO(text))
+        assert rows.feature_names == ("a", "b\nc")
+        (whole,) = rows.split(4)
+        assert rows.parse(whole)[0].tolist() == [[1, 2], [3, 4], [5, 6]]
+
+    def test_final_line_without_a_break(self):
+        rows = data_io.read_rows(io.StringIO("a\n1\n2\n3"))
+        assert rows.line_count == 3
+        ranges = rows.split(3)
+        assert [r.first_row for r in ranges] == [1, 2, 3]
+        assert np.vstack([rows.parse(r)[0] for r in ranges]).ravel().tolist() == [1, 2, 3]
+
+    def test_predictions_of_ranges_join_into_the_whole_file(self):
+        rng = np.random.default_rng(5)
+        n = 25
+        labels = rng.integers(0, 3, n)
+        scores = rng.standard_normal((n, 2))
+        min_rd = rng.random(n)
+        whole = io.StringIO()
+        write_predictions_csv(whole, labels, scores, min_rd, ("x", "y"))
+        joined = ""
+        for lo, hi in ((0, 1), (1, 8), (8, 25)):
+            part = io.StringIO()
+            write_predictions_csv(part, labels[lo:hi], scores[lo:hi], min_rd[lo:hi], ("x", "y"),
+                                  first_row=lo + 1)
+            joined += part.getvalue()
+        assert joined == whole.getvalue()

@@ -259,3 +259,15 @@ class TestInputChecks:
             assert np.allclose(pred.scores, scores[i], rtol=1e-12, atol=0)
             assert np.allclose(pred.rd, rd[i], rtol=1e-12, atol=0)
             assert pred.min_rd == pytest.approx(min_rd[i], rel=1e-12)
+
+    def test_one_row_scores_are_the_bits_of_classify_rows(self):
+        X, y = two_gaussians(20)
+        model = fit_qda(X, y, mode="classical")
+        pts = np.random.default_rng(7).uniform(-4, 9, (500, 2))
+        labels, scores, rd, min_rd = classify_rows(model, pts)
+        for i in range(500):
+            pred = classify(model, pts[i])
+            assert (pred.label, pred.min_rd) == (labels[i], min_rd[i])
+            assert np.array_equal(pred.scores, scores[i]) and np.array_equal(pred.rd, rd[i])
+            for g in (1, 2):
+                assert label_bias(model, pts[i], g) == math.sqrt(scores[i].max() - scores[i, g - 1])
