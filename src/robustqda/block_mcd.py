@@ -18,8 +18,15 @@ import numpy as np
 
 from ._threads import ordered_map, worker_count
 from .core import LocationScatter, as_data_matrix
-from .errors import BlocksTooSmall, DataError, DimensionMismatch, DomainError, TooFewObservations
-from .mcd import RawEstimate, _fit_canonical, consistency_factor, h_from_fraction, reweight
+from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
+from .mcd import (
+    RawEstimate,
+    _canonical_order,
+    _fit_canonical,
+    consistency_factor,
+    h_from_fraction,
+    reweight,
+)
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
 
 __all__ = [
@@ -29,7 +36,6 @@ __all__ = [
     "PooledRaw",
     "blockwise_mcd",
     "default_block_count",
-    "kl_deviation",
     "median_pool",
     "select_and_pool",
     "split_blocks",
@@ -162,6 +168,10 @@ def median_pool(estimates) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, ls_b: LocationScatter) -> float:
+    """Gaussian KL-style deviation of (sigma_a, mu_a) from ``ls_b``:
+    ``trace(A B^-1 - I) - ln|A B^-1| + (a - b)' B^-1 (a - b)``.  The first
+    pair may be indefinite (entry-wise medians can be); when its
+    determinant is not positive the deviation is +inf."""
     p = ls_b.p
     sign, logdet_a = np.linalg.slogdet(sigma_a)
     if sign <= 0:
@@ -172,26 +182,6 @@ def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, ls_b: LocationScatter) -> fl
     # Nonnegative in exact arithmetic; clamp the rounding noise of equal
     # arguments (a one-block fit) at 0.
     return max(trace - p - (logdet_a - ls_b.log_det) + quad, 0.0)
-
-
-def kl_deviation(sigma_a, mu_a, sigma_b, mu_b) -> float:
-    """Gaussian KL-style deviation of (sigma_a, mu_a) from (sigma_b, mu_b).
-
-    ``trace(A B^-1 - I) - ln|A B^-1| + (a - b)' B^-1 (a - b)``.  The first
-    argument pair may be indefinite (entry-wise medians can be); when its
-    determinant is not positive the deviation is +inf.  The second pair
-    must be positive definite.
-    """
-    ls_b = LocationScatter.from_sigma(mu_b, sigma_b)
-    sigma_a = np.asarray(sigma_a, dtype=np.float64)
-    mu_a = np.asarray(mu_a, dtype=np.float64)
-    if sigma_a.shape != ls_b.sigma.shape or mu_a.shape != ls_b.mu.shape:
-        raise DimensionMismatch("deviation arguments have mismatched shapes")
-    if not np.all(np.isfinite(sigma_a)) or not np.all(np.isfinite(mu_a)):
-        raise DataError("deviation arguments contain non-finite entries")
-    if np.abs(sigma_a - sigma_a.T).max() > 1e-12 * max(np.abs(sigma_a).max(), 1.0):
-        raise DataError("sigma_a is not symmetric")
-    return _kl_core(sigma_a, mu_a, ls_b)
 
 
 def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
@@ -274,11 +264,9 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     standardizer = fit_standardizer(X)
     Z = standardize(X, standardizer)
-    # Canonical row order: makes every accumulation below independent of
-    # the caller's row ordering, bit for bit.  Blocks list their rows in
-    # ascending order, so each block of Zc is canonical as it stands and
-    # is fitted without sorting it again.
-    order = np.lexsort(Z.T[::-1])
+    # Blocks list their rows in ascending order, so each block of Zc is
+    # canonical as it stands and is fitted without sorting it again.
+    order = _canonical_order(Z)
     Zc = Z[order]
     q = default_block_count(n, p) if blocks == "auto" else blocks
     plan = split_blocks(n, q, rng, min_block_size=max(2 * (p + 1), _MIN_BLOCK_ROWS))

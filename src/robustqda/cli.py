@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input or validation problem, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
 import time
@@ -292,9 +291,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except DataError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except csv.Error as exc:
-        print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

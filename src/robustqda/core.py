@@ -1,7 +1,7 @@
 """Numeric foundations shared by every estimator in the package.
 
 Covers validated data matrices, a location/scatter pair with cached
-Cholesky machinery, chi-square quantiles, Mahalanobis distances, and
+Cholesky machinery and Mahalanobis distances, chi-square quantiles, and
 seeded multivariate normal sampling with reproducible substreams.
 
 The package needs numpy alone.  Distances whiten through one matrix
@@ -28,9 +28,7 @@ __all__ = [
     "as_data_matrix",
     "chi2_cdf",
     "chi2_quantile",
-    "mahalanobis",
     "mvn_sample",
-    "spd_cholesky",
     "substream",
 ]
 
@@ -67,6 +65,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
+def _mean_cov(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance (divisor ``n - 1``) of the rows."""
+    mu = rows.mean(axis=0)
+    dev = rows - mu
+    return mu, (dev.T @ dev) / (rows.shape[0] - 1)
+
+
 def _check_square_symmetric(sigma, *, name: str = "sigma") -> np.ndarray:
     S = np.asarray(sigma, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -78,20 +83,6 @@ def _check_square_symmetric(sigma, *, name: str = "sigma") -> np.ndarray:
     if np.abs(S - S.T).max() > tol:
         raise DataError(f"{name} is not symmetric to within 1e-12 relative")
     return 0.5 * (S + S.T)
-
-
-def spd_cholesky(sigma, *, name: str = "sigma") -> tuple[np.ndarray, float, np.ndarray]:
-    """Lower Cholesky factor, log-determinant, and inverse of an SPD matrix.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization fails or any pivot falls at or below
-        ``p * machine_epsilon * max(diagonal)``.  An ill-conditioned but
-        factorizable matrix goes through with a logged condition estimate.
-    """
-    L, log_det = _cholesky_factors(_check_square_symmetric(sigma, name=name), name)
-    return L, log_det, _precision(_inverse_factor(L))
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -118,15 +109,17 @@ def _inverse_factor(L: np.ndarray) -> np.ndarray:
     return inv_l
 
 
-def _precision(inv_l: np.ndarray) -> np.ndarray:
-    """Inverse of ``L @ L.T`` from the inverse factor ``inv_l``, symmetrised."""
-    precision = inv_l.T @ inv_l
-    return 0.5 * (precision + precision.T)
-
-
 def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     """Lower factor and log-determinant of a matrix already checked and
-    symmetrised, with the checks of :func:`spd_cholesky`."""
+    symmetrised.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the factorization fails or any pivot falls at or below
+        ``p * machine_epsilon * max(diagonal)``.  An ill-conditioned but
+        factorizable matrix goes through with a logged condition estimate.
+    """
     p = S.shape[0]
     try:
         L = np.linalg.cholesky(S)
@@ -189,9 +182,10 @@ class LocationScatter:
 
     @cached_property
     def precision(self) -> np.ndarray:
-        """Inverse of ``sigma``, computed on first read: the concentration
-        steps, which build most instances, never read it."""
-        precision = _precision(self.inv_chol)
+        """Inverse of ``sigma``, computed on first read and symmetrised: the
+        concentration steps, which build most instances, never read it."""
+        precision = self.inv_chol.T @ self.inv_chol
+        precision = 0.5 * (precision + precision.T)
         precision.setflags(write=False)
         return precision
 
@@ -218,16 +212,6 @@ class LocationScatter:
 
     def distances(self, X) -> np.ndarray:
         return np.sqrt(self.squared_distances(X))
-
-
-def mahalanobis(x, estimate: LocationScatter) -> float:
-    """Mahalanobis distance of a single point under ``estimate``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"x must be 1-D, got ndim={x.ndim}")
-    if x.shape[0] != estimate.p:
-        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {estimate.p}")
-    return float(np.sqrt(estimate.squared_distances(x)[0]))
 
 
 # Stirling-series coefficients B_2k / (2k (2k - 1)):

@@ -64,9 +64,10 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     ``label_col`` names the column to split off as labels; the remaining
     columns are features, kept in header order.  Raises DataError for a
     missing header, ragged rows, or any feature cell that is not a finite
-    number, citing the data row (1-based) and column name, and for bytes
-    that are not UTF-8.  Text the csv module rejects, such as a cell over
-    its field limit, raises ``csv.Error``.
+    number, citing the data row (1-based) and column name, for text the
+    csv module rejects (a bare carriage return, a cell over its field
+    limit), citing the row and the module's message, and for bytes that
+    are not UTF-8.
     """
     rows = read_rows(source, label_col)
     X, labels = rows.parse(*rows.split(1))
@@ -127,7 +128,11 @@ class CsvRows:
         header, feature_idx, label_idx = self.header, self.feature_idx, self.label_idx
         parsed = None if self.quoted else _parse_body(text, len(header), feature_idx, label_idx)
         if parsed is None:
-            rows = list(csv.reader(io.StringIO(text)))
+            rows = []
+            try:
+                rows.extend(csv.reader(io.StringIO(text)))
+            except csv.Error as exc:
+                raise DataError(f"row {part.first_row + len(rows)}: {exc}") from None
             parsed = _parse_cells(rows, header, feature_idx, label_idx, part.first_row)
         return parsed
 
@@ -145,7 +150,10 @@ def read_rows(source, label_col: str | None = None) -> CsvRows:
     quoted = '"' in text
     head, _, body = text.partition("\n")
     rows = csv.reader(io.StringIO(text if quoted else head))
-    first = next(rows, None)
+    try:
+        first = next(rows, None)
+    except csv.Error as exc:
+        raise DataError(f"header row: {exc}") from None
     if first is None:
         raise DataError("empty CSV: expected a header row")
     if quoted:

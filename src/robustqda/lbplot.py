@@ -25,7 +25,6 @@ __all__ = [
     "LbPlotSpec",
     "LbPoint",
     "lb_points",
-    "read_lb_points",
     "render_lb_svg",
     "write_lb_csv",
 ]
@@ -110,46 +109,15 @@ def write_lb_csv(spec: LbPlotSpec, target) -> None:
     """Write the point list as CSV (comma, dot decimals, LF, header).
 
     ``target`` may be a path, written atomically, or a text file object.
-    Floats carry nine significant digits; re-reading and re-writing is
-    byte-stable.
+    Floats carry nine significant digits.
     """
     columns = [np.array([getattr(pt, f.name) for pt in spec.points]) for f in fields(LbPoint)]
     write_text(target, csv_text(_CSV_HEADER, "%d,%.9g,%.9g,%d,%d,%d", columns))
 
 
-def read_lb_points(source) -> list[LbPoint]:
-    """Parse a CSV produced by :func:`write_lb_csv` back into points."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != _CSV_HEADER:
-        raise DataError(f"expected header {_CSV_HEADER!r}")
-    points = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise DataError(f"line {ln}: expected 6 fields, got {len(parts)}")
-        try:
-            points.append(
-                LbPoint(
-                    row=int(parts[0]),
-                    rd_own=float(parts[1]),
-                    lb=float(parts[2]),
-                    given=int(parts[3]),
-                    predicted=int(parts[4]),
-                    overall_outlier=bool(int(parts[5])),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"line {ln}: {exc}") from None
-    return points
-
-
-def render_lb_svg(spec: LbPlotSpec, *, width: int = 800, height: int = 600) -> str:
+def render_lb_svg(spec: LbPlotSpec) -> str:
     """Deterministic standalone SVG 1.1 document for one class's plot."""
+    width, height = 800, 600
     left, right, top, bottom = 70.0, 24.0, 26.0, 58.0
     plot_w = width - left - right
     plot_h = height - top - bottom

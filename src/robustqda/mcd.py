@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import LocationScatter, as_data_matrix, chi2_cdf, chi2_quantile
+from .core import LocationScatter, _mean_cov, as_data_matrix, chi2_cdf, chi2_quantile
 from .errors import (
     AllStartsDegenerate,
     DataError,
@@ -144,13 +144,9 @@ def raw_from_subset(Z, subset) -> RawEstimate:
 def _fit_subset(Z: np.ndarray, subset: np.ndarray, c_alpha: float) -> RawEstimate:
     """:func:`raw_from_subset` for a sorted subset of distinct, in-range rows
     of a validated ``Z``, with its consistency factor already computed."""
-    h, p = subset.shape[0], Z.shape[1]
-    rows = Z[subset]
-    mu = rows.mean(axis=0)
-    dev = rows - mu
-    cov = (dev.T @ dev) / (h - 1)
+    mu, cov = _mean_cov(Z[subset])
     loc_scat = LocationScatter.from_sigma(mu, c_alpha * cov)
-    log_det_plain = loc_scat.log_det - p * math.log(c_alpha)
+    log_det_plain = loc_scat.log_det - Z.shape[1] * math.log(c_alpha)
     return RawEstimate(
         loc_scat=loc_scat,
         subset=subset,
@@ -399,14 +395,21 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
         raise TooFewObservations(f"need n > 2p, got n={n}, p={p}")
     if not (p + 1 <= h < n):
         raise DomainError(f"h must satisfy p + 1 <= h < n, got h={h} for n={n}, p={p}")
-    order = np.lexsort(Z.T[::-1])
+    order = _canonical_order(Z)
     best = _fit_canonical(Z[order], h, max_csteps)
     return replace(best, subset=np.sort(order[best.subset]))
 
 
+def _canonical_order(Z: np.ndarray) -> np.ndarray:
+    """Row order that sorts ``Z`` lexicographically, first column first.
+    Fitting rows in this order makes every accumulation independent of
+    the caller's row order, bit for bit."""
+    return np.lexsort(Z.T[::-1])
+
+
 def _fit_canonical(Zc: np.ndarray, h: int, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     """:func:`fit_mcd` for a validated block whose rows are already in
-    canonical order (``np.lexsort(Zc.T[::-1])`` is the identity) and a
+    canonical order (:func:`_canonical_order` is the identity) and a
     valid ``h``; the returned subset indexes the rows of ``Zc``."""
     best: RawEstimate | None = None
     for builder in (_start_spatial_sign, _start_tanh_corr):
@@ -438,9 +441,6 @@ def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:
     kept = int(weights.sum())
     if kept <= p:
         raise TooFewInliers(f"reweighting kept {kept} rows, need more than p={p}")
-    rows = Z[weights]
-    mu = rows.mean(axis=0)
-    dev = rows - mu
-    cov = (dev.T @ dev) / (kept - 1)
+    mu, cov = _mean_cov(Z[weights])
     refined = LocationScatter.from_sigma(mu, _reweight_factor(p) * cov)
     return refined, weights

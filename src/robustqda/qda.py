@@ -9,12 +9,12 @@ quadratic discriminant score wins, ties going to the smaller label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .block_mcd import blockwise_mcd
-from .core import LocationScatter, as_data_matrix, chi2_quantile, substream
+from .core import LocationScatter, _mean_cov, as_data_matrix, chi2_quantile, substream
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -26,14 +26,10 @@ from .errors import (
 
 __all__ = [
     "ClassModel",
-    "Prediction",
     "QdaModel",
-    "classify",
     "classify_rows",
-    "discriminant_score",
     "fit_qda",
     "label_bias",
-    "robust_priors",
 ]
 
 OUTLIER_LABEL = 0
@@ -75,20 +71,6 @@ class QdaModel:
         return np.array([c.prior for c in self.classes])
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Outcome for one observation.
-
-    ``label`` is 0 for overall outliers, otherwise the argmax class.
-    ``scores`` and ``rd`` always hold one entry per class, in label order.
-    """
-
-    label: int
-    scores: np.ndarray = field(repr=False)
-    min_rd: float
-    rd: np.ndarray = field(repr=False)
-
-
 def _validate_labels(y, n: int) -> tuple[np.ndarray, int]:
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != n:
@@ -115,10 +97,7 @@ def _fit_classical(Xg: np.ndarray) -> LocationScatter:
     n_g, p = Xg.shape
     if n_g <= p:
         raise TooFewObservations(f"classical covariance needs more than p={p} rows, got {n_g}")
-    mu = Xg.mean(axis=0)
-    dev = Xg - mu
-    cov = (dev.T @ dev) / (n_g - 1)
-    return LocationScatter.from_sigma(mu, cov)
+    return LocationScatter.from_sigma(*_mean_cov(Xg))
 
 
 def _own_class_inlier_counts(X, y, estimates, cutoff: float, G: int) -> np.ndarray:
@@ -127,16 +106,6 @@ def _own_class_inlier_counts(X, y, estimates, cutoff: float, G: int) -> np.ndarr
         rows = X[y == g + 1]
         kept[g] = int(np.count_nonzero(estimates[g].distances(rows) <= cutoff))
     return kept
-
-
-def robust_priors(X, y, estimates, cutoff: float) -> np.ndarray:
-    """Priors proportional to per-class counts after dropping rows whose
-    robust distance to their own class exceeds ``cutoff``."""
-    X = as_data_matrix(X)
-    y, G = _validate_labels(y, X.shape[0])
-    if len(estimates) != G:
-        raise DimensionMismatch(f"expected {G} class estimates, got {len(estimates)}")
-    return _trimmed_priors(_own_class_inlier_counts(X, y, estimates, cutoff, G))
 
 
 def _trimmed_priors(kept: np.ndarray) -> np.ndarray:
@@ -216,12 +185,6 @@ def fit_qda(
     )
 
 
-def discriminant_score(x, class_model: ClassModel) -> float:
-    """Quadratic discriminant score: -log_det/2 - d^2/2 + log prior."""
-    d2 = float(class_model.loc_scat.squared_distances(np.asarray(x, dtype=np.float64))[0])
-    return -0.5 * class_model.loc_scat.log_det - 0.5 * d2 + math.log(class_model.prior)
-
-
 def classify_rows(model: QdaModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized prediction.
 
@@ -247,15 +210,6 @@ def classify_rows(model: QdaModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarra
     min_rd = rd.min(axis=1)
     labels[min_rd > model.outlier_cutoff] = OUTLIER_LABEL
     return labels, scores, rd, min_rd
-
-
-def classify(model: QdaModel, x) -> Prediction:
-    """Predict a single observation (see :func:`classify_rows` for batches)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("classify expects a single 1-D observation")
-    labels, scores, rd, min_rd = classify_rows(model, x[None, :])
-    return Prediction(label=int(labels[0]), scores=scores[0], min_rd=float(min_rd[0]), rd=rd[0])
 
 
 def label_bias(model: QdaModel, x, given: int) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._threads import process_map
-from .core import LocationScatter, mvn_sample, spd_cholesky
+from .core import LocationScatter, mvn_sample
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
 from .qda import classify_rows, fit_qda
@@ -30,7 +30,6 @@ __all__ = [
     "MethodReport",
     "Scenario",
     "StudyReport",
-    "SubclassTag",
     "Tags",
     "alpha_metric",
     "average_confusions",
@@ -50,16 +49,8 @@ KIND_CLEAN = 0
 KIND_MISLABELED = 1
 KIND_REPLACED = 2
 
-_KIND_NAMES = {KIND_CLEAN: "clean", KIND_MISLABELED: "mislabeled", KIND_REPLACED: "replaced"}
-
-
-@dataclass(frozen=True)
-class SubclassTag:
-    """Provenance of one generated row."""
-
-    origin: int
-    given: int
-    kind: str
+# Subset fraction of every study fit, printed in the text report.
+_H_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,13 +67,6 @@ class Tags:
 
     def __len__(self) -> int:
         return self.origin.shape[0]
-
-    def row(self, i: int) -> SubclassTag:
-        return SubclassTag(
-            origin=int(self.origin[i]),
-            given=int(self.given[i]),
-            kind=_KIND_NAMES[int(self.kind[i])],
-        )
 
 
 @dataclass(frozen=True)
@@ -306,12 +290,12 @@ def average_confusions(confusions) -> ExtendedConfusion:
 def kl_metric(sigma_hat, sigma_true) -> float:
     """Gaussian KL divergence of N(0, sigma_hat) from N(0, sigma_true):
     ``trace(hat inv(true)) - p - ln det(hat inv(true))``.  Zero iff equal."""
-    _, logdet_hat, _ = spd_cholesky(sigma_hat, name="sigma_hat")
-    _, logdet_true, precision_true = spd_cholesky(sigma_true, name="sigma_true")
     hat = np.asarray(sigma_hat, dtype=np.float64)
     p = hat.shape[0]
-    trace = float(np.sum(hat * precision_true))
-    return trace - p - (logdet_hat - logdet_true)
+    ls_hat = LocationScatter.from_sigma(np.zeros(p), hat)
+    ls_true = LocationScatter.from_sigma(np.zeros(p), sigma_true)
+    trace = float(np.sum(hat * ls_true.precision))
+    return trace - p - (ls_hat.log_det - ls_true.log_det)
 
 
 def alpha_metric(rd_own, tags: Tags, g: int, cutoff: float) -> float:
@@ -364,7 +348,7 @@ def _spread(values: np.ndarray) -> np.ndarray:
     return values.std(axis=0, ddof=1)
 
 
-def _run_rep(scenario: Scenario, methods: tuple, fit_options: dict, rep: int) -> dict:
+def _run_rep(scenario: Scenario, methods: tuple, blocks: int | str, rep: int) -> dict:
     """Replication ``rep`` of the study: per method, a dict of its
     confusion, per-class kl, det and alpha (None without planted noise),
     and the seconds taken by the fit and the scoring."""
@@ -378,7 +362,7 @@ def _run_rep(scenario: Scenario, methods: tuple, fit_options: dict, rep: int) ->
     rows = {}
     for mode in methods:
         start = time.perf_counter()
-        model = fit_qda(X, y, mode=mode, seed=fit_seed, **fit_options)
+        model = fit_qda(X, y, mode=mode, h_frac=_H_FRAC, blocks=blocks, seed=fit_seed)
         labels, _, rd, _ = classify_rows(model, X)
         elapsed = time.perf_counter() - start
         alpha = None
@@ -400,12 +384,11 @@ def run_study(
     reps: int = 5,
     methods: tuple = ("robust", "classical"),
     *,
-    h_frac: float = 0.5,
     blocks: int | str = 4,
-    outlier_quantile: float = 0.99,
 ) -> StudyReport:
     """Run ``reps`` replications of the scenario for each method.
 
+    Every fit uses ``h_frac=0.5`` and :func:`fit_qda`'s outlier quantile.
     Replication r draws its data from substream r of the scenario seed
     and hands the fit another substream-derived seed, so the study is
     reproducible end to end and replications are independent.  They run
@@ -418,8 +401,7 @@ def run_study(
     for mode in methods:
         if mode not in ("robust", "classical"):
             raise ConfigError(f"unknown method {mode!r}")
-    fit_options = {"h_frac": h_frac, "blocks": blocks, "outlier_quantile": outlier_quantile}
-    per_rep = process_map(partial(_run_rep, scenario, methods, fit_options), range(reps))
+    per_rep = process_map(partial(_run_rep, scenario, methods, blocks), range(reps))
 
     reports = []
     for mode in methods:
@@ -441,7 +423,7 @@ def run_study(
             )
         )
     return StudyReport(
-        scenario=scenario, reps=reps, h_frac=h_frac, blocks=blocks, methods=tuple(reports)
+        scenario=scenario, reps=reps, h_frac=_H_FRAC, blocks=blocks, methods=tuple(reports)
     )
 
 

@@ -2,8 +2,10 @@
 and what importing the command-line module pulls in."""
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,3 +84,11 @@ def test_fitting_commands_load_no_scipy(model_files):
     assert (root / "model_again.json").read_bytes() == (root / "model.json").read_bytes()
     assert (root / "mcd.txt").stat().st_size > 0
     assert (root / "study" / "report.txt").stat().st_size > 0
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert "rows flagged as overall outliers" in capsys.readouterr().out

@@ -288,7 +288,8 @@ class TestUnreadableInput:
         data = tmp_path / "huge.csv"
         data.write_text('a,b\n"' + "1" * 200_000 + '",2.0\n')
         assert main(["mcd", "--data", str(data)]) == 2
-        assert "error: malformed CSV: field larger than field limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: DataError: row 1: field larger than field limit (131072)\n"
 
     def test_non_utf8_model(self, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -10,9 +10,7 @@ from robustqda.core import (
     as_data_matrix,
     chi2_cdf,
     chi2_quantile,
-    mahalanobis,
     mvn_sample,
-    spd_cholesky,
     substream,
 )
 from robustqda.errors import (
@@ -94,35 +92,37 @@ class TestChi2:
 
 
 class TestSpdCholesky:
+    """The Cholesky checks of :meth:`LocationScatter.from_sigma`."""
+
     def test_reconstruction_and_logdet(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = int(rng.integers(1, 7))
             A = rng.standard_normal((p, p + 3))
             S = A @ A.T + 0.1 * np.eye(p)
-            L, log_det, precision = spd_cholesky(S)
-            assert np.allclose(L @ L.T, S, atol=1e-10)
+            ls = LocationScatter.from_sigma(np.zeros(p), S)
+            assert np.allclose(ls.chol @ ls.chol.T, S, atol=1e-10)
             sign, want = np.linalg.slogdet(S)
             assert sign > 0
-            assert log_det == pytest.approx(want, abs=1e-10)
-            assert np.allclose(precision @ S, np.eye(p), atol=1e-8)
+            assert ls.log_det == pytest.approx(want, abs=1e-10)
+            assert np.allclose(ls.precision @ S, np.eye(p), atol=1e-8)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            LocationScatter.from_sigma(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_singular(self):
         v = np.array([1.0, 2.0])
         with pytest.raises(NotPositiveDefinite):
-            spd_cholesky(np.outer(v, v))
+            LocationScatter.from_sigma(np.zeros(2), np.outer(v, v))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError):
-            spd_cholesky(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            LocationScatter.from_sigma(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
-            spd_cholesky(np.ones((2, 3)))
+            LocationScatter.from_sigma(np.zeros(2), np.ones((2, 3)))
 
 
 class TestLocationScatter:
@@ -140,9 +140,10 @@ class TestLocationScatter:
 
     def test_mahalanobis_single_point(self):
         est = LocationScatter.from_sigma([0.0, 0.0], np.eye(2))
-        assert mahalanobis([3.0, 4.0], est) == pytest.approx(5.0, abs=1e-12)
+        (d,) = est.distances([3.0, 4.0])
+        assert d == pytest.approx(5.0, abs=1e-12)
         with pytest.raises(DimensionMismatch):
-            mahalanobis([1.0, 2.0, 3.0], est)
+            est.distances([1.0, 2.0, 3.0])
 
     def test_arrays_are_readonly(self):
         est = LocationScatter.from_sigma([0.0], [[2.0]])
@@ -412,13 +413,14 @@ class TestPrecisionOnFirstRead:
         assert ls.precision is first
         assert len(calls) == 1
 
-    def test_read_only_and_bit_equal_to_spd_cholesky(self):
+    def test_read_only_and_bit_equal_to_inverse_factor_product(self):
         rng = np.random.default_rng(32)
         for p in range(1, 7):
             A = rng.standard_normal((p, p + 3))
             S = A @ A.T + 0.1 * np.eye(p)
             ls = LocationScatter.from_sigma(np.zeros(p), S)
-            _, _, want = spd_cholesky(S)
+            want = ls.inv_chol.T @ ls.inv_chol
+            want = 0.5 * (want + want.T)
             assert np.array_equal(ls.precision, want)
             assert not ls.precision.flags.writeable
             with pytest.raises(ValueError):

@@ -84,6 +84,16 @@ class TestReadDataset:
         with pytest.raises(DataError, match="no feature columns"):
             read_dataset(io.StringIO("label\n1\n"), label_col="label")
 
+    def test_bare_carriage_return_in_body_cites_its_row(self):
+        with pytest.raises(DataError, match="^row 1: new-line character seen in unquoted field"):
+            read_dataset(io.StringIO("a,b\n1,2\r3,4\n"))
+        with pytest.raises(DataError, match="^row 2: new-line character seen in unquoted field"):
+            read_dataset(io.StringIO('a,b\n1,2\n"3",4\r5\n'))
+
+    def test_bare_carriage_return_in_quoted_header(self):
+        with pytest.raises(DataError, match="^header row: new-line character seen in unquoted field"):
+            read_dataset(io.StringIO('"a",b\rc\n1,2\n'))
+
 
 class TestEncodeLabels:
     def test_integers_pass_through(self):
@@ -156,10 +166,12 @@ class TestWritePredictions:
 
 
 def reference_read(source, label_col=None):
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        rows = list(csv.reader(io.StringIO(Path(source).read_text(encoding="utf-8"))))
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise DataError(f"row {len(rows)}: {exc}" if rows else f"header row: {exc}") from None
     if not rows:
         raise DataError("empty CSV: expected a header row")
     header = [name.strip() for name in rows[0]]
@@ -239,7 +251,7 @@ def read_both(text, label_col=None):
     for reader in (read_dataset, reference_read):
         try:
             got = reader(io.StringIO(text), label_col=label_col)
-        except (DataError, csv.Error) as exc:
+        except DataError as exc:
             outcomes.append(("error", type(exc), str(exc)))
             continue
         if reader is read_dataset:
@@ -327,6 +339,8 @@ class TestReaderMatchesPerCellReference:
             "1,\n",  # empty cell
             "\n",
             "  \n",
+            "\r0",  # bare carriage return, which the csv module rejects
+            "1,2\n3,4\r5,6\n",
         ],
     )
     def test_declined_input_raises_identical_error(self, body):

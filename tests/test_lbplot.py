@@ -16,7 +16,6 @@ from robustqda.lbplot import (
     LbPoint,
     class_color,
     lb_points,
-    read_lb_points,
     render_lb_svg,
     write_lb_csv,
 )
@@ -78,20 +77,19 @@ def test_absent_class_yields_no_points(demo_model):
 
 
 class TestCsv:
-    def test_round_trip_byte_stable(self, demo_model, tmp_path):
+    def test_written_fields_read_back(self, demo_model):
         X, y, model = demo_model
         spec = lb_points(model, X, y, 2)
-        first = io.StringIO()
-        write_lb_csv(spec, first)
-        pts = read_lb_points(io.StringIO(first.getvalue()))
-        assert len(pts) == len(spec.points)
-        # re-writing the parsed points reproduces the file byte for byte
-        from dataclasses import replace
-
-        spec2 = replace(spec, points=tuple(pts))
-        second = io.StringIO()
-        write_lb_csv(spec2, second)
-        assert second.getvalue() == first.getvalue()
+        out = io.StringIO()
+        write_lb_csv(spec, out)
+        table = np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1, ndmin=2)
+        want = [
+            (pt.row, float(f"{pt.rd_own:.9g}"), float(f"{pt.lb:.9g}"), pt.given, pt.predicted,
+             int(pt.overall_outlier))
+            for pt in spec.points
+        ]
+        assert len(want) > 0
+        assert table.tolist() == [list(map(float, row)) for row in want]
 
     def test_file_target(self, demo_model, tmp_path):
         X, y, model = demo_model
@@ -102,20 +100,6 @@ class TestCsv:
         assert text.startswith("row,rd_own,lb,given,predicted,overall_outlier\n")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 1 + len(spec.points)
-
-    def test_header_is_checked(self):
-        with pytest.raises(DataError, match="header"):
-            read_lb_points(io.StringIO("a,b\n1,2\n"))
-
-    def test_field_count_is_checked(self):
-        bad = "row,rd_own,lb,given,predicted,overall_outlier\n1,2,3\n"
-        with pytest.raises(DataError, match="line 2"):
-            read_lb_points(io.StringIO(bad))
-
-    def test_bad_number_is_reported(self):
-        bad = "row,rd_own,lb,given,predicted,overall_outlier\n1,x,3,1,1,0\n"
-        with pytest.raises(DataError, match="line 2"):
-            read_lb_points(io.StringIO(bad))
 
 
 class TestSvg:
@@ -131,7 +115,7 @@ class TestSvg:
     def test_cutoff_lines_at_expected_positions(self, demo_model):
         X, y, model = demo_model
         spec = lb_points(model, X, y, 2)
-        svg = render_lb_svg(spec, width=800, height=600)
+        svg = render_lb_svg(spec)
         # reproduce the documented geometry: 70/24/26/58 margins with
         # axes spanning 1.08 times the largest value
         left, right, top, bottom = 70.0, 24.0, 26.0, 58.0

@@ -308,6 +308,20 @@ class TestPredictWorkers:
         assert [(r.returncode, r.stderr) for r in runs] == [(2, want)] * 2
         assert not (tmp_path / "p.csv").exists()
 
+    def test_oversized_cell_in_the_second_range_reports_its_file_row(self, models, tmp_path):
+        # The csv module rejects a cell over its field limit; the error
+        # reaches the command from the worker with its file row.
+        lines = _features(10_000).splitlines(keepends=True)
+        lines[9000] = "1" * 140_000 + ",2.0,3.0\n"
+        data = tmp_path / "x.csv"
+        data.write_text("".join(lines))
+        first, second = read_rows(data).split(2)
+        assert 1 < second.first_row < 9000
+        runs = [_predict(models / "model.json", data, tmp_path / "p.csv", t, 10) for t in (1, 2)]
+        want = "error: DataError: row 9000: field larger than field limit (131072)\n"
+        assert [(r.returncode, r.stderr) for r in runs] == [(2, want)] * 2
+        assert not (tmp_path / "p.csv").exists()
+
     def test_quoted_input_is_one_range(self, models, tmp_path):
         lines = _features(9).splitlines()
         lines[4] = ",".join(f'"{cell}"' for cell in lines[4].split(","))

@@ -14,12 +14,9 @@ from robustqda.errors import (
 )
 from robustqda.qda import (
     OUTLIER_LABEL,
-    classify,
     classify_rows,
-    discriminant_score,
     fit_qda,
     label_bias,
-    robust_priors,
 )
 
 
@@ -93,9 +90,9 @@ class TestClassicalMode:
         x = np.array([1.0, 0.5])
         _, scores, _, _ = classify_rows(model, x[None, :])
         for g in (1, 2):
-            assert discriminant_score(x, model.classes[g - 1]) == pytest.approx(
-                scores[0, g - 1], abs=1e-12
-            )
+            ls, prior = model.classes[g - 1].loc_scat, model.classes[g - 1].prior
+            want = -0.5 * ls.log_det - 0.5 * ls.squared_distances(x)[0] + math.log(prior)
+            assert scores[0, g - 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestOutlierRule:
@@ -112,9 +109,9 @@ class TestOutlierRule:
     def test_far_point_is_outlier(self):
         X, y = two_gaussians(7)
         model = fit_qda(X, y, mode="robust", blocks=1, seed=0)
-        pred = classify(model, [500.0, -300.0])
-        assert pred.label == OUTLIER_LABEL
-        assert pred.min_rd > model.outlier_cutoff
+        labels, _, _, min_rd = classify_rows(model, [[500.0, -300.0]])
+        assert labels[0] == OUTLIER_LABEL
+        assert min_rd[0] > model.outlier_cutoff
 
     def test_quantile_is_configurable(self):
         X, y = two_gaussians(8)
@@ -207,23 +204,20 @@ class TestRobustMode:
 class TestRobustPriors:
     def test_trimming_rule(self):
         X, y = two_gaussians(15)
-        model = fit_qda(X, y, mode="classical")
-        ests = [c.loc_scat for c in model.classes]
-        cutoff = 2.0
-        priors = robust_priors(X, y, ests, cutoff)
+        model = fit_qda(X, y, mode="robust", blocks=1, seed=0, outlier_quantile=0.5)
+        cutoff = model.outlier_cutoff
         kept = []
         for g in (1, 2):
             rows = X[y == g]
-            kept.append(int((ests[g - 1].distances(rows) <= cutoff).sum()))
+            kept.append(int((model.classes[g - 1].loc_scat.distances(rows) <= cutoff).sum()))
         kept = np.array(kept, dtype=float)
-        assert np.allclose(priors, kept / kept.sum(), atol=1e-15)
+        assert 0 < kept.sum() < X.shape[0]
+        assert np.allclose(model.priors, kept / kept.sum(), atol=1e-15)
 
     def test_all_trimmed_class_raises(self):
         X, y = two_gaussians(16)
-        model = fit_qda(X, y, mode="classical")
-        ests = [c.loc_scat for c in model.classes]
-        with pytest.raises(EmptyClassAfterTrim):
-            robust_priors(X, y, ests, 1e-12)
+        with pytest.raises(EmptyClassAfterTrim, match="class 1"):
+            fit_qda(X, y, mode="robust", blocks=1, outlier_quantile=1e-12)
 
 
 class TestInputChecks:
@@ -242,23 +236,18 @@ class TestInputChecks:
         model = fit_qda(X, y, mode="classical")
         with pytest.raises(DimensionMismatch):
             classify_rows(model, np.ones((3, 5)))
-        with pytest.raises(DimensionMismatch):
-            classify(model, np.ones((2, 2)))
 
     def test_classify_matches_classify_rows(self):
-        # single-row and batched scoring go through the same code path;
-        # the BLAS triangular solve may differ in the last bit between a
-        # one-row and a twenty-row right-hand side, hence the tolerance
         X, y = two_gaussians(19)
         model = fit_qda(X, y, mode="classical")
         pts = np.random.default_rng(6).uniform(-4, 9, (20, 2))
         labels, scores, rd, min_rd = classify_rows(model, pts)
         for i in range(20):
-            pred = classify(model, pts[i])
-            assert pred.label == labels[i]
-            assert np.allclose(pred.scores, scores[i], rtol=1e-12, atol=0)
-            assert np.allclose(pred.rd, rd[i], rtol=1e-12, atol=0)
-            assert pred.min_rd == pytest.approx(min_rd[i], rel=1e-12)
+            label, row_scores, row_rd, row_min_rd = classify_rows(model, pts[i : i + 1])
+            assert label[0] == labels[i]
+            assert np.allclose(row_scores[0], scores[i], rtol=1e-12, atol=0)
+            assert np.allclose(row_rd[0], rd[i], rtol=1e-12, atol=0)
+            assert row_min_rd[0] == pytest.approx(min_rd[i], rel=1e-12)
 
     def test_one_row_scores_are_the_bits_of_classify_rows(self):
         X, y = two_gaussians(20)
@@ -266,8 +255,8 @@ class TestInputChecks:
         pts = np.random.default_rng(7).uniform(-4, 9, (500, 2))
         labels, scores, rd, min_rd = classify_rows(model, pts)
         for i in range(500):
-            pred = classify(model, pts[i])
-            assert (pred.label, pred.min_rd) == (labels[i], min_rd[i])
-            assert np.array_equal(pred.scores, scores[i]) and np.array_equal(pred.rd, rd[i])
+            label, row_scores, row_rd, row_min_rd = classify_rows(model, pts[i : i + 1])
+            assert (label[0], row_min_rd[0]) == (labels[i], min_rd[i])
+            assert np.array_equal(row_scores[0], scores[i]) and np.array_equal(row_rd[0], rd[i])
             for g in (1, 2):
                 assert label_bias(model, pts[i], g) == math.sqrt(scores[i].max() - scores[i, g - 1])

@@ -8,6 +8,7 @@ import pytest
 from robustqda.errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from robustqda.qda import fit_qda
 from robustqda.sim import (
+    KIND_MISLABELED,
     ClassSpec,
     Contamination,
     Scenario,
@@ -145,13 +146,13 @@ class TestGenerate:
         assert np.array_equal(y1, y2)
         assert np.array_equal(t1.given, t2.given)
 
-    def test_tag_row_view(self):
+    def test_mislabeled_row_tags(self):
         sc = small_scenario(eps_label=0.1, seed=5)
-        _, _, tags = generate(sc)
-        i = int(np.flatnonzero(tags.kind == 1)[0])
-        tag = tags.row(i)
-        assert tag.kind == "mislabeled"
-        assert tag.given != tag.origin
+        _, y, tags = generate(sc)
+        rows = np.flatnonzero(tags.kind == KIND_MISLABELED)
+        assert rows.size > 0
+        assert np.all(tags.given[rows] != tags.origin[rows])
+        assert np.array_equal(tags.given, y)
 
 
 class TestExtendedConfusion:
