@@ -4,11 +4,14 @@ and for ``predict``'s row ranges.
 ``ROBUST_QDA_THREADS`` is the one cap on parallel work (default: the CPU
 count), validated by :func:`worker_count` before any pool starts.
 
-* :func:`ordered_map` fits the blocks of one ``blockwise_mcd`` call on
-  threads, and only when every block has at least
-  ``block_mcd._THREADED_BLOCK_ROWS`` rows.  Smaller fits spend most of
-  their time in Python-level per-step overhead that holds the GIL, so
-  threads would only contend for it; they run one after another.
+* :func:`ordered_map` fits the stacks of block candidates of one
+  ``blockwise_mcd`` call (``mcd._fit_blocks``) on threads, and only when
+  every block has at least ``block_mcd._THREADED_BLOCK_ROWS`` rows.
+  Smaller fits spend much of their time in Python-level per-step
+  overhead that holds the GIL, so threads would only contend for it;
+  they run one after another.  Blocks of up to ``mcd._STACK_ROWS // 2``
+  rows share stacks, so a call has work for two threads only when its
+  candidates fill two stacks.
 * :func:`process_map` runs the replications of ``sim.run_study`` on up to
   ``min(cap, reps)`` forked processes, since each one is a whole study
   fit that threads cannot overlap.  Inside each worker the cap reads
@@ -81,10 +84,11 @@ def process_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[
     forked child would inherit any lock they hold, but not the thread that
     would release it.
 
-    ``fn`` reaches the workers through the pool's initializer, whose
-    arguments a forked child inherits without pickling, so it may be a
-    closure over large data; only the items and the results travel by
-    pickle.  An exception raised by ``fn`` is re-raised here with its type
+    ``fn`` and the items reach the workers through the pool's initializer,
+    whose arguments a forked child inherits without pickling, so ``fn``
+    may be a closure over large data and an item need not pickle; only
+    item indices and the results travel by pickle.  An exception raised
+    by ``fn`` is re-raised here with its type
     and message, the first in item order winning as in the loop; a worker
     that dies raises ``WorkerDied``.
     """
@@ -107,25 +111,27 @@ def _fork_map(fn, items: list, context, workers: int, cap: int) -> list:
         max_workers=workers,
         mp_context=context,
         initializer=_start_worker,
-        initargs=(fn, max(1, cap // workers)),
+        initargs=(fn, items, max(1, cap // workers)),
     )
     try:
-        return list(pool.map(_call_worker_fn, items))
+        return list(pool.map(_call_worker_fn, range(len(items))))
     except BrokenProcessPool:
         raise WorkerDied(f"a worker process died before all {len(items)} tasks finished") from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-# The function a forked worker applies; set once by _start_worker.
+# The function a forked worker applies and the items it applies it to;
+# set once by _start_worker.
 _worker_fn: Callable | None = None
+_worker_items: list = []
 
 
-def _start_worker(fn: Callable, cap: int) -> None:
-    global _worker_fn
-    _worker_fn = fn
+def _start_worker(fn: Callable, items: list, cap: int) -> None:
+    global _worker_fn, _worker_items
+    _worker_fn, _worker_items = fn, items
     os.environ[_ENV_VAR] = str(cap)
 
 
-def _call_worker_fn(item):
-    return _worker_fn(item)
+def _call_worker_fn(index: int):
+    return _worker_fn(_worker_items[index])

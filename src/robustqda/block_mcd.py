@@ -1,13 +1,15 @@
 """Block-parallel minimum covariance determinant estimation.
 
 Pipeline: standardize robustly, shuffle rows into q blocks, fit each
-block independently (on worker threads when the blocks are large), pool the
-per-block estimates through entry-wise medians, discard the half of the
-blocks whose estimates deviate most from that median in a KL sense,
-re-pool the surviving h-subsets in a single pass, reweight once against
-the pooled raw estimate, and map everything back to the original
-coordinates.  Given the same seed the result is identical for any worker
-count, any block processing order, and any row permutation of the input.
+block, pool the per-block estimates through entry-wise medians, discard
+the half of the blocks whose estimates deviate most from that median in
+a KL sense, re-pool the surviving h-subsets in a single pass, reweight
+once against the pooled raw estimate, and map everything back to the
+original coordinates.  The block fits run as stacks of (block, start)
+candidates of one block size, at most ``mcd._STACK_ROWS`` rows each
+(``mcd._fit_blocks``), mapped over worker threads when the blocks are
+large.  Given the same seed the result is identical for any worker
+count, any stack layout, and any row permutation of the input.
 """
 from __future__ import annotations
 
@@ -19,14 +21,7 @@ import numpy as np
 from ._threads import ordered_map, worker_count
 from .core import LocationScatter, as_data_matrix
 from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
-from .mcd import (
-    RawEstimate,
-    _canonical_order,
-    _fit_canonical,
-    consistency_factor,
-    h_from_fraction,
-    reweight,
-)
+from .mcd import _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
 
 __all__ = [
@@ -47,10 +42,11 @@ _MIN_BLOCK_ROWS = 20
 # fits are dominated by per-step Python overhead: on 100k rows, 5000-row
 # blocks fit as fast as 25000-row ones and 1000-row blocks took 60%
 # longer, so ``"auto"`` never splits below this size.  That overhead
-# holds the GIL, so threads pay off only from here: with BLAS pinned to
-# one thread and 4 blocks on 2 cores, two threads were slower than one
-# at 1000- and 2500-row blocks, tied at 5000 rows and were faster from
-# 10000 rows on (BENCH_threads_crossover.json).
+# holds the GIL, so threads pay off only on larger blocks: with BLAS
+# pinned to one thread on 2 cores and the blocks' candidates filling two
+# stacks, two threads were slower than one at 1000-row blocks and faster
+# from 2500 rows on (BENCH_threads_crossover.json).  The constant stays
+# at the ``"auto"`` size, which it also sets.
 _THREADED_BLOCK_ROWS = 5_000
 
 
@@ -131,7 +127,8 @@ def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: in
     order stays in canonical order.  With q = 1 the single block keeps
     all rows (no shuffle needed, no size constraint).
     """
-    if not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
+    # A bool is a numbers.Real, but blocks=True is no block count.
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
         raise DomainError(f"q must be a positive integer, got {q!r}")
     q = int(q)
     if n < 1:
@@ -236,11 +233,12 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         Number of blocks q; ``"auto"`` takes :func:`default_block_count`
         of the data's shape, the same on any machine.  Anything else that
         is not a positive integer raises ``DomainError``.  q = 1 reduces to a
-        single MCD fit followed by reweighting.  The blocks are fitted on
-        a pool of up to ``ROBUST_QDA_THREADS`` threads when the smallest
-        has at least ``_THREADED_BLOCK_ROWS`` rows, and one after another
-        otherwise: smaller fits spend most of their time in Python-level
-        overhead that holds the GIL, so threads would slow them down.
+        single MCD fit followed by reweighting.  The stacks of block
+        candidates are fitted on a pool of up to ``ROBUST_QDA_THREADS``
+        threads when the smallest block has at least
+        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
+        smaller fits spend much of their time in Python-level overhead
+        that holds the GIL, so threads would slow them down.
         Inside a ``simulate`` worker process the cap is that worker's
         share, ``max(1, cap // workers)``, since the study's replications
         already run on up to ``cap`` processes.  The result is the same
@@ -271,16 +269,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     q = default_block_count(n, p) if blocks == "auto" else blocks
     plan = split_blocks(n, q, rng, min_block_size=max(2 * (p + 1), _MIN_BLOCK_ROWS))
 
-    def fit_block(b: int) -> RawEstimate:
-        rows = plan.assignments[b]
-        h = h_from_fraction(rows.shape[0], p, h_frac)
-        return _fit_canonical(Zc[rows], h)
-
-    if min(plan.sizes) >= _THREADED_BLOCK_ROWS:
-        estimates = ordered_map(fit_block, range(plan.q))
-    else:
+    threaded = min(plan.sizes) >= _THREADED_BLOCK_ROWS
+    if not threaded:
         worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, threaded or not
-        estimates = [fit_block(b) for b in range(plan.q)]
+    hs = [h_from_fraction(size, p, h_frac) for size in plan.sizes]
+    estimates = _fit_blocks(Zc, plan.assignments, hs, map_stacks=ordered_map if threaded else map)
     pooled = select_and_pool(Zc, plan, estimates)
     refined, weights_c = reweight(Zc, pooled)
     weights = np.empty(n, dtype=bool)

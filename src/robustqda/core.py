@@ -85,58 +85,69 @@ def _check_square_symmetric(sigma, *, name: str = "sigma") -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solution of ``L X = B`` for a lower-triangular float64 ``L``.
+def _factor_stack(S: np.ndarray, name: str = "sigma") -> tuple[np.ndarray, np.ndarray, dict]:
+    """Lower Cholesky factors and log-determinants of a stack ``(K, p, p)``
+    of matrices already checked and symmetrised.
 
-    Raises
-    ------
-    NumericError
-        If ``L`` is singular or the solution overflows.
+    One LAPACK call per slice, the same as for a single matrix, so every
+    slice gets the bits it would get alone.  Returns ``(L, log_det,
+    failed)``: ``failed`` maps the index of each slice that does not
+    factor, or has a pivot at or below ``p * machine_epsilon *
+    max(diagonal)``, to its ``NotPositiveDefinite``, and those slices'
+    entries of ``L`` and ``log_det`` are meaningless.  An
+    ill-conditioned but factorizable slice goes through with a logged
+    condition estimate.
     """
-    try:
-        X = np.linalg.solve(L, B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"triangular solve failed: {exc}") from None
-    if not np.isfinite(X).all():
-        raise NumericError("triangular solve overflowed")
-    return X
-
-
-def _inverse_factor(L: np.ndarray) -> np.ndarray:
-    """Read-only inverse of the lower factor ``L``, exactly lower triangular."""
-    inv_l = np.tril(_solve_lower(L, np.eye(L.shape[0])))
-    inv_l.setflags(write=False)
-    return inv_l
-
-
-def _cholesky_factors(S: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """Lower factor and log-determinant of a matrix already checked and
-    symmetrised.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization fails or any pivot falls at or below
-        ``p * machine_epsilon * max(diagonal)``.  An ill-conditioned but
-        factorizable matrix goes through with a logged condition estimate.
-    """
-    p = S.shape[0]
+    K, p, _ = S.shape
+    failed = {}
     try:
         L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
-    pivots = np.diag(L) ** 2
-    threshold = p * np.finfo(np.float64).eps * np.diag(S).max()
-    if np.any(pivots <= threshold):
-        raise NotPositiveDefinite(
-            f"{name} is numerically singular (pivot {pivots.min():.3e} "
-            f"below threshold {threshold:.3e})"
-        )
-    cond_estimate = pivots.max() / pivots.min()
-    if cond_estimate > _COND_WARN:
-        log.warning("%s is ill-conditioned (pivot-ratio estimate %.3e); proceeding", name, cond_estimate)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return L, log_det
+    except np.linalg.LinAlgError:
+        L = np.empty_like(S)
+        for k in range(K):
+            try:
+                L[k] = np.linalg.cholesky(S[k])
+            except np.linalg.LinAlgError as exc:
+                failed[k] = NotPositiveDefinite(f"{name} is not positive definite: {exc}")
+                L[k] = np.eye(p)
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    pivots = diag ** 2
+    smallest = pivots.min(axis=1)
+    threshold = p * _EPS * np.diagonal(S, axis1=1, axis2=2).max(axis=1)
+    singular = smallest <= threshold
+    for k in np.flatnonzero(singular):
+        failed.setdefault(int(k), NotPositiveDefinite(
+            f"{name} is numerically singular (pivot {smallest[k]:.3e} "
+            f"below threshold {threshold[k]:.3e})"
+        ))
+    # The pivots of a slice that passed are positive.
+    cond_estimate = pivots.max(axis=1) / np.where(singular, 1.0, smallest)
+    for k in np.flatnonzero(cond_estimate > _COND_WARN):
+        if k not in failed:
+            log.warning(
+                "%s is ill-conditioned (pivot-ratio estimate %.3e); proceeding", name, cond_estimate[k]
+            )
+    return L, 2.0 * np.log(diag).sum(axis=1), failed
+
+
+def _inverse_factors(L: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Inverses of a stack ``(K, p, p)`` of lower factors, exactly lower
+    triangular, one LAPACK solve per slice.  ``failed`` maps the index of
+    each slice whose solve fails or overflows to its ``NumericError``."""
+    failed = {}
+    try:
+        inv = np.linalg.inv(L)  # LAPACK gesv against the identity
+    except np.linalg.LinAlgError:
+        inv = np.zeros_like(L)
+        for k in range(L.shape[0]):
+            try:
+                inv[k] = np.linalg.inv(L[k])
+            except np.linalg.LinAlgError as exc:
+                failed[k] = NumericError(f"triangular solve failed: {exc}")
+    if not np.isfinite(inv).all():
+        for k in np.flatnonzero(~np.isfinite(inv).all(axis=(1, 2))):
+            failed.setdefault(int(k), NumericError("triangular solve overflowed"))
+    return np.tril(inv), failed
 
 
 @dataclass(frozen=True)
@@ -161,14 +172,26 @@ class LocationScatter:
         if not np.all(np.isfinite(mu)):
             raise DataError("mu contains non-finite entries")
         sigma = _check_square_symmetric(sigma)
-        L, log_det = _cholesky_factors(sigma, "sigma")
-        if L.shape[0] != mu.shape[0]:
+        L, log_det, failed = _factor_stack(sigma[None])
+        if failed:
+            raise failed[0]
+        if sigma.shape[0] != mu.shape[0]:
             raise DimensionMismatch(
-                f"mu has length {mu.shape[0]} but sigma is {L.shape[0]}x{L.shape[0]}"
+                f"mu has length {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[0]}"
             )
-        for arr in (mu, sigma, L):
+        for arr in (mu, sigma, L[0]):
             arr.setflags(write=False)
-        return cls(mu=mu, sigma=sigma, chol=L, log_det=log_det)
+        return cls(mu=mu, sigma=sigma, chol=L[0], log_det=float(log_det[0]))
+
+    @classmethod
+    def _from_factors(cls, mu, sigma, chol, log_det, inv_chol) -> "LocationScatter":
+        """An instance from factors the package formed itself (by
+        :func:`_factor_stack` and :func:`_inverse_factors`), not checked again."""
+        obj = cls(mu=mu, sigma=sigma, chol=chol, log_det=float(log_det))
+        for arr in (mu, sigma, chol, inv_chol):
+            arr.setflags(write=False)
+        obj.__dict__["inv_chol"] = inv_chol  # the cached_property's slot
+        return obj
 
     @property
     def p(self) -> int:
@@ -178,7 +201,12 @@ class LocationScatter:
     def inv_chol(self) -> np.ndarray:
         """Inverse of ``chol``, computed on first read and read-only.
         Every distance whitens deviations through one product with it."""
-        return _inverse_factor(self.chol)
+        inv, failed = _inverse_factors(self.chol[None])
+        if failed:
+            raise failed[0]
+        inv = inv[0]
+        inv.setflags(write=False)
+        return inv
 
     @cached_property
     def precision(self) -> np.ndarray:

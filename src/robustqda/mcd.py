@@ -1,4 +1,4 @@
-"""Deterministic minimum covariance determinant estimation on one data block.
+"""Deterministic minimum covariance determinant estimation on data blocks.
 
 The estimator runs concentration steps from two fixed robust starts (a
 spatial-sign scatter and a tanh-correlation scatter, both rescaled along
@@ -7,9 +7,22 @@ converged subset by exchange descent (swap one inside row for one
 outside row while the determinant strictly drops), and keeps the
 h-subset with the smaller covariance determinant.  Rows are processed
 in a canonical lexicographic order, which makes the result exactly
-invariant under row permutations.  Distances and exchange ratios whiten
-deviations through the cached inverse Cholesky factor of each estimate
-(``LocationScatter.inv_chol``), one matrix product per pass.
+invariant under row permutations.
+
+Each (block, start) pair is a candidate.  The candidates of one call
+that share a block size are fitted together as a stack ``(K, m, p)`` in
+row layout: the starts, every concentration step and every polish sweep
+run as one numpy pass over the candidates still active, while each
+candidate keeps its own convergence, warnings and failures.  Stacked
+``matmul`` and ``linalg`` calls make one BLAS or LAPACK call per slice,
+and means and cross-products reduce along the row axis, so a candidate
+gets the same bits in any stack as alone.  Only the exchange search's
+pruned pair scoring (:func:`_best_exchange`) loops over candidates.  A
+stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded in the
+block size; a larger candidate is a stack of its own.  Every refit goes
+through :func:`_refit`, which forms the inverse Cholesky factor once;
+distances and exchange ratios whiten deviations through it, one matrix
+product per pass.
 """
 from __future__ import annotations
 
@@ -19,7 +32,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import LocationScatter, _mean_cov, as_data_matrix, chi2_cdf, chi2_quantile
+from .core import (
+    LocationScatter,
+    _factor_stack,
+    _inverse_factors,
+    _mean_cov,
+    as_data_matrix,
+    chi2_cdf,
+    chi2_quantile,
+)
 from .errors import (
     AllStartsDegenerate,
     DataError,
@@ -54,7 +75,11 @@ _EIGEN_FLOOR = 1e-8
 
 _MAX_CSTEPS = 100
 
-# Exchange pairs scored per block in the polish; bounds its scratch memory.
+# Rows of candidate data fitted as one stack; bounds a stack's memory.  A
+# candidate with more rows is a stack of its own.
+_STACK_ROWS = 1 << 15
+
+# Exchange pairs scored per candidate in the polish; bounds its scratch memory.
 _PAIR_CHUNK = 1 << 16
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -138,36 +163,87 @@ def raw_from_subset(Z, subset) -> RawEstimate:
         raise DataError("subset contains duplicate row indices")
     if subset.min() < 0 or subset.max() >= n:
         raise DataError(f"subset indices must lie in [0, {n})")
-    return _fit_subset(Z, np.sort(subset), consistency_factor(h, n, p))
+    c_alpha = consistency_factor(h, n, p)
+    fits, det = _refit(Z, np.sort(subset)[None], c_alpha)
+    if fits.failed:
+        raise fits.failed[0]
+    return RawEstimate(_loc_scat(fits, 0), np.sort(subset), float(det[0]), c_alpha)
 
 
-def _fit_subset(Z: np.ndarray, subset: np.ndarray, c_alpha: float) -> RawEstimate:
-    """:func:`raw_from_subset` for a sorted subset of distinct, in-range rows
-    of a validated ``Z``, with its consistency factor already computed."""
-    mu, cov = _mean_cov(Z[subset])
-    loc_scat = LocationScatter.from_sigma(mu, c_alpha * cov)
-    log_det_plain = loc_scat.log_det - Z.shape[1] * math.log(c_alpha)
-    return RawEstimate(
-        loc_scat=loc_scat,
-        subset=subset,
-        det_uncorrected=math.exp(log_det_plain),
-        c_alpha=c_alpha,
+@dataclass
+class _Fits:
+    """Location/scatter fits of a stack, one per row of each array;
+    ``failed`` maps the index of each fit that failed to its exception."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    chol: np.ndarray
+    inv_chol: np.ndarray
+    log_det: np.ndarray
+    failed: dict
+
+    def ok(self) -> np.ndarray:
+        """Mask of the fits that did not fail."""
+        mask = np.ones(self.log_det.shape[0], dtype=bool)
+        mask[list(self.failed)] = False
+        return mask
+
+
+def _factor(mu: np.ndarray, sigma: np.ndarray) -> _Fits:
+    """Cholesky factors, log-determinants and inverse factors of a stack
+    of symmetric scatters the package formed itself, so not checked again."""
+    chol, log_det, failed = _factor_stack(sigma)
+    inv_chol, inv_failed = _inverse_factors(chol)
+    return _Fits(mu, sigma, chol, inv_chol, log_det, {**inv_failed, **failed})
+
+
+def _refit(Zflat: np.ndarray, rows: np.ndarray, c_alpha: float) -> tuple[_Fits, np.ndarray]:
+    """Raw fits of the row sets ``rows`` ``(K, h)`` of ``Zflat`` with
+    consistency factor ``c_alpha``, and their uncorrected determinants.
+
+    Every caller refits through here: gather, mean and cross-product
+    along the row axis (the bits of one row set fitted alone), then
+    :func:`_factor`.
+    """
+    X = np.take(Zflat, rows, axis=0)
+    mu = X.mean(axis=1)
+    dev = X - mu[:, None, :]
+    sigma = c_alpha * ((dev.transpose(0, 2, 1) @ dev) / (rows.shape[1] - 1))
+    fits = _factor(mu, sigma)
+    plain = fits.log_det - X.shape[2] * math.log(c_alpha)
+    return fits, np.array([math.exp(v) for v in plain.tolist()])
+
+
+def _loc_scat(fits, k: int) -> LocationScatter:
+    """Fit ``k`` of a stack (a :class:`_Fits` or a :class:`_Stack`) as a
+    read-only :class:`LocationScatter` with its own arrays."""
+    return LocationScatter._from_factors(
+        fits.mu[k].copy(), fits.sigma[k].copy(), fits.chol[k].copy(), fits.log_det[k],
+        fits.inv_chol[k].copy(),
     )
 
 
 def _smallest_h(d2: np.ndarray, h: int) -> np.ndarray:
-    """Sorted indices of the ``h`` smallest distances.
+    """Indices of the ``h`` smallest distances, sorted, in each row.
 
-    Distance ties at rank ``h`` resolve to the lowest row indices, which
-    keeps the subset deterministic: the result equals
-    ``np.sort(np.argsort(d2, kind="stable")[:h])``, found by an O(n)
-    selection instead of a full sort.
+    For a ``(K, m)`` stack the result is ``(K, h)`` indices into
+    ``d2.ravel()``; for a single row, the ``h`` indices.  Distance ties at
+    rank ``h`` resolve to the lowest row indices, which keeps the subset
+    deterministic: each row equals ``np.sort(np.argsort(row,
+    kind="stable")[:h])``, found by an O(m) selection instead of a full
+    sort.  Only a row with more ties at rank ``h`` than places left takes
+    a second pass.
     """
-    kth = np.partition(d2, h - 1)[h - 1]
-    keep = d2 < kth
-    ties = np.flatnonzero(d2 == kth)
-    keep[ties[: h - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
+    rows = np.atleast_2d(d2)
+    kth = np.partition(rows, h - 1, axis=1)[:, h - 1 : h]
+    keep = rows <= kth
+    for k in np.flatnonzero(np.count_nonzero(keep, axis=1) > h):
+        less = rows[k] < kth[k]
+        ties = np.flatnonzero(rows[k] == kth[k])
+        less[ties[: h - np.count_nonzero(less)]] = True
+        keep[k] = less
+    picked = np.flatnonzero(keep).reshape(-1, h)
+    return picked if d2.ndim == 2 else picked[0]
 
 
 def c_step(Z, current: RawEstimate) -> RawEstimate:
@@ -177,197 +253,413 @@ def c_step(Z, current: RawEstimate) -> RawEstimate:
     return raw_from_subset(Z, _smallest_h(d2, current.h))
 
 
-def _rescale_shape(Z: np.ndarray, shape: np.ndarray) -> LocationScatter:
-    """Turn a raw shape matrix into a usable start.
+class _Stack:
+    """Candidates of one block size, fitted in lockstep.
 
-    Replaces the eigenvalue structure with squared MADs of the data
-    projected on the shape's eigenvectors, floors tiny eigenvalues, and
-    places the location at the back-transformed coordinate-wise median of
-    the sphered data.
+    ``Z`` holds the candidates' rows as a ``(K, m, p)`` stack in row
+    layout; a block fitted from both starts appears twice.  Row ``k`` of
+    every other array is candidate ``k``'s current fit, and ``error[k]``
+    the exception that ended it: a ``DegenerateStart`` when its start
+    could not be formed.
     """
-    S = np.asarray(shape, dtype=np.float64)
-    if not np.all(np.isfinite(S)):
-        raise DegenerateStart("initial shape matrix has non-finite entries")
-    S = 0.5 * (S + S.T)
-    _, vecs = np.linalg.eigh(S)
-    proj = Z @ vecs
-    med = np.median(proj, axis=0)
-    lam = (MAD_TO_SD * np.median(np.abs(proj - med), axis=0)) ** 2
-    if not np.all(np.isfinite(lam)):
-        raise DegenerateStart("projected scales are not finite")
-    lam_max = lam.max()
-    if lam_max <= 0.0:
-        raise DegenerateStart("all projected scales are zero; start is not repairable")
-    lam = np.maximum(lam, _EIGEN_FLOOR * lam_max)
-    sigma = (vecs * lam) @ vecs.T
-    shell = LocationScatter.from_sigma(np.zeros(Z.shape[1]), sigma)
-    sphered = shell.inv_chol @ Z.T
-    mu = shell.chol @ np.median(sphered, axis=1)
-    return LocationScatter.from_sigma(mu, sigma)
+
+    def __init__(self, Z: np.ndarray):
+        K, m, p = Z.shape
+        self.Z = Z
+        self.subset = np.empty((K, 0), dtype=np.intp)  # set by _concentrate
+        self.mu = np.empty((K, p))
+        self.sigma = np.empty((K, p, p))
+        self.chol = np.empty((K, p, p))
+        self.inv_chol = np.empty((K, p, p))
+        self.log_det = np.empty(K)
+        self.det = np.full(K, math.inf)
+        self.error: list[Exception | None] = [None] * K
+
+    def live(self) -> np.ndarray:
+        return np.array([k for k, exc in enumerate(self.error) if exc is None], dtype=np.intp)
+
+    def take(self, idx: np.ndarray, fits: _Fits, sel: np.ndarray, subset=None, det=None) -> None:
+        """Take fits ``sel``, on row sets ``subset`` with determinants
+        ``det`` when given, as the fits of candidates ``idx``."""
+        for name in ("mu", "sigma", "chol", "inv_chol", "log_det"):
+            getattr(self, name)[idx] = getattr(fits, name)[sel]
+        if subset is not None:
+            self.subset[idx] = subset[sel]
+            self.det[idx] = det[sel]
 
 
-def _start_spatial_sign(Z: np.ndarray) -> LocationScatter:
-    offset = np.median(Z, axis=0)
-    dev = Z - offset
-    norms = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+def _start(Z: np.ndarray, kinds: np.ndarray) -> _Stack:
+    """A stack of candidates at their starts: kind 0 takes the spatial-sign
+    start and kind 1 the tanh-correlation start of its rows.
+
+    Each start's shape matrix is rescaled along its eigenvectors by squared
+    MADs of the projected data, tiny eigenvalues are floored, and the
+    location is the back-transformed coordinate-wise median of the data
+    sphered by that scatter.
+    """
+    st = _Stack(Z)
+    K, m, p = Z.shape
+    shape = np.empty((K, p, p))
+    for kind, build in enumerate((_sign_shapes, _tanh_shapes)):
+        idx = np.flatnonzero(kinds == kind)
+        if idx.size:
+            shape[idx] = build(Z if idx.size == K else Z[idx])
+    for k in np.flatnonzero(~np.isfinite(shape).all(axis=(1, 2))):
+        st.error[k] = DegenerateStart(
+            "tanh correlation is undefined (constant column)" if kinds[k]
+            else "initial shape matrix has non-finite entries"
+        )
+    live = st.live()
+    if not live.size:
+        return st
+    Zl = Z if live.size == K else Z[live]
+    S = shape[live]
+    _, vecs = np.linalg.eigh(0.5 * (S + S.transpose(0, 2, 1)))
+    proj = Zl @ vecs
+    med = _median(proj, 1)
+    lam = (MAD_TO_SD * _median(np.abs(proj - med[:, None, :]), 1)) ** 2
+    finite = np.isfinite(lam).all(axis=1)
+    lam_max = np.where(finite, lam.max(axis=1), 0.0)
+    for j in np.flatnonzero(lam_max <= 0.0):
+        st.error[live[j]] = DegenerateStart(
+            "all projected scales are zero; start is not repairable" if finite[j]
+            else "projected scales are not finite"
+        )
+    good = lam_max > 0.0
+    if not good.all():
+        live, Zl, vecs, lam, lam_max = live[good], Zl[good], vecs[good], lam[good], lam_max[good]
+        if not live.size:
+            return st
+    lam = np.maximum(lam, _EIGEN_FLOOR * lam_max[:, None])
+    sigma = (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1)
+    fits = _factor(None, 0.5 * (sigma + sigma.transpose(0, 2, 1)))
+    sphered = fits.inv_chol @ Zl.transpose(0, 2, 1)
+    fits.mu = (fits.chol @ _median(sphered, 2)[:, :, None])[:, :, 0]
+    for j, exc in fits.failed.items():
+        st.error[live[j]] = exc
+    ok = fits.ok()
+    st.take(live[ok], fits, ok)
+    return st
+
+
+def _median(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.median(x, axis)`` for finite ``x``, bit for bit, without its
+    NaN pass: the middle order statistic, or the mean of the two middle
+    ones, from one partition."""
+    half = x.shape[axis] // 2
+    if x.shape[axis] % 2:
+        return np.take(np.partition(x, half, axis=axis), half, axis=axis)
+    part = np.partition(x, (half - 1, half), axis=axis)
+    return (np.take(part, half - 1, axis=axis) + np.take(part, half, axis=axis)) / 2
+
+
+def _sign_shapes(Z: np.ndarray) -> np.ndarray:
+    """Spatial-sign shape matrices of a stack: the mean outer product of
+    the unit deviations from the coordinate-wise median."""
+    dev = Z - _median(Z, 1)[:, None, :]
+    norms = np.sqrt(np.einsum("kij,kij->ki", dev, dev))
     nz = norms > 0.0
     signs = np.zeros_like(dev)
     signs[nz] = dev[nz] / norms[nz, None]
-    shape = (signs.T @ signs) / Z.shape[0]
-    return _rescale_shape(Z, shape)
+    return (signs.transpose(0, 2, 1) @ signs) / Z.shape[1]
 
 
-def _start_tanh_corr(Z: np.ndarray) -> LocationScatter:
+def _tanh_shapes(Z: np.ndarray) -> np.ndarray:
+    """Correlation matrices of ``tanh`` of a stack, with the arithmetic of
+    ``np.corrcoef(np.tanh(Z[k]), rowvar=False)`` for every slice; a
+    constant column gives non-finite entries."""
     Y = np.tanh(Z)
+    Y -= Y.mean(axis=1)[:, None, :]
+    c = Y.transpose(0, 2, 1) @ Y
+    c *= np.true_divide(1, Z.shape[1] - 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        shape = np.corrcoef(Y, rowvar=False)
-    shape = np.atleast_2d(shape)
-    if not np.all(np.isfinite(shape)):
-        raise DegenerateStart("tanh correlation is undefined (constant column)")
-    return _rescale_shape(Z, shape)
+        if Z.shape[2] == 1:
+            return c / c
+        stddev = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+        c /= stddev[:, :, None]
+        c /= stddev[:, None, :]
+    return np.clip(c, -1, 1, out=c)
 
 
 def initial_starts(Z) -> list[LocationScatter]:
     """The two deterministic robust starts used to seed concentration steps."""
     Z = as_data_matrix(Z, name="Z")
-    return [_start_spatial_sign(Z), _start_tanh_corr(Z)]
+    st = _start(np.stack([Z, Z]), np.arange(2))
+    for exc in st.error:
+        if exc is not None:
+            raise exc
+    return [_loc_scat(st, k) for k in range(2)]
 
 
-def _concentrate(Z: np.ndarray, start: LocationScatter, h: int, max_steps: int) -> RawEstimate:
-    n, p = Z.shape
-    c_alpha = consistency_factor(h, n, p)
-    current = _fit_subset(Z, _smallest_h(start.squared_distances(Z), h), c_alpha)
-    for _ in range(max_steps):
-        subset = _smallest_h(current.loc_scat.squared_distances(Z), h)
-        if np.array_equal(subset, current.subset):
-            return current  # converged: a refit would reproduce ``current``
-        refined = _fit_subset(Z, subset, c_alpha)
-        if refined.det_uncorrected > current.det_uncorrected * (1.0 + 1e-9):
-            raise NumericError("concentration step increased the determinant")
-        current = refined
-    log.warning(
-        "concentration steps did not converge within %d steps (n=%d, h=%d); "
-        "continuing from the last subset",
-        max_steps, n, h,
-    )
-    return current
+def _distances(Z: np.ndarray, mu: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
+    """Squared distances ``(K, m)`` of the rows of each slice of ``Z``
+    under fit ``k``: :meth:`LocationScatter.squared_distances`, slice by slice."""
+    W = inv_chol @ (Z - mu[:, None, :]).transpose(0, 2, 1)
+    return np.einsum("kij,kij->kj", W, W)
+
+
+def _concentrate(st: _Stack, h: int, c_alpha: float, max_steps: int) -> None:
+    """Concentration steps for every live candidate of ``st``, in lockstep.
+
+    The first pass refits on the ``h`` rows closest to the start; each
+    later pass re-selects, and a candidate whose subset reproduces itself
+    has converged (a refit would reproduce its fit).  A candidate whose
+    refit fails or whose determinant rises ends with that error; one still
+    moving after ``max_steps`` passes keeps its last subset, with a
+    warning.
+    """
+    K, m, p = st.Z.shape
+    st.subset = np.full((K, h), -1, dtype=np.intp)
+    act = st.live()
+    Za = st.Z if act.size == K else st.Z[act]
+    for _ in range(max_steps + 1):
+        if not act.size:
+            break
+        offsets = (np.arange(act.size) * m)[:, None]
+        picked = _smallest_h(_distances(Za, st.mu[act], st.inv_chol[act]), h)
+        moved = (picked - offsets != st.subset[act]).any(axis=1)
+        if not moved.any():
+            act = act[:0]
+            break
+        idx = act[moved]
+        fits, det = _refit(Za.reshape(-1, p), picked[moved], c_alpha)
+        for j in np.flatnonzero(det > st.det[idx] * (1.0 + 1e-9)):
+            fits.failed.setdefault(j, NumericError("concentration step increased the determinant"))
+        for j, exc in fits.failed.items():
+            st.error[idx[j]] = exc
+        ok = fits.ok()
+        st.take(idx[ok], fits, ok, picked[moved] - offsets[moved], det)
+        still = np.zeros(act.size, dtype=bool)
+        still[np.flatnonzero(moved)[ok]] = True
+        act = act[still]
+        if not still.all():
+            Za = Za[still]
+    for k in act:
+        log.warning(
+            "concentration steps did not converge within %d steps (n=%d, h=%d); "
+            "continuing from the last subset",
+            max_steps, m, h,
+        )
 
 
 def _exchange_ratios(
-    h: int, W_in: np.ndarray, W_out: np.ndarray, q_in: np.ndarray, q_out: np.ndarray
+    h: int, q_cross: np.ndarray, q_in: np.ndarray, q_out: np.ndarray
 ) -> np.ndarray:
-    """Determinant ratio of every (outside row, inside row) exchange.
-
-    Entry ``[b, a]`` is det(S') / det(S) after inside row ``a`` leaves
-    and outside row ``b`` enters, where ``W_*`` hold the rows' whitened
-    deviations and ``q_*`` their squared norms: det(I2 + C M) with
-    M = [[q_bb, q_ba], [q_ba, q_aa]] and C = [[1 - 1/h, 1/h], [1/h, -(1 + 1/h)]].
+    """Determinant ratios det(S') / det(S) of exchanges in which an inside
+    row ``a`` leaves and an outside row ``b`` enters: det(I2 + C M) with
+    M = [[q_bb, q_ba], [q_ba, q_aa]] and C = [[1 - 1/h, 1/h], [1/h, -(1 + 1/h)]],
+    from the rows' whitened cross products ``q_cross`` and squared norms
+    ``q_in`` and ``q_out``, shaped to broadcast against ``q_cross``.
     """
     c1, c2, c3 = 1.0 - 1.0 / h, 1.0 / h, -(1.0 + 1.0 / h)
-    q_cross = W_out @ W_in.T
-    a00 = 1.0 + c1 * q_out[:, None] + c2 * q_cross
-    a01 = c1 * q_cross + c2 * q_in[None, :]
-    a10 = c2 * q_out[:, None] + c3 * q_cross
-    a11 = 1.0 + c2 * q_cross + c3 * q_in[None, :]
+    a00 = 1.0 + c1 * q_out + c2 * q_cross
+    a01 = c1 * q_cross + c2 * q_in
+    a10 = c2 * q_out + c3 * q_cross
+    a11 = 1.0 + c2 * q_cross + c3 * q_in
     return a00 * a11 - a01 * a10
 
 
-def _best_exchange(Z: np.ndarray, current: RawEstimate) -> tuple[float, int, int]:
-    """The exchange with the smallest determinant ratio, as ``(ratio, row,
-    slot)``: row ``row`` of ``Z`` replaces ``current.subset[slot]``.
+def _exchange_rows(
+    W_in: np.ndarray, W_out: np.ndarray, q_in: np.ndarray, q_out: np.ndarray
+) -> np.ndarray:
+    """The outside rows whose exchanges :func:`_best_exchange` scores, as
+    a mask ``(K, n - h)`` over a stack of candidates.
 
-    Ties go to the lowest ``b * h + slot``, ``b`` being the rank of
-    ``row`` among the outside rows.  When no exchange gets below the
-    stopping level ``1 - 1e-12``, ``ratio`` is only known to be at or
-    above it.
-
-    With ``x = q_ba`` the ratio expands to
+    ``W_in`` ``(K, h, p)`` and ``W_out`` hold the whitened deviations of
+    the inside and outside rows, scaled so that ``W @ W.T`` gives their
+    quadratic forms under the plain h-subset scatter, and ``q_*`` their
+    squared norms.  With ``x = q_ba`` a ratio expands to
     ``(1 + c1 qo)(1 + c3 qi) - qi qo / h^2 + x^2 + 2x / h``, and since
     ``x^2 + 2x / h >= -1/h^2`` it is at least
     ``1 - 1/h^2 + c3 qi + (c1 - qi) qo``.  That bound falls as ``qi``
     grows, so the inside row with the largest ``qi`` bounds every pair of
-    an outside row.  Only outside rows whose bound reaches the ratio of a
-    known pair (or the stopping level) are scored, against all inside
-    rows, in chunks of about ``_PAIR_CHUNK`` pairs.  The margin covers
-    the rounding of both evaluations, so a skipped pair cannot hold the
-    minimum.
+    an outside row.  An outside row is scored when its bound reaches the
+    ratio of a known pair (that inside row and the outside row with the
+    smallest ``qo``) or the stopping level ``1 - 1e-12``.  The margin
+    covers the rounding of both evaluations, so a skipped pair cannot hold
+    the minimum.
     """
-    n = Z.shape[0]
-    inside = current.subset
-    h = inside.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[inside] = True
-    outside = np.flatnonzero(~mask)
-    # Whitened deviations: W @ W.T gives deviations' quadratic forms
-    # under the plain h-subset scatter (h - 1) * cov = sigma * (h-1)/c.
-    dev = Z - current.loc_scat.mu
-    W = dev @ current.loc_scat.inv_chol.T
-    W *= math.sqrt(current.c_alpha / (h - 1))
-    W_in, W_out = W[inside], W[outside]
-    q_in = np.einsum("ij,ij->i", W_in, W_in)
-    q_out = np.einsum("ij,ij->i", W_out, W_out)
-    a_top, b_low = int(np.argmax(q_in)), int(np.argmin(q_out))
-    top = q_in[a_top]
+    K, h = q_in.shape
+    at = np.arange(K)
+    a_top, b_low = np.argmax(q_in, axis=1), np.argmin(q_out, axis=1)
+    top = q_in[at, a_top][:, None]
     # Evaluating a ratio rounds it by under 80 eps ((1 + qi^.5)(1 + qo^.5))^3,
     # as |x| <= (qi qo)^.5; the margin allows three times that.
-    margin = 1e-9 + 256.0 * _EPS * ((1.0 + math.sqrt(top)) * (1.0 + np.sqrt(q_out))) ** 3
-    known = _exchange_ratios(h, W_in[[a_top]], W_out[[b_low]], q_in[[a_top]], q_out[[b_low]])
-    cap = min(float(known[0, 0]) + margin[b_low], 1.0 - 1e-12)
+    margin = 1e-9 + 256.0 * _EPS * ((1.0 + np.sqrt(top)) * (1.0 + np.sqrt(q_out))) ** 3
+    # Each known pair's product has the layout of a chunk's one-row product.
+    q_cross = W_out[at, b_low].reshape(K, 1, -1) @ W_in[at, a_top].reshape(K, 1, -1).transpose(0, 2, 1)
+    known = _exchange_ratios(h, q_cross[:, 0, 0], top[:, 0], q_out[at, b_low])
+    cap = np.minimum(known + margin[at, b_low], 1.0 - 1e-12)
     bound = 1.0 - 1.0 / (h * h) - (1.0 + 1.0 / h) * top + (1.0 - 1.0 / h - top) * q_out
-    rows = np.flatnonzero(bound <= cap + margin)
+    return bound <= cap[:, None] + margin
+
+
+def _best_exchange(
+    W_in: np.ndarray, W_out: np.ndarray, q_in: np.ndarray, q_out: np.ndarray, scored: np.ndarray
+) -> tuple[float, int, int]:
+    """The exchange with the smallest determinant ratio, as ``(ratio, b,
+    slot)``: outside row ``b`` replaces inside row ``slot``.
+
+    One candidate's rows and norms as in :func:`_exchange_rows`, which
+    gives the mask ``scored`` of the outside rows to score; they are
+    scored against all inside rows in chunks of about ``_PAIR_CHUNK``
+    pairs.  Ties go to the lowest ``b * h + slot``.  When no exchange gets
+    below the stopping level ``1 - 1e-12``, ``ratio`` is only known to be
+    at or above it.
+    """
+    h = W_in.shape[0]
+    rows = np.flatnonzero(scored)
     if rows.size == 0:
         return math.inf, -1, -1
-    if rows.size == 1 and outside.shape[0] > 1:
+    if rows.size == 1 and W_out.shape[0] > 1:
         # A one-row product runs as a matrix-vector BLAS call, which may
         # round differently from a matrix-matrix one; score a neighbour too.
         b = int(rows[0])
-        rows = np.array([b - 1, b] if b + 1 == outside.shape[0] else [b, b + 1])
+        rows = np.array([b - 1, b] if b + 1 == W_out.shape[0] else [b, b + 1])
     best = (math.inf, -1, -1)
     step = max(2, _PAIR_CHUNK // h)
-    for chunk in np.array_split(rows, max(1, rows.size // step)):
-        ratio = _exchange_ratios(h, W_in, W_out[chunk], q_in, q_out[chunk])
+    chunks = [rows] if rows.size < 2 * step else np.array_split(rows, rows.size // step)
+    for chunk in chunks:
+        q_cross = np.take(W_out, chunk, axis=0) @ W_in.T
+        ratio = _exchange_ratios(h, q_cross, q_in[None, :], q_out[chunk, None])
         b_pos, slot = divmod(int(np.argmin(ratio)), h)
         if ratio[b_pos, slot] < best[0]:
-            best = (float(ratio[b_pos, slot]), int(outside[chunk[b_pos]]), slot)
+            best = (float(ratio[b_pos, slot]), int(chunk[b_pos]), slot)
     return best
 
 
-def _swap_polish(Z: np.ndarray, est: RawEstimate, max_sweeps: int = _MAX_CSTEPS) -> RawEstimate:
-    """Exchange descent from a concentration fixed point.
+def _polish(st: _Stack, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
+    """Exchange descent from the concentration fixed points, in lockstep.
 
     Concentration steps stop at subsets that reproduce themselves under
     distance ranking, which on small blocks is a coarse notion of local
-    optimality.  This pass keeps exchanging one subset row for one
-    outside row as long as the determinant strictly decreases, so the
-    returned subset is also optimal under single exchanges.  Each sweep
-    applies the best exchange, found exactly by :func:`_best_exchange`
-    from a rank-two determinant-ratio identity; with ``k`` outside rows
-    left after its bound, a sweep costs O(n p^2 + k h) time and
-    O(n p + max(_PAIR_CHUNK, h)) memory.
+    optimality.  Each sweep whitens every live candidate's rows in one
+    pass, prunes the pairs with :func:`_exchange_rows`, scores the rest
+    with :func:`_best_exchange` (the one step that loops over
+    candidates), and refits the candidates whose best exchange of one
+    subset row for one outside row lowers the determinant, so the final
+    subsets are also optimal under single exchanges.  A candidate stops
+    when no exchange lowers it, when its refit fails (with a warning) or
+    after ``max_sweeps`` exchanges (with a warning).  With ``k`` outside
+    rows left after the bound, a sweep costs O(m p^2 + k h) time and
+    O(m p + max(_PAIR_CHUNK, h)) memory per candidate.
     """
-    if est.h >= Z.shape[0]:
-        return est
-    current = est
+    K, m, p = st.Z.shape
+    h = st.subset.shape[1]
+    scale = math.sqrt(c_alpha / (h - 1))
+    act = st.live()
+    Za = st.Z if act.size == K else st.Z[act]
     for _ in range(max_sweeps):
-        ratio, row, slot = _best_exchange(Z, current)
-        if ratio >= 1.0 - 1e-12:
-            return current
-        swapped = current.subset.copy()
-        swapped[slot] = row
-        try:
-            refined = _fit_subset(Z, np.sort(swapped), current.c_alpha)
-        except NumericError as exc:
+        if not act.size:
+            break
+        offsets = (np.arange(act.size) * m)[:, None]
+        W = (Za - st.mu[act][:, None, :]) @ st.inv_chol[act].transpose(0, 2, 1)
+        W *= scale
+        q = np.einsum("kij,kij->ki", W, W).ravel()
+        W = W.reshape(-1, p)
+        inside = st.subset[act] + offsets
+        out_mask = np.ones(act.size * m, dtype=bool)
+        out_mask[inside] = False
+        outside = np.flatnonzero(out_mask).reshape(act.size, m - h)
+        W_in, W_out = np.take(W, inside, axis=0), np.take(W, outside, axis=0)
+        q_in, q_out = np.take(q, inside), np.take(q, outside)
+        scored = _exchange_rows(W_in, W_out, q_in, q_out)
+        movers, rows = [], []
+        for i in range(act.size):
+            ratio, b, slot = _best_exchange(W_in[i], W_out[i], q_in[i], q_out[i], scored[i])
+            if ratio < 1.0 - 1e-12:
+                swapped = inside[i].copy()
+                swapped[slot] = outside[i, b]
+                movers.append(i)
+                rows.append(np.sort(swapped))
+        if not movers:
+            act = act[:0]
+            break
+        movers, rows = np.array(movers), np.array(rows)
+        idx = act[movers]
+        fits, det = _refit(Za.reshape(-1, p), rows, c_alpha)
+        for exc in fits.failed.values():
             log.warning("exchange polish stopped early: refit failed (%s)", exc)
-            return current
-        if refined.det_uncorrected >= current.det_uncorrected:
-            return current
-        current = refined
-    log.warning(
-        "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
-        "keeping the last subset",
-        max_sweeps, Z.shape[0], current.h,
-    )
-    return current
+        better = fits.ok() & (det < st.det[idx])
+        st.take(idx[better], fits, better, rows - offsets[movers], det)
+        still = np.zeros(act.size, dtype=bool)
+        still[movers[better]] = True
+        act = act[still]
+        if not still.all():
+            Za = Za[still]
+    for _ in act:
+        log.warning(
+            "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
+            "keeping the last subset",
+            max_sweeps, m, h,
+        )
+
+
+def _fit_stack(Z: np.ndarray, kinds: np.ndarray, h: int, max_csteps: int = _MAX_CSTEPS) -> list:
+    """Fits of a stack of candidates: the rows ``Z[k]`` from start
+    ``kinds[k]``, each concentrated and polished at subset size ``h``.
+    Returns per candidate a :class:`RawEstimate`, or the exception that
+    ended its fit."""
+    st = _start(Z, kinds)
+    c_alpha = consistency_factor(h, Z.shape[1], Z.shape[2])
+    _concentrate(st, h, c_alpha, max_csteps)
+    _polish(st, c_alpha)
+    return [
+        st.error[k] or RawEstimate(_loc_scat(st, k), st.subset[k], float(st.det[k]), c_alpha)
+        for k in range(len(kinds))
+    ]
+
+
+def _plan_stacks(sizes) -> list[list[tuple[int, int]]]:
+    """The candidates ``(block, start)`` of blocks with these row counts,
+    grouped by block size into stacks of at most ``_STACK_ROWS`` rows (a
+    larger candidate is a stack of its own), as even as the group allows."""
+    stacks = []
+    for m in sorted(set(sizes), reverse=True):
+        group = [(b, start) for b, size in enumerate(sizes) if size == m for start in range(2)]
+        count = -(-len(group) // max(1, _STACK_ROWS // m))
+        stacks += [group[i * len(group) // count : (i + 1) * len(group) // count] for i in range(count)]
+    return stacks
+
+
+def _fit_blocks(
+    Z: np.ndarray, blocks, hs, *, max_csteps: int = _MAX_CSTEPS, map_stacks=map
+) -> list[RawEstimate]:
+    """Best raw fit of each block ``Z[blocks[b]]``, whose rows are in
+    canonical order, at subset size ``hs[b]``.
+
+    The stacks of :func:`_plan_stacks` are fitted through ``map_stacks``
+    (the builtin ``map``, or a thread pool's).  Each block keeps the
+    candidate with the smaller determinant, the spatial-sign start on a
+    tie.  The first failure in (block, start) order is raised, and
+    ``AllStartsDegenerate`` when both starts of a block are degenerate.
+    The returned subsets index the rows of each block.
+    """
+    p = Z.shape[1]
+    stacks = _plan_stacks([rows.shape[0] for rows in blocks])
+
+    def fit_one(stack):
+        Zk = Z[np.concatenate([blocks[b] for b, _ in stack])].reshape(len(stack), -1, p)
+        return _fit_stack(Zk, np.array([start for _, start in stack]), hs[stack[0][0]], max_csteps)
+
+    fits = {}
+    for stack, results in zip(stacks, map_stacks(fit_one, stacks)):
+        fits.update(zip(stack, results))
+    best = []
+    for b in range(len(blocks)):
+        won = None
+        for start in range(2):
+            fit = fits[b, start]
+            if isinstance(fit, DegenerateStart):
+                continue
+            if isinstance(fit, Exception):
+                raise fit
+            if won is None or fit.det_uncorrected < won.det_uncorrected:
+                won = fit
+        if won is None:
+            raise AllStartsDegenerate("both initial scatter estimates are degenerate")
+        best.append(won)
+    return best
 
 
 def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
@@ -384,10 +676,11 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     -------
     RawEstimate
         Best of the two starts after concentration to a fixed point (or
-        ``max_csteps`` steps) plus exchange polishing.  The returned
-        subset refers to rows of ``Z`` in the caller's ordering, while
-        the estimate itself is computed in canonical row order, so
-        permuting the rows of ``Z`` reproduces the identical estimate.
+        ``max_csteps`` steps) plus exchange polishing, fitted as a stack
+        of one block.  The returned subset refers to rows of ``Z`` in the
+        caller's ordering, while the estimate itself is computed in
+        canonical row order, so permuting the rows of ``Z`` reproduces the
+        identical estimate.
     """
     Z = as_data_matrix(Z, name="Z")
     n, p = Z.shape
@@ -396,7 +689,7 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     if not (p + 1 <= h < n):
         raise DomainError(f"h must satisfy p + 1 <= h < n, got h={h} for n={n}, p={p}")
     order = _canonical_order(Z)
-    best = _fit_canonical(Z[order], h, max_csteps)
+    best = _fit_blocks(Z, (order,), (h,), max_csteps=max_csteps)[0]
     return replace(best, subset=np.sort(order[best.subset]))
 
 
@@ -405,24 +698,6 @@ def _canonical_order(Z: np.ndarray) -> np.ndarray:
     Fitting rows in this order makes every accumulation independent of
     the caller's row order, bit for bit."""
     return np.lexsort(Z.T[::-1])
-
-
-def _fit_canonical(Zc: np.ndarray, h: int, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
-    """:func:`fit_mcd` for a validated block whose rows are already in
-    canonical order (:func:`_canonical_order` is the identity) and a
-    valid ``h``; the returned subset indexes the rows of ``Zc``."""
-    best: RawEstimate | None = None
-    for builder in (_start_spatial_sign, _start_tanh_corr):
-        try:
-            start = builder(Zc)
-        except DegenerateStart:
-            continue
-        candidate = _swap_polish(Zc, _concentrate(Zc, start, h, max_csteps))
-        if best is None or candidate.det_uncorrected < best.det_uncorrected:
-            best = candidate
-    if best is None:
-        raise AllStartsDegenerate("both initial scatter estimates are degenerate")
-    return best
 
 
 def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:

@@ -254,7 +254,7 @@ class TestBlockwiseMcd:
 class TestCanonicalOrderOnce:
     def test_block_counts_that_are_not_positive_integers(self):
         X, _, _ = contaminated(6, n=200)
-        for blocks in ("x", "4", None, 2.5, 0, -1, float("nan"), float("inf")):
+        for blocks in ("x", "4", None, 2.5, 0, -1, float("nan"), float("inf"), True, False):
             with pytest.raises(DomainError):
                 blockwise_mcd(X, blocks=blocks)
 

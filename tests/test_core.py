@@ -341,13 +341,13 @@ class TestInverseFactorWhitening:
             assert np.abs(ls.squared_distances(X) - d2).max() <= self.RTOL * d2.max(), p
 
     def test_solve_does_not_write_to_its_arguments(self):
-        from robustqda.core import _solve_lower
+        from robustqda.core import _inverse_factors
 
-        L = np.linalg.cholesky(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        B = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-        L0, B0 = L.copy(), B.copy()
-        _solve_lower(L, B)
-        assert np.array_equal(L, L0) and np.array_equal(B, B0)
+        L = np.linalg.cholesky(np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.2], [0.2, 3.0]]]))
+        for stack in (L, L[:, ::-1, ::-1].transpose(0, 2, 1)):  # C and Fortran order slices
+            before = stack.copy()
+            inv, failed = _inverse_factors(stack)
+            assert np.array_equal(stack, before) and not failed
 
     def test_one_row_gives_the_bits_of_its_row_in_a_batch(self):
         # A lone row is scored as a two-row product: as a matrix-vector
@@ -383,8 +383,8 @@ class TestInverseFactorWhitening:
         from robustqda import core
 
         calls = []
-        real = core._solve_lower
-        monkeypatch.setattr(core, "_solve_lower", lambda L, B: calls.append(1) or real(L, B))
+        real = core._inverse_factors
+        monkeypatch.setattr(core, "_inverse_factors", lambda L: calls.append(1) or real(L))
         ls = LocationScatter.from_sigma([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
         assert calls == []
         X = np.arange(10.0).reshape(5, 2)
@@ -404,8 +404,8 @@ class TestPrecisionOnFirstRead:
         from robustqda import core
 
         calls = []
-        real = core._solve_lower
-        monkeypatch.setattr(core, "_solve_lower", lambda L, B: calls.append(1) or real(L, B))
+        real = core._inverse_factors
+        monkeypatch.setattr(core, "_inverse_factors", lambda L: calls.append(1) or real(L))
         ls = LocationScatter.from_sigma([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
         assert calls == []
         first = ls.precision

@@ -211,7 +211,7 @@ class TestFitMcd:
             fit_mcd(np.ones((20, 2)), 10)
 
     def test_canonical_entry_point_matches_fit_mcd(self):
-        from robustqda.mcd import _fit_canonical
+        from robustqda.mcd import _fit_blocks
 
         rng = np.random.default_rng(41)
         for n, p in ((40, 2), (300, 3), (1200, 5)):
@@ -220,7 +220,7 @@ class TestFitMcd:
             Z[: n // 5] += 4.0
             Zc = Z[np.lexsort(Z.T[::-1])]
             h = h_from_fraction(n, p, 0.5)
-            trusted = _fit_canonical(Zc, h)
+            trusted = _fit_blocks(Zc, (np.arange(n),), (h,))[0]
             for public in (fit_mcd(Zc, h), fit_mcd(Z, h)):
                 assert np.array_equal(public.mu, trusted.mu)
                 assert np.array_equal(public.sigma, trusted.sigma)
@@ -320,14 +320,16 @@ class TestTrustedConcentration:
         assert 1 <= spy.call_count <= 2
 
     def test_matches_public_c_steps(self):
-        from robustqda.mcd import _concentrate, _smallest_h
+        from robustqda.mcd import _smallest_h
 
         rng = np.random.default_rng(22)
         for _ in range(5):
             Z = rng.standard_normal((80, 3))
             Z[:10] = rng.standard_normal((10, 3)) * 0.3 + 6.0
             h = h_from_fraction(80, 3, 0.5)
-            for start in initial_starts(Z):
+            # both starts concentrated in one stack
+            stack = concentrated(np.stack([Z, Z]), np.arange(2), h, 100)
+            for k, start in enumerate(initial_starts(Z)):
                 current = raw_from_subset(Z, _smallest_h(start.squared_distances(Z), h))
                 for _ in range(100):
                     refined = c_step(Z, current)
@@ -335,29 +337,47 @@ class TestTrustedConcentration:
                     current = refined
                     if done:
                         break
-                fast = _concentrate(Z, start, h, 100)
-                assert np.array_equal(fast.subset, current.subset)
-                assert fast.det_uncorrected == current.det_uncorrected
-                assert fast.c_alpha == current.c_alpha
-                assert np.array_equal(fast.sigma, current.sigma)
-                assert np.array_equal(fast.mu, current.mu)
+                assert np.array_equal(stack.subset[k], current.subset)
+                assert stack.det[k] == current.det_uncorrected
+                assert consistency_factor(h, 80, 3) == current.c_alpha
+                assert np.array_equal(stack.sigma[k], current.sigma)
+                assert np.array_equal(stack.mu[k], current.mu)
 
 
-def _dense_best_exchange(Z, current):
+def concentrated(Z, kinds, h, max_steps):
+    """A stack of candidates ``Z`` from starts ``kinds``, concentrated."""
+    from robustqda import mcd
+
+    stack = mcd._start(Z, kinds)
+    mcd._concentrate(stack, h, consistency_factor(h, Z.shape[1], Z.shape[2]), max_steps)
+    return stack
+
+
+def whitened(Z, est):
+    """The arguments of ``mcd._best_exchange`` for estimate ``est`` of the
+    rows of ``Z``, plus the outside rows' indices."""
+    from robustqda import mcd
+
+    h = est.h
+    outside = np.setdiff1d(np.arange(Z.shape[0]), est.subset)
+    W = (Z - est.mu) @ est.loc_scat.inv_chol.T
+    W *= math.sqrt(est.c_alpha / (h - 1))
+    W_in, W_out = W[est.subset], W[outside]
+    q_in = np.einsum("ij,ij->i", W_in, W_in)
+    q_out = np.einsum("ij,ij->i", W_out, W_out)
+    scored = mcd._exchange_rows(W_in[None], W_out[None], q_in[None], q_out[None])[0]
+    return (W_in, W_out, q_in, q_out, scored), outside
+
+
+def _dense_best_exchange(W_in, W_out, q_in, q_out, scored):
     """Reference exchange search: scores every (outside, inside) pair in
-    one dense matrix, as the polish did before its search was pruned."""
-    n = Z.shape[0]
-    inside = current.subset
-    h = inside.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    mask[inside] = True
-    outside = np.flatnonzero(~mask)
-    dev = Z - current.loc_scat.mu
-    W = dev @ current.loc_scat.inv_chol.T
-    W *= math.sqrt(current.c_alpha / (h - 1))
-    q_in = np.einsum("ij,ij->i", W[inside], W[inside])
-    q_out = np.einsum("ij,ij->i", W[outside], W[outside])
-    q_cross = W[outside] @ W[inside].T
+    one dense matrix, as the polish did before its search was pruned.
+    The squared norms are recomputed from the rows one candidate at a
+    time, and must equal the stacked ones bit for bit."""
+    h = W_in.shape[0]
+    assert np.array_equal(q_in, np.einsum("ij,ij->i", W_in, W_in))
+    assert np.array_equal(q_out, np.einsum("ij,ij->i", W_out, W_out))
+    q_cross = W_out @ W_in.T
     c1, c2, c3 = 1.0 - 1.0 / h, 1.0 / h, -(1.0 + 1.0 / h)
     a00 = 1.0 + c1 * q_out[:, None] + c2 * q_cross
     a01 = c1 * q_cross + c2 * q_in[None, :]
@@ -366,7 +386,7 @@ def _dense_best_exchange(Z, current):
     ratio = a00 * a11 - a01 * a10
     flat = int(np.argmin(ratio))
     b_idx, a_idx = divmod(flat, h)
-    return float(ratio.flat[flat]), int(outside[b_idx]), a_idx
+    return float(ratio.flat[flat]), b_idx, a_idx
 
 
 class TestExactExchangeSearch:
@@ -382,9 +402,9 @@ class TestExactExchangeSearch:
         pruned = mcd._best_exchange
         sweeps = []
 
-        def checked(Zc, current):
-            dense = _dense_best_exchange(Zc, current)
-            fast = pruned(Zc, current)
+        def checked(*args):
+            dense = _dense_best_exchange(*args)
+            fast = pruned(*args)
             if dense[0] >= 1.0 - 1e-12:
                 assert fast[0] >= 1.0 - 1e-12
             else:
@@ -463,24 +483,27 @@ class TestExactExchangeSearch:
                 X[: n // 6] += 6.0
                 blocks.append(X)
         ratios = mcd._exchange_ratios
-        rows_scored = []
+        search = mcd._best_exchange
+        rows_scored, chunks_per_sweep = [], []
 
-        def spy(h, W_in, W_out, q_in, q_out):
-            rows_scored.append(W_out.shape[0])
-            return ratios(h, W_in, W_out, q_in, q_out)
+        def spy(h, q_cross, q_in, q_out):
+            if q_cross.ndim == 2:  # a chunk; a sweep's known pairs come stacked
+                rows_scored.append(q_cross.shape[0])
+                chunks_per_sweep[-1] += 1
+            return ratios(h, q_cross, q_in, q_out)
+
+        def counted(*args):
+            chunks_per_sweep.append(0)
+            return search(*args)
 
         sweeps = []
         with mock.patch.object(mcd, "_exchange_ratios", spy), \
+                mock.patch.object(mcd, "_best_exchange", counted), \
                 mock.patch.object(mcd, "_PAIR_CHUNK", 1):
             for X in blocks:
                 sweeps += self._fit_both_ways(X, h_from_fraction(X.shape[0], 2, 0.5))
-        # each sweep scores its known pair (one row), then its chunks
-        chunks_per_sweep = []
-        for rows in rows_scored:
-            if rows == 1:
-                chunks_per_sweep.append(0)
-            else:
-                chunks_per_sweep[-1] += 1
+        # one exchange search per candidate and sweep, each scoring its chunks
+        assert len(chunks_per_sweep) == len(sweeps)
         assert max(rows_scored) == 3
         assert max(chunks_per_sweep) >= 20
         swapped_across_chunks = [
@@ -535,22 +558,20 @@ class TestSmallestH:
 
 class TestNonConvergenceIsLogged:
     def test_concentration_cap_warns_and_keeps_output(self, caplog):
-        from robustqda.mcd import _concentrate
-
         rng = np.random.default_rng(41)
         Z = rng.standard_normal((200, 3))
         Z[:30] += 6.0
         h = h_from_fraction(200, 3, 0.5)
         start = initial_starts(Z)[0]
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            capped = _concentrate(Z, start, h, 1)
+            capped = concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 1)
         assert any("did not converge within 1 steps" in r.message for r in caplog.records)
         # the output is the subset after the one step, as before
         first = raw_from_subset(Z, np.sort(np.argsort(start.squared_distances(Z), kind="stable")[:h]))
-        assert np.array_equal(capped.subset, c_step(Z, first).subset)
+        assert np.array_equal(capped.subset[0], c_step(Z, first).subset)
         caplog.clear()
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            _concentrate(Z, start, h, 100)
+            concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 100)
         assert not caplog.records
 
     def test_fit_mcd_with_one_step_warns(self, caplog):
@@ -569,17 +590,25 @@ class TestNonConvergenceIsLogged:
         Z = rng.standard_normal((120, 3))
         Z[:20] += 5.0
         h = h_from_fraction(120, 3, 0.5)
-        start = initial_starts(Z)[0]
-        est = mcd._concentrate(Z, start, h, 100)
-        assert mcd._best_exchange(Z, est)[0] < 1.0 - 1e-12  # the polish would swap
+        c_alpha = consistency_factor(h, 120, 3)
+        stack = concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 100)
+        est = mcd._loc_scat(stack, 0)
+        subset, det = stack.subset[0].copy(), stack.det[0]
+        args, _ = whitened(Z, mcd.RawEstimate(est, subset, det, c_alpha))
+        assert mcd._best_exchange(*args)[0] < 1.0 - 1e-12  # the polish would swap
 
         def failing_refit(*args, **kwargs):
-            raise NotPositiveDefinite("refit made to fail")
+            fits, det = real_refit(*args, **kwargs)
+            fits.failed = {j: NotPositiveDefinite("refit made to fail") for j in range(det.size)}
+            return fits, det
 
-        monkeypatch.setattr(mcd, "_fit_subset", failing_refit)
+        real_refit = mcd._refit
+        monkeypatch.setattr(mcd, "_refit", failing_refit)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            out = mcd._swap_polish(Z, est)
-        assert out is est
+            mcd._polish(stack, c_alpha)
+        assert np.array_equal(stack.subset[0], subset)
+        assert stack.det[0] == det
+        assert np.array_equal(stack.sigma[0], est.sigma)
         assert any(
             "exchange polish stopped early" in r.message and "refit made to fail" in r.message
             for r in caplog.records
@@ -592,20 +621,82 @@ class TestNonConvergenceIsLogged:
         Z = rng.standard_normal((120, 3))
         Z[:20] += 5.0
         h = h_from_fraction(120, 3, 0.5)
-        est = mcd._concentrate(Z, initial_starts(Z)[0], h, 100)
+        c_alpha = consistency_factor(h, 120, 3)
+        kinds = np.zeros(1, dtype=np.intp)
+        full = concentrated(Z[None], kinds, h, 100)
+        est = mcd.RawEstimate(mcd._loc_scat(full, 0), full.subset[0], full.det[0], c_alpha)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            full = mcd._swap_polish(Z, est)
+            mcd._polish(full, c_alpha)
         assert not caplog.records
-        _, row, slot = mcd._best_exchange(Z, est)
+        args, outside = whitened(Z, est)
+        _, b, slot = mcd._best_exchange(*args)
         swapped = est.subset.copy()
-        swapped[slot] = row
-        one_sweep = mcd._fit_subset(Z, np.sort(swapped), est.c_alpha)
-        assert mcd._best_exchange(Z, one_sweep)[0] < 1.0 - 1e-12  # a second swap follows
-        assert not np.array_equal(full.subset, one_sweep.subset)
+        swapped[slot] = outside[b]
+        one_sweep = raw_from_subset(Z, swapped)
+        assert mcd._best_exchange(*whitened(Z, one_sweep)[0])[0] < 1.0 - 1e-12  # a second swap follows
+        assert not np.array_equal(full.subset[0], one_sweep.subset)
 
+        capped = concentrated(Z[None], kinds, h, 100)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            capped = mcd._swap_polish(Z, est, max_sweeps=1)
+            mcd._polish(capped, c_alpha, max_sweeps=1)
         assert any("did not converge within 1 sweeps" in r.message for r in caplog.records)
-        assert np.array_equal(capped.subset, one_sweep.subset)
-        assert np.array_equal(capped.loc_scat.sigma, one_sweep.loc_scat.sigma)
-        assert capped.det_uncorrected == one_sweep.det_uncorrected
+        assert np.array_equal(capped.subset[0], one_sweep.subset)
+        assert np.array_equal(capped.sigma[0], one_sweep.loc_scat.sigma)
+        assert capped.det[0] == one_sweep.det_uncorrected
+
+
+class TestStackedFit:
+    """A candidate fitted in a stack gets the bits it gets fitted alone."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.subset, b.subset)
+        for name in ("mu", "sigma", "chol", "inv_chol"):
+            assert np.array_equal(getattr(a.loc_scat, name), getattr(b.loc_scat, name)), name
+        assert a.loc_scat.log_det == b.loc_scat.log_det
+        assert a.det_uncorrected == b.det_uncorrected
+        assert a.c_alpha == b.c_alpha
+
+    @staticmethod
+    def _tied_blocks(n, q, seed):
+        """Half-integer rows with duplicates, in canonical order, and q blocks of them."""
+        from robustqda.block_mcd import split_blocks
+
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.standard_normal((n, 3)) * 2.0) / 2.0
+        X[: n // 8] = X[n // 8 : 2 * (n // 8)]
+        X[: n // 10] += 4.0
+        plan = split_blocks(n, q, np.random.default_rng(seed))
+        hs = [h_from_fraction(size, 3, 0.5) for size in plan.sizes]
+        return X[np.lexsort(X.T[::-1])], plan, hs
+
+    @pytest.mark.parametrize("n, q", [(1203, 4), (640, 1), (2000, 7)])
+    def test_stacked_candidate_equals_candidate_alone(self, n, q):
+        from robustqda import mcd
+
+        Zc, plan, hs = self._tied_blocks(n, q, seed=n)
+        assert len(set(plan.sizes)) == (2 if n % q else 1)
+        for m in set(plan.sizes):
+            group = [b for b in range(q) if plan.sizes[b] == m]
+            Zk = np.stack([Zc[plan.assignments[b]] for b in group for _ in range(2)])
+            kinds = np.tile([0, 1], len(group))
+            h = hs[group[0]]
+            stacked = mcd._fit_stack(Zk, kinds, h)
+            for k in range(kinds.size):
+                self._assert_same(stacked[k], mcd._fit_stack(Zk[k : k + 1], kinds[k : k + 1], h)[0])
+
+    def test_block_fits_do_not_depend_on_the_stack_budget(self, monkeypatch):
+        from robustqda import mcd
+
+        Zc, plan, hs = self._tied_blocks(1203, 4, seed=5)
+        default = mcd._fit_blocks(Zc, plan.assignments, hs)
+        assert len(mcd._plan_stacks(plan.sizes)) == 2  # one stack per block size
+        m = max(plan.sizes)
+        for budget, stacks in ((3 * m, 3), (1, 8)):
+            monkeypatch.setattr(mcd, "_STACK_ROWS", budget)
+            plan_stacks = mcd._plan_stacks(plan.sizes)
+            assert len(plan_stacks) == stacks
+            # some block has its two starts in different stacks
+            assert any(stack[-1][1] == 0 for stack in plan_stacks)
+            for a, b in zip(default, mcd._fit_blocks(Zc, plan.assignments, hs)):
+                self._assert_same(a, b)

@@ -142,6 +142,21 @@ class TestProcessMap:
         with pytest.raises(BlocksTooSmall, match="^item 3 in a worker: True$"):
             process_map(fn, range(6))
 
+    def test_unpicklable_items_run_on_workers(self):
+        # Items reach the workers by fork, never by pickle, so an
+        # unpicklable one cannot stall the pool; run it in a child under a
+        # timeout so that a stall fails the test instead of hanging it.
+        code = (
+            "import threading\n"
+            "from robustqda._threads import process_map\n"
+            "print(process_map(lambda x: 1, [threading.Lock(), threading.Lock()]))\n"
+        )
+        env = dict(os.environ, ROBUST_QDA_THREADS="2")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[1, 1]"
+
     def test_cap_checked_before_any_fork(self, monkeypatch):
         monkeypatch.setenv("ROBUST_QDA_THREADS", "0")
         with pytest.raises(Exception, match="ROBUST_QDA_THREADS"):
