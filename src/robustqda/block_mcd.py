@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._threads import ordered_map, worker_count
-from .core import LocationScatter, as_data_matrix
+from .core import LocationScatter, as_data_matrix, check_seed
 from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
 from .mcd import _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
@@ -119,6 +119,14 @@ def default_block_count(n: int, p: int) -> int:
     return max(1, min(n // _THREADED_BLOCK_ROWS, cap))
 
 
+def _block_count(q) -> int:
+    """``q`` as an int, if it is a positive integer; ``DomainError`` otherwise."""
+    # A bool is a numbers.Real, but blocks=True is no block count.
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
+        raise DomainError(f"q must be a positive integer, got {q!r}")
+    return int(q)
+
+
 def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
     """Shuffle rows 0..n-1 and chunk them into q nearly equal blocks.
 
@@ -127,10 +135,7 @@ def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: in
     order stays in canonical order.  With q = 1 the single block keeps
     all rows (no shuffle needed, no size constraint).
     """
-    # A bool is a numbers.Real, but blocks=True is no block count.
-    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
-        raise DomainError(f"q must be a positive integer, got {q!r}")
-    q = int(q)
+    q = _block_count(q)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if q == 1:
@@ -244,8 +249,8 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         already run on up to ``cap`` processes.  The result is the same
         either way.
     rng : int or numpy Generator
-        Seed (or generator) driving the single random element, the
-        row shuffle.  Everything else is deterministic.
+        Non-negative integer seed (or generator) driving the single
+        random element, the row shuffle.  Everything else is deterministic.
 
     Returns
     -------
@@ -259,7 +264,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     if n <= 2 * p:
         raise TooFewObservations(f"need n > 2p, got n={n}, p={p}")
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
+        rng = np.random.default_rng(np.random.SeedSequence(check_seed(rng)))
     standardizer = fit_standardizer(X)
     Z = standardize(X, standardizer)
     # Blocks list their rows in ascending order, so each block of Zc is

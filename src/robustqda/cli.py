@@ -245,7 +245,7 @@ def cmd_lbplot(args) -> int:
             raise DataError("data has text labels but the model was trained without a name table")
     g = _resolve_class(args.given_class, label_names, model.n_classes)
     spec = lb_points(model, dataset.X, y, g)
-    if not spec.points:
+    if not spec.row.size:
         shown = label_names[g - 1] if label_names else g
         raise DataError(f"class {shown} has no rows in {args.data}")
     write_lb_csv(spec, args.csv)
@@ -253,7 +253,7 @@ def cmd_lbplot(args) -> int:
     if args.svg is not None:
         write_text_atomic(args.svg, render_lb_svg(spec))
         written.append(args.svg)
-    print(f"wrote {', '.join(written)} ({len(spec.points)} points)", file=sys.stderr)
+    print(f"wrote {', '.join(written)} ({spec.row.size} points)", file=sys.stderr)
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +27,7 @@ from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefini
 __all__ = [
     "LocationScatter",
     "as_data_matrix",
+    "check_seed",
     "chi2_cdf",
     "chi2_quantile",
     "mvn_sample",
@@ -53,6 +55,13 @@ def as_data_matrix(values, *, name: str = "X") -> np.ndarray:
         bad = np.argwhere(~np.isfinite(X))[0]
         raise DataError(f"{name} contains a non-finite value at row {bad[0]}, column {bad[1]}")
     return X
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; ``DomainError`` unless it is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

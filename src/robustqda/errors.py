@@ -35,10 +35,6 @@ class BlocksTooSmall(DataError):
     """Requested block count would produce blocks below the minimum size."""
 
 
-class UnknownClass(DataError):
-    """A label refers to a class the model was not trained on."""
-
-
 class ZeroNoise(DataError):
     """A noise-rate statistic was requested for a class with no planted noise."""
 

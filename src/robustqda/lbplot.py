@@ -1,4 +1,4 @@
-"""Label-bias diagnostics: per-class (RD, LB) points, CSV, and SVG plots.
+"""Label-bias diagnostics: per-class (RD, LB) columns, CSV, and SVG plots.
 
 For every observation carrying a given class label the plot shows the
 robust distance to that class on the x axis and the label bias (square
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .qda import QdaModel, classify_rows
 __all__ = [
     "LB_CUTOFF",
     "LbPlotSpec",
-    "LbPoint",
     "lb_points",
     "render_lb_svg",
     "write_lb_csv",
@@ -50,69 +49,68 @@ _PALETTE = (
 )
 
 
-def class_color(label: int) -> str:
-    return _PALETTE[(int(label) - 1) % len(_PALETTE)]
-
-
-@dataclass(frozen=True)
-class LbPoint:
-    row: int
-    rd_own: float
-    lb: float
-    given: int
-    predicted: int
-    overall_outlier: bool
-
-
 @dataclass(frozen=True)
 class LbPlotSpec:
+    """The rows labeled ``given_class``, in row order, as read-only columns:
+    ``row`` (index into the data), ``rd_own`` (robust distance to the given
+    class), ``lb`` (label bias), ``predicted`` (argmax class, 1-based) and
+    ``overall_outlier`` (beyond the cutoff for every class)."""
+
     given_class: int
-    points: tuple
+    row: np.ndarray
+    rd_own: np.ndarray
+    lb: np.ndarray
+    predicted: np.ndarray
+    overall_outlier: np.ndarray
     rd_cutoff: float
     lb_cutoff: float
 
+    def __post_init__(self):
+        for column in (self.row, self.rd_own, self.lb, self.predicted, self.overall_outlier):
+            column.setflags(write=False)
+
 
 def lb_points(model: QdaModel, X, y, given_class: int) -> LbPlotSpec:
-    """Diagnostic points for every row of ``X`` labeled ``given_class``.
+    """Diagnostic columns for every row of ``X`` labeled ``given_class``.
 
-    ``predicted`` keeps the argmax class even for overall outliers, so a
-    point's color still shows which class it leans toward; the
-    ``overall_outlier`` flag carries the class-0 information separately.
+    ``predicted`` keeps the argmax class (the first on a tie) even for
+    overall outliers, so a point's color still shows which class it leans
+    toward; the ``overall_outlier`` flag carries the class-0 information
+    separately.  ``lb`` is exactly 0 where ``predicted == given_class``.
     """
     X = as_data_matrix(X)
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatch("labels must be a vector matching the rows of X")
     g = int(given_class)
-    if not (1 <= g <= model.n_classes):
-        raise DataError(f"class {given_class} is outside 1..{model.n_classes}")
+    G = model.n_classes
+    if not (1 <= g <= G):
+        raise DataError(f"class {given_class} is outside 1..{G}")
     rows = np.flatnonzero(y == g)
-    points = []
+    scores, rd, min_rd = np.empty((0, G)), np.empty((0, G)), np.empty(0)
     if rows.size:
         _, scores, rd, min_rd = classify_rows(model, X[rows])
-        best = scores.max(axis=1)
-        for i in range(rows.size):
-            points.append(
-                LbPoint(
-                    row=int(rows[i]),
-                    rd_own=float(rd[i, g - 1]),
-                    lb=float(math.sqrt(best[i] - scores[i, g - 1])),
-                    given=g,
-                    predicted=int(np.argmax(scores[i]) + 1),
-                    overall_outlier=bool(min_rd[i] > model.outlier_cutoff),
-                )
-            )
-    return LbPlotSpec(given_class=g, points=tuple(points), rd_cutoff=float(model.outlier_cutoff), lb_cutoff=LB_CUTOFF)
+    return LbPlotSpec(
+        given_class=g,
+        row=rows,
+        rd_own=rd[:, g - 1].copy(),
+        lb=np.sqrt(scores.max(axis=1) - scores[:, g - 1]),
+        predicted=np.argmax(scores, axis=1) + 1,
+        overall_outlier=min_rd > model.outlier_cutoff,
+        rd_cutoff=float(model.outlier_cutoff),
+        lb_cutoff=LB_CUTOFF,
+    )
 
 
 def write_lb_csv(spec: LbPlotSpec, target) -> None:
-    """Write the point list as CSV (comma, dot decimals, LF, header).
+    """Write the table as CSV (comma, dot decimals, LF, header).
 
     ``target`` may be a path, written atomically, or a text file object.
     Floats carry nine significant digits.
     """
-    columns = [np.array([getattr(pt, f.name) for pt in spec.points]) for f in fields(LbPoint)]
-    write_text(target, csv_text(_CSV_HEADER, "%d,%.9g,%.9g,%d,%d,%d", columns))
+    columns = [spec.row, spec.rd_own, spec.lb, spec.predicted, spec.overall_outlier]
+    row_format = f"%d,%.9g,%.9g,{spec.given_class:d},%d,%d"
+    write_text(target, csv_text(_CSV_HEADER, row_format, columns))
 
 
 def render_lb_svg(spec: LbPlotSpec) -> str:
@@ -121,15 +119,16 @@ def render_lb_svg(spec: LbPlotSpec) -> str:
     left, right, top, bottom = 70.0, 24.0, 26.0, 58.0
     plot_w = width - left - right
     plot_h = height - top - bottom
-    max_rd = max([spec.rd_cutoff] + [pt.rd_own for pt in spec.points])
-    max_lb = max([spec.lb_cutoff] + [pt.lb for pt in spec.points])
+    max_rd = float(np.max(spec.rd_own, initial=spec.rd_cutoff))
+    max_lb = float(np.max(spec.lb, initial=spec.lb_cutoff))
     x_hi = 1.08 * max_rd
     y_hi = 1.08 * max_lb
 
-    def sx(v: float) -> float:
+    # float in, float out; array in, array out (the same bits per entry)
+    def sx(v):
         return left + plot_w * (v / x_hi)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return top + plot_h * (1.0 - v / y_hi)
 
     out = io.StringIO()
@@ -187,16 +186,14 @@ def render_lb_svg(spec: LbPlotSpec) -> str:
         f'<line x1="{left:.2f}" y1="{sy(spec.lb_cutoff):.2f}" x2="{left + plot_w:.2f}" '
         f'y2="{sy(spec.lb_cutoff):.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>\n'
     )
-    # points: dots for ordinary rows, empty circles for overall outliers
-    for pt in spec.points:
-        color = class_color(pt.predicted)
-        cx, cy = sx(pt.rd_own), sy(pt.lb)
-        if pt.overall_outlier:
-            out.write(
-                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.4" fill="none" '
-                f'stroke="{color}" stroke-width="1.4"/>\n'
-            )
-        else:
-            out.write(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.6" fill="{color}"/>\n')
+    # points: dots for ordinary rows, empty circles for overall outliers,
+    # filled or stroked in the color of the predicted class
+    styles = np.array(
+        [f'r="2.6" fill="{color}"' for color in _PALETTE]
+        + [f'r="3.4" fill="none" stroke="{color}" stroke-width="1.4"' for color in _PALETTE]
+    )
+    style = styles[(spec.predicted - 1) % len(_PALETTE) + len(_PALETTE) * spec.overall_outlier]
+    circle = '<circle cx="%.2f" cy="%.2f" %s/>'
+    out.write(csv_text(None, circle, [sx(spec.rd_own), sy(spec.lb), style]))
     out.write("</svg>\n")
     return out.getvalue()

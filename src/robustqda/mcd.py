@@ -115,11 +115,15 @@ class RawEstimate:
         return self.loc_scat.sigma
 
 
+def _check_fraction(frac: float) -> None:
+    if not (0.5 <= frac < 1.0):
+        raise DomainError(f"coverage fraction must lie in [0.5, 1), got {frac!r}")
+
+
 def h_from_fraction(n: int, p: int, frac: float) -> int:
     """Subset size for coverage fraction ``frac``: at least the breakdown
     floor ``(n + p + 1) // 2``, clamped strictly below ``n``."""
-    if not (0.5 <= frac < 1.0):
-        raise DomainError(f"coverage fraction must lie in [0.5, 1), got {frac!r}")
+    _check_fraction(frac)
     if n <= p + 2:
         raise TooFewObservations(f"need n > p + 2 for a covariance fit, got n={n}, p={p}")
     h = max((n + p + 1) // 2, int(math.floor(frac * n + 1e-9)))

@@ -56,13 +56,27 @@ def model_to_json(model: QdaModel, label_names=None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(doc: dict, key: str, kind=None):
+def _require(doc: dict, key: str, kind, where: str = ""):
+    """``doc[key]`` if present and of type ``kind``; ``where`` prefixes the
+    key's name in the error, e.g. ``"fit_config."``."""
     if key not in doc:
-        raise DataError(f"model file is missing key {key!r}")
+        raise DataError(f"model file is missing key {where + key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise DataError(f"model file key {key!r} has the wrong type")
+    # JSON true and false load as bools, which isinstance counts as ints.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"model file key {where + key!r} has the wrong type")
     return value
+
+
+def _numbers(doc: dict, key: str, where: str) -> np.ndarray:
+    """``doc[key]``, a list (of equal-length lists) of numbers, as float64."""
+    try:
+        values = np.asarray(_require(doc, key, list, where))
+        if values.dtype.kind in "iuf":
+            return values.astype(np.float64)
+    except ValueError:  # rows of unequal length
+        pass
+    raise DataError(f"model file key {where + key!r} must hold equal-length lists of numbers")
 
 
 def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
@@ -79,6 +93,8 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     mode = _require(doc, "mode", str)
     p = _require(doc, "p", int)
     G = _require(doc, "G", int)
+    if p < 1 or G < 2:
+        raise DataError(f"model file needs p >= 1 and G >= 2, got p = {p}, G = {G}")
     quantile = float(_require(doc, "outlier_quantile", (int, float)))
     cutoff = float(_require(doc, "outlier_cutoff", (int, float)))
     config = _require(doc, "fit_config", dict)
@@ -95,20 +111,21 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     for g, entry in enumerate(raw_classes, start=1):
         if not isinstance(entry, dict):
             raise DataError(f"class {g}: entry must be an object")
-        mu = np.array(_require(entry, "mu", list), dtype=np.float64)
-        sigma = np.array(_require(entry, "sigma", list), dtype=np.float64)
+        where = f"classes[{g - 1}]."
+        mu = _numbers(entry, "mu", where)
+        sigma = _numbers(entry, "sigma", where)
         if mu.shape != (p,) or sigma.shape != (p, p):
             raise DataError(f"class {g}: mu/sigma shapes do not match p = {p}")
-        if int(entry["label"]) != g:
+        if _require(entry, "label", int, where) != g:
             raise DataError(f"class {g}: labels must be stored in order 1..G")
         classes.append(
             ClassModel(
                 label=g,
                 loc_scat=LocationScatter.from_sigma(mu, sigma),
-                prior=float(_require(entry, "prior", (int, float))),
-                n_raw=int(_require(entry, "n_raw", int)),
-                n_inlier=int(_require(entry, "n_inlier", int)),
-                blocks=int(entry.get("blocks", 1)),
+                prior=float(_require(entry, "prior", (int, float), where)),
+                n_raw=_require(entry, "n_raw", int, where),
+                n_inlier=_require(entry, "n_inlier", int, where),
+                blocks=_require(entry, "blocks", int, where),
             )
         )
     model = QdaModel(
@@ -116,9 +133,9 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
         mode=mode,
         outlier_quantile=quantile,
         outlier_cutoff=cutoff,
-        h_frac=float(config.get("h_frac", 0.5)),
-        blocks_requested=str(config.get("q", "auto")),
-        seed=int(config.get("seed", 0)),
+        h_frac=float(_require(config, "h_frac", (int, float), "fit_config.")),
+        blocks_requested=_require(config, "q", str, "fit_config."),
+        seed=_require(config, "seed", int, "fit_config."),
     )
     return model, names
 

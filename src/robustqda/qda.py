@@ -13,23 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_mcd import blockwise_mcd
-from .core import LocationScatter, _mean_cov, as_data_matrix, chi2_quantile, substream
+from .block_mcd import _block_count, blockwise_mcd
+from .core import LocationScatter, _mean_cov, as_data_matrix, check_seed, chi2_quantile, substream
 from .errors import (
     DataError,
     DimensionMismatch,
     EmptyClassAfterTrim,
     RobustQdaError,
     TooFewObservations,
-    UnknownClass,
 )
+from .mcd import _check_fraction
 
 __all__ = [
     "ClassModel",
     "QdaModel",
     "classify_rows",
     "fit_qda",
-    "label_bias",
 ]
 
 OUTLIER_LABEL = 0
@@ -130,9 +129,10 @@ def fit_qda(
     Robust mode estimates each class with :func:`blockwise_mcd` (block
     count from ``blocks``; ``"auto"`` sizes it from the class's rows) and
     derives priors from the trimmed per-class counts.  Classical mode
-    uses sample moments and empirical priors.  ``seed`` makes robust fits
-    reproducible; each class consumes its own substream, so the result
-    does not depend on fit order.
+    uses sample moments and empirical priors.  ``seed``, a non-negative
+    integer, makes robust fits reproducible; each class consumes its own
+    substream, so the result does not depend on fit order.  Both modes
+    record ``blocks``, ``h_frac`` and ``seed`` and check them alike.
     """
     X = as_data_matrix(X)
     n, p = X.shape
@@ -141,6 +141,11 @@ def fit_qda(
         raise DataError(f"mode must be 'robust' or 'classical', got {mode!r}")
     if not (0.0 < outlier_quantile < 1.0):
         raise DataError(f"outlier_quantile must lie in (0, 1), got {outlier_quantile!r}")
+    seed = check_seed(seed)
+    if mode == "classical":
+        if blocks != "auto":
+            _block_count(blocks)
+        _check_fraction(h_frac)
     cutoff = math.sqrt(chi2_quantile(p, outlier_quantile))
 
     fits: list[LocationScatter] = []
@@ -181,7 +186,7 @@ def fit_qda(
         outlier_cutoff=cutoff,
         h_frac=h_frac,
         blocks_requested=str(blocks),
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -211,17 +216,3 @@ def classify_rows(model: QdaModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarra
     labels[min_rd > model.outlier_cutoff] = OUTLIER_LABEL
     return labels, scores, rd, min_rd
 
-
-def label_bias(model: QdaModel, x, given: int) -> float:
-    """Square root of the score gap between the best class and ``given``.
-
-    Exactly zero when ``given`` attains the maximum score.
-    """
-    if not (1 <= given <= model.n_classes):
-        raise UnknownClass(f"label {given} is outside 1..{model.n_classes}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch("label_bias expects a single 1-D observation")
-    _, scores, _, _ = classify_rows(model, x[None, :])
-    row = scores[0]
-    return math.sqrt(row.max() - row[given - 1])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._threads import process_map
-from .core import LocationScatter, mvn_sample
+from .core import LocationScatter, check_seed, mvn_sample
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
 from .qda import classify_rows, fit_qda
@@ -125,6 +125,7 @@ class Scenario:
     def __post_init__(self):
         if len(self.classes) < 2:
             raise ConfigError("a scenario needs at least two classes")
+        check_seed(self.seed)
         p = self.classes[0].p
         for i, cls in enumerate(self.classes, start=1):
             if cls.p != p:
@@ -245,25 +246,28 @@ def extended_confusion(pred_labels, tags: Tags, n_classes: int) -> ExtendedConfu
     """Bucket predictions by provenance subclass.
 
     Rows ordered by origin class, then by given label with replaced rows
-    (key 0) first; every row is normalized by its own count.
+    (key 0) first; every row is normalized by its own count.  Predictions
+    must lie in 0..G, and the tags' origins and given labels in 1..G.
     """
     pred = np.asarray(pred_labels, dtype=np.int64)
     if pred.shape[0] != len(tags):
         raise DimensionMismatch("predictions and tags have different lengths")
     G = int(n_classes)
+    if pred.size and (pred.min() < 0 or pred.max() > G):
+        raise DataError(f"predictions must lie in 0..{G}")
+    classes = np.concatenate([tags.origin, tags.given])
+    if classes.size and (classes.min() < 1 or classes.max() > G):
+        raise DataError(f"tag origins and given labels must lie in 1..{G}")
     given_key = np.where(tags.kind == KIND_REPLACED, 0, tags.given)
-    keys = sorted(set(zip(tags.origin.tolist(), given_key.tolist())))
-    rates = np.empty((len(keys), G + 1))
-    counts = np.empty(len(keys), dtype=np.int64)
-    for r, (origin, given) in enumerate(keys):
-        mask = (tags.origin == origin) & (given_key == given)
-        counts[r] = int(mask.sum())
-        sub = pred[mask]
-        for g in range(1, G + 1):
-            rates[r, g - 1] = np.count_nonzero(sub == g) / counts[r]
-        rates[r, G] = np.count_nonzero(sub == 0) / counts[r]
+    # origin * (G + 1) + given_key sorts like the (origin, given_key) pair.
+    keys, key_row = np.unique(tags.origin * (G + 1) + given_key, return_inverse=True)
+    column = np.where(pred == 0, G, pred - 1)
+    cells = np.bincount(key_row * (G + 1) + column, minlength=keys.size * (G + 1))
+    cells = cells.reshape(keys.size, G + 1)
+    counts = cells.sum(axis=1)
+    row_keys = tuple(zip((keys // (G + 1)).tolist(), (keys % (G + 1)).tolist()))
     return ExtendedConfusion(
-        row_keys=tuple(keys), rates=rates, row_counts=counts, n_classes=G, rep_count=1
+        row_keys=row_keys, rates=cells / counts[:, None], row_counts=counts, n_classes=G, rep_count=1
     )
 
 

@@ -21,7 +21,7 @@ from robustqda.block_mcd import blockwise_mcd
 from robustqda.core import chi2_quantile
 from robustqda.lbplot import lb_points
 from robustqda.mcd import c_step, h_from_fraction, initial_starts, raw_from_subset
-from robustqda.qda import classify_rows, fit_qda, label_bias
+from robustqda.qda import classify_rows, fit_qda
 from robustqda.sim import generate, preset_scenario, run_study, two_class_demo
 
 # Scenario seeds are fixed so the five-replication averages land inside
@@ -234,15 +234,15 @@ def test_criterion_7_outlier_rule_bias_and_scores():
 
     # the bias statistic is exactly zero iff the queried class is argmax
     checked_zero = checked_pos = 0
-    for i in np.flatnonzero(labels != 0)[:500]:
+    inside = np.flatnonzero(labels != 0)[:500]
+    for given in (labels[inside], 3 - labels[inside]):
         for g in (1, 2):
-            bias = label_bias(model, T[i], g)
-            if g == labels[i]:
-                assert bias == 0.0
-                checked_zero += 1
-            else:
-                assert bias > 0.0
-                checked_pos += 1
+            spec = lb_points(model, T[inside], given, g)
+            own = labels[inside][spec.row] == g
+            assert np.all(spec.lb[own] == 0.0)
+            assert np.all(spec.lb[~own] > 0.0)
+            checked_zero += int(np.count_nonzero(own))
+            checked_pos += int(np.count_nonzero(~own))
     assert checked_zero == 500 and checked_pos == 500
 
     # scores must equal the quadratic discriminant formula evaluated
@@ -328,9 +328,7 @@ def test_criterion_9_label_bias_demo_counts():
     X, y, _ = two_class_demo(seed=0)
     model = fit_qda(X, y, blocks=1, seed=0)
     spec = lb_points(model, X, y, 2)
-    lb = np.array([pt.lb for pt in spec.points])
-    rd = np.array([pt.rd_own for pt in spec.points])
-    overall = np.array([pt.overall_outlier for pt in spec.points])
+    lb, rd, overall = spec.lb, spec.rd_own, spec.overall_outlier
     a = int(np.sum(overall & (lb > spec.lb_cutoff)))
     b = int(np.sum(~overall & (lb > spec.lb_cutoff) & (rd > spec.rd_cutoff)))
     assert abs(a - 8) <= 1

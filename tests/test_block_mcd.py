@@ -258,6 +258,13 @@ class TestCanonicalOrderOnce:
             with pytest.raises(DomainError):
                 blockwise_mcd(X, blocks=blocks)
 
+    def test_seeds_that_are_not_non_negative_integers(self):
+        X, _, _ = contaminated(6, n=200)
+        for seed in (-1, -(2**40), 1.5, "3", None, True):
+            with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+                blockwise_mcd(X, blocks=2, rng=seed)
+        assert blockwise_mcd(X, blocks=2, rng=np.int64(3)).weights.sum() > 0
+
     def test_one_sort_per_class_and_block_fits_unchanged(self, monkeypatch):
         from robustqda import mcd
 

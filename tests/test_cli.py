@@ -21,6 +21,7 @@ from robustqda.sim import (
     Contamination,
     Scenario,
     format_scenario,
+    preset_scenario,
     two_class_demo,
 )
 
@@ -222,6 +223,45 @@ class TestHFracFlag:
         assert err.startswith("error: DomainError: ")
         assert "coverage fraction must lie in [0.5, 1), got 1.0" in err
         assert not (tmp_path / "m.json").exists()
+
+class TestNegativeSeed:
+    """A negative seed is a validation error (exit 2) that writes nothing."""
+
+    def assert_rejected(self, argv, out, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: seed must be a non-negative integer, got -1")
+        assert not out.exists()
+
+    def test_mcd(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        make_training_csv(data, n_per_class=60)
+        out = tmp_path / "report.txt"
+        self.assert_rejected(["mcd", "--data", str(data), "--seed", "-1", "--out", str(out)],
+                             out, capsys)
+
+    @pytest.mark.parametrize("mode", ["robust", "classical"])
+    def test_train(self, mode, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        make_training_csv(data, n_per_class=60)
+        out = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--label-col", "label", "--mode", mode,
+                "--seed", "-1", "--out", str(out)]
+        self.assert_rejected(argv, out, capsys)
+
+    @pytest.mark.parametrize("source", ["preset", "file", "file-override"])
+    def test_simulate(self, source, tmp_path, capsys):
+        scenario = "clean"
+        if source != "preset":
+            scenario = tmp_path / "scenario.txt"
+            seed = "1" if source == "file-override" else "-1"
+            scenario.write_text(format_scenario(preset_scenario("clean", scale=0.002)).replace(
+                "seed = 0", f"seed = {seed}"))
+        argv = ["simulate", "--scenario", str(scenario), "--reps", "1", "--out", str(tmp_path / "o")]
+        if source != "file":
+            argv += ["--seed", "-1"]
+        self.assert_rejected(argv, tmp_path / "o", capsys)
+
 
 class TestPredictCommand:
     def test_round_trip_matches_in_process_scores(self, trained, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for JSON model persistence."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,3 +135,85 @@ class TestRejectsCorruptDocuments:
         doc["classes"][0]["sigma"] = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(Exception):
             model_from_json(json.dumps(doc))
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["classes"][0][key]
+    return edit
+
+
+def _set_class(key, value):
+    def edit(doc):
+        doc["classes"][0][key] = value
+    return edit
+
+
+def _set_config(key, value):
+    def edit(doc):
+        doc["fit_config"][key] = value
+    return edit
+
+
+def _no_classes(doc):
+    doc["G"] = 0
+    doc["classes"] = []
+
+
+def _one_class(doc):
+    doc["G"] = 1
+    doc["classes"] = doc["classes"][:1]
+
+
+def _no_features(doc):
+    doc["p"] = 0
+    for entry in doc["classes"]:
+        entry["mu"], entry["sigma"] = [], []
+
+
+def _ragged_sigma(doc):
+    doc["classes"][0]["sigma"][1] = [1.0]
+
+
+MALFORMED = {
+    "class without label": (_drop("label"), "missing key 'classes[0].label'"),
+    "text label": (_set_class("label", "one"), "key 'classes[0].label' has the wrong type"),
+    "bool label": (_set_class("label", True), "key 'classes[0].label' has the wrong type"),
+    "text blocks": (_set_class("blocks", "x"), "key 'classes[0].blocks' has the wrong type"),
+    "class without blocks": (_drop("blocks"), "missing key 'classes[0].blocks'"),
+    "text seed": (_set_config("seed", "x"), "key 'fit_config.seed' has the wrong type"),
+    "text q": (_set_config("q", 4), "key 'fit_config.q' has the wrong type"),
+    "list h_frac": (_set_config("h_frac", [1]), "key 'fit_config.h_frac' has the wrong type"),
+    "text in mu": (_set_class("mu", [0.0, "a", 1.0]), "key 'classes[0].mu' must hold"),
+    "numeric text in mu": (_set_class("mu", [0.0, "1", 1.0]), "key 'classes[0].mu' must hold"),
+    "ragged sigma": (_ragged_sigma, "key 'classes[0].sigma' must hold"),
+    "no classes": (_no_classes, "needs p >= 1 and G >= 2, got p = 3, G = 0"),
+    "one class": (_one_class, "G >= 2"),
+    "no features": (_no_features, "needs p >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_is_a_data_error_naming_the_key(trained, case):
+    edit, message = MALFORMED[case]
+    model, _ = trained
+    doc = json.loads(model_to_json(model))
+    edit(doc)
+    with pytest.raises(DataError, match=re.escape(message)):
+        model_from_json(json.dumps(doc))
+
+
+def test_predict_on_a_class_without_label_exits_2(trained, tmp_path, capsys):
+    from robustqda.cli import main
+
+    model, X = trained
+    doc = json.loads(model_to_json(model))
+    del doc["classes"][1]["label"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    feats = tmp_path / "x.csv"
+    feats.write_text("a,b,c\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r}\n" for r in X[:5].tolist()))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(path), "--data", str(feats), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: DataError: model file is missing key 'classes[1].label'\n"
+    assert not out.exists()

@@ -10,13 +10,12 @@ from robustqda.errors import (
     DimensionMismatch,
     DomainError,
     EmptyClassAfterTrim,
-    UnknownClass,
 )
+from robustqda.lbplot import lb_points
 from robustqda.qda import (
     OUTLIER_LABEL,
     classify_rows,
     fit_qda,
-    label_bias,
 )
 
 
@@ -148,18 +147,22 @@ class TestTiesAndBias:
         pts = np.random.default_rng(4).uniform(-5, 10, (500, 2))
         _, scores, _, _ = classify_rows(model, pts)
         arg = np.argmax(scores, axis=1) + 1
-        for i in range(pts.shape[0]):
-            lb_own = label_bias(model, pts[i], int(arg[i]))
-            assert lb_own == 0.0
-            other = 1 if arg[i] == 2 else 2
-            expected = math.sqrt(scores[i].max() - scores[i, other - 1])
-            assert label_bias(model, pts[i], other) == pytest.approx(expected, abs=1e-12)
+        # Query every point under its argmax class and under the other one.
+        for given in (arg, 3 - arg):
+            for g in (1, 2):
+                spec = lb_points(model, pts, given, g)
+                rows = spec.row
+                assert np.array_equal(spec.lb == 0.0, spec.predicted == g)
+                assert np.array_equal(spec.lb == 0.0, arg[rows] == g)
+                expected = np.sqrt(scores[rows].max(axis=1) - scores[rows, g - 1])
+                assert np.allclose(spec.lb, expected, rtol=0, atol=1e-12)
 
     def test_label_bias_rejects_unknown_class(self):
         X, y = two_gaussians(10)
         model = fit_qda(X, y, mode="classical")
-        with pytest.raises(UnknownClass):
-            label_bias(model, [0.0, 0.0], 3)
+        for given in (0, 3):
+            with pytest.raises(DataError, match="outside 1..2"):
+                lb_points(model, [[0.0, 0.0]], [given], given)
 
 
 class TestRobustMode:
@@ -231,6 +234,30 @@ class TestInputChecks:
         with pytest.raises(DomainError, match="class 1"):
             fit_qda(X, y, mode="robust", blocks="x")
 
+    @pytest.mark.parametrize("mode", ["robust", "classical"])
+    def test_negative_seed(self, mode):
+        X, y = two_gaussians(17)
+        with pytest.raises(DomainError, match="seed must be a non-negative integer, got -1"):
+            fit_qda(X, y, mode=mode, seed=-1)
+
+    @pytest.mark.parametrize("blocks", [True, "x", 0, 2.5])
+    def test_classical_mode_checks_blocks(self, blocks):
+        X, y = two_gaussians(17)
+        with pytest.raises(DomainError, match="q must be a positive integer"):
+            fit_qda(X, y, mode="classical", blocks=blocks)
+
+    @pytest.mark.parametrize("h_frac", [9.0, 1.0, 0.4, float("nan")])
+    def test_classical_mode_checks_h_frac(self, h_frac):
+        X, y = two_gaussians(17)
+        with pytest.raises(DomainError, match=r"coverage fraction must lie in \[0.5, 1\)"):
+            fit_qda(X, y, mode="classical", h_frac=h_frac)
+
+    def test_classical_mode_records_valid_options_unchanged(self):
+        X, y = two_gaussians(17)
+        model = fit_qda(X, y, mode="classical", blocks=3, h_frac=0.75, seed=4)
+        assert (model.blocks_requested, model.h_frac, model.seed) == ("3", 0.75, 4)
+        assert fit_qda(X, y, mode="classical").blocks_requested == "auto"
+
     def test_column_mismatch_at_predict(self):
         X, y = two_gaussians(18)
         model = fit_qda(X, y, mode="classical")
@@ -259,4 +286,5 @@ class TestInputChecks:
             assert (label[0], row_min_rd[0]) == (labels[i], min_rd[i])
             assert np.array_equal(row_scores[0], scores[i]) and np.array_equal(row_rd[0], rd[i])
             for g in (1, 2):
-                assert label_bias(model, pts[i], g) == math.sqrt(scores[i].max() - scores[i, g - 1])
+                lone = lb_points(model, pts[i : i + 1], [g], g)
+                assert lone.lb[0] == math.sqrt(scores[i].max() - scores[i, g - 1])

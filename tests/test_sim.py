@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from robustqda.errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
-from robustqda.qda import fit_qda
+from robustqda.qda import classify_rows, fit_qda
 from robustqda.sim import (
     KIND_MISLABELED,
+    KIND_REPLACED,
     ClassSpec,
     Contamination,
     Scenario,
@@ -54,6 +55,18 @@ class TestScenarioValidation:
             small_scenario(eps_meas=-0.1)
         with pytest.raises(ConfigError):
             small_scenario(eps_label=0.3, eps_meas=0.2)
+
+    def test_negative_seed(self):
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(DataError, match=message):
+            small_scenario(seed=-1)
+        with pytest.raises(DataError, match=message):
+            preset_scenario("clean", seed=-1)
+        with pytest.raises(DataError, match=message):
+            replace(small_scenario(), seed=-1)
+        text = format_scenario(small_scenario(seed=3)).replace("seed = 3", "seed = -1")
+        with pytest.raises(DataError, match=message):
+            parse_scenario(text)
 
     def test_contamination_required_for_measurement_noise(self):
         with pytest.raises(ConfigError, match="contamination"):
@@ -194,12 +207,88 @@ class TestExtendedConfusion:
         assert avg.rate(1, 1, 2) == 0.25
         assert np.allclose(avg.rates.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_prediction_rejected(self, bad):
+        pred = np.ones(8, dtype=int)
+        pred[5] = bad
+        with pytest.raises(DataError, match="predictions must lie in 0..2"):
+            extended_confusion(pred, self.make_tags(), 2)
+
+    @pytest.mark.parametrize("field, bad", [("given", 3), ("given", 0), ("origin", 3), ("origin", 0)])
+    def test_out_of_range_tag_rejected(self, field, bad):
+        tags = self.make_tags()
+        values = getattr(tags, field).copy()
+        values[2] = bad
+        tags = replace(tags, **{field: values})
+        with pytest.raises(DataError, match="tag origins and given labels must lie in 1..2"):
+            extended_confusion(np.ones(8, dtype=int), tags, 2)
+
     def test_average_requires_matching_rows(self):
         tags = self.make_tags()
         a = extended_confusion(np.ones(8, dtype=int), tags, 2)
         b = extended_confusion(np.ones(8, dtype=int), tags, 3)
         with pytest.raises(DataError):
             average_confusions([a, b])
+
+
+def reference_extended_confusion(pred_labels, tags, n_classes):
+    """The per-key confusion that one np.unique and one np.bincount replaced:
+    Python tuples for the keys, one mask pass per key."""
+    pred = np.asarray(pred_labels, dtype=np.int64)
+    G = int(n_classes)
+    given_key = np.where(tags.kind == KIND_REPLACED, 0, tags.given)
+    keys = sorted(set(zip(tags.origin.tolist(), given_key.tolist())))
+    rates = np.empty((len(keys), G + 1))
+    counts = np.empty(len(keys), dtype=np.int64)
+    for r, (origin, given) in enumerate(keys):
+        mask = (tags.origin == origin) & (given_key == given)
+        counts[r] = int(mask.sum())
+        sub = pred[mask]
+        for g in range(1, G + 1):
+            rates[r, g - 1] = np.count_nonzero(sub == g) / counts[r]
+        rates[r, G] = np.count_nonzero(sub == 0) / counts[r]
+    return tuple(keys), rates, counts
+
+
+def assert_confusion_matches_reference(pred, tags, G):
+    conf = extended_confusion(pred, tags, G)
+    keys, rates, counts = reference_extended_confusion(pred, tags, G)
+    assert conf.row_keys == keys
+    assert all(type(v) is int for key in conf.row_keys for v in key)
+    assert conf.rates.dtype == rates.dtype and conf.rates.shape == rates.shape
+    assert conf.rates.tobytes() == rates.tobytes()
+    assert conf.row_counts.dtype == counts.dtype and conf.row_counts.tobytes() == counts.tobytes()
+    return conf
+
+
+class TestConfusionMatchesPerKeyReference:
+    @pytest.mark.parametrize("name", ["clean", "label", "measurement", "both"])
+    def test_presets(self, name):
+        sc = preset_scenario(name, scale=0.004, seed=6)
+        X, y, tags = generate(sc)
+        G = sc.n_classes
+        model = fit_qda(X, y, mode="classical")
+        labels, _, _, _ = classify_rows(model, X)
+        assert_confusion_matches_reference(labels, tags, G)
+        rng = np.random.default_rng(len(name))
+        assert_confusion_matches_reference(rng.integers(0, G + 1, len(tags)), tags, G)
+
+    def test_key_with_no_replaced_rows(self):
+        # origin 2 has a replaced row, origin 1 has none; origin 3 has only
+        # replaced rows; every prediction column is hit somewhere
+        origin = np.array([1, 1, 1, 2, 2, 2, 2, 3, 3])
+        given = np.array([1, 2, 1, 2, 1, 2, 2, 3, 3])
+        kind = np.array([0, 1, 0, 0, 1, 2, 0, 2, 2], dtype=np.int8)
+        tags = Tags(origin=origin, given=given, kind=kind)
+        pred = np.array([1, 0, 3, 2, 2, 0, 1, 3, 0])
+        conf = assert_confusion_matches_reference(pred, tags, 3)
+        assert conf.row_keys == ((1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
+
+    def test_no_rows(self):
+        empty = np.empty(0, dtype=np.int64)
+        tags = Tags(origin=empty.copy(), given=empty.copy(), kind=np.empty(0, dtype=np.int8))
+        conf = assert_confusion_matches_reference(empty, tags, 2)
+        assert conf.rates.shape == (0, 3)
 
 
 class TestMetrics:
