@@ -58,10 +58,6 @@ class BlockPlan:
     assignments: tuple
     sizes: tuple
 
-    @property
-    def n(self) -> int:
-        return int(sum(self.sizes))
-
 
 @dataclass(frozen=True)
 class PooledRaw:
@@ -89,14 +85,14 @@ class PooledRaw:
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
+    """Per-block facts of a fit: the block count, each block's rows, subset
+    size and uncorrected determinant.  The screening and pooling facts
+    live in :class:`PooledRaw`."""
+
     q: int
     block_sizes: tuple
     h_values: tuple
     block_dets: tuple
-    kl_deviations: tuple
-    selected_blocks: tuple
-    pooled_h: int
-    inlier_count: int
 
 
 @dataclass(frozen=True)
@@ -169,21 +165,24 @@ def median_pool(estimates) -> tuple[np.ndarray, np.ndarray]:
     return np.median(mus, axis=0), np.median(sigmas, axis=0)
 
 
-def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, ls_b: LocationScatter) -> float:
-    """Gaussian KL-style deviation of (sigma_a, mu_a) from ``ls_b``:
+def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, fits) -> list[float]:
+    """Gaussian KL-style deviations of (sigma_a, mu_a) from each
+    :class:`LocationScatter` ``B`` of ``fits``:
     ``trace(A B^-1 - I) - ln|A B^-1| + (a - b)' B^-1 (a - b)``.  The first
     pair may be indefinite (entry-wise medians can be); when its
-    determinant is not positive the deviation is +inf."""
-    p = ls_b.p
+    determinant is not positive every deviation is +inf."""
     sign, logdet_a = np.linalg.slogdet(sigma_a)
     if sign <= 0:
-        return float("inf")
-    trace = float(np.sum(sigma_a * ls_b.precision))
-    diff = mu_a - ls_b.mu
-    quad = float(diff @ ls_b.precision @ diff)
-    # Nonnegative in exact arithmetic; clamp the rounding noise of equal
-    # arguments (a one-block fit) at 0.
-    return max(trace - p - (logdet_a - ls_b.log_det) + quad, 0.0)
+        return [float("inf")] * len(fits)
+    deviations = []
+    for ls_b in fits:
+        trace = float(np.sum(sigma_a * ls_b.precision))
+        diff = mu_a - ls_b.mu
+        quad = float(diff @ ls_b.precision @ diff)
+        # Nonnegative in exact arithmetic; clamp the rounding noise of equal
+        # arguments (a one-block fit) at 0.
+        deviations.append(max(trace - ls_b.p - (logdet_a - ls_b.log_det) + quad, 0.0))
+    return deviations
 
 
 def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
@@ -199,7 +198,7 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     if len(estimates) != plan.q:
         raise DataError(f"expected {plan.q} block estimates, got {len(estimates)}")
     mu_med, sigma_med = median_pool(estimates)
-    deviations = np.array([_kl_core(sigma_med, mu_med, e.loc_scat) for e in estimates])
+    deviations = np.array(_kl_core(sigma_med, mu_med, [e.loc_scat for e in estimates]))
     keep = max(1, plan.q // 2)
     chosen = np.sort(np.argsort(deviations, kind="stable")[:keep])
     pooled_rows = np.sort(
@@ -291,10 +290,6 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         block_sizes=plan.sizes,
         h_values=tuple(int(e.h) for e in estimates),
         block_dets=tuple(float(e.det_uncorrected) for e in estimates),
-        kl_deviations=pooled.kl_deviations,
-        selected_blocks=pooled.contributing_blocks,
-        pooled_h=pooled.h,
-        inlier_count=int(weights.sum()),
     )
     return BlockwiseResult(
         estimate=destandardize_estimate(refined, standardizer),

@@ -127,6 +127,7 @@ def _fmt(x: float) -> str:
 def _mcd_report(result, names, h_frac, blocks_flag, seed) -> str:
     est = result.estimate
     diag = result.diagnostics
+    raw = result.raw
     p = est.p
     lines = [
         "blockwise mcd estimate",
@@ -142,13 +143,13 @@ def _mcd_report(result, names, h_frac, blocks_flag, seed) -> str:
         lines.append(f"scatter_row_{j + 1} = " + " ".join(_fmt(v) for v in est.sigma[j]))
     lines += [
         f"det = {_fmt(float(np.exp(est.log_det)))}",
-        f"inliers = {diag.inlier_count} of {result.weights.shape[0]}",
+        f"inliers = {int(result.weights.sum())} of {result.weights.shape[0]}",
         "block_sizes = " + " ".join(str(v) for v in diag.block_sizes),
         "block_h = " + " ".join(str(v) for v in diag.h_values),
         "block_det = " + " ".join(_fmt(v) for v in diag.block_dets),
-        "block_kl = " + " ".join(_fmt(v) for v in diag.kl_deviations),
-        "selected_blocks = " + " ".join(str(v) for v in diag.selected_blocks),
-        f"pooled_h = {diag.pooled_h}",
+        "block_kl = " + " ".join(_fmt(v) for v in raw.kl_deviations),
+        "selected_blocks = " + " ".join(str(v) for v in raw.contributing_blocks),
+        f"pooled_h = {raw.h}",
     ]
     return "\n".join(lines) + "\n"
 

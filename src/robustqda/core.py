@@ -94,7 +94,7 @@ def _check_square_symmetric(sigma, *, name: str = "sigma") -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _factor_stack(S: np.ndarray, name: str = "sigma") -> tuple[np.ndarray, np.ndarray, dict]:
+def _factor_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Lower Cholesky factors and log-determinants of a stack ``(K, p, p)``
     of matrices already checked and symmetrised.
 
@@ -117,7 +117,7 @@ def _factor_stack(S: np.ndarray, name: str = "sigma") -> tuple[np.ndarray, np.nd
             try:
                 L[k] = np.linalg.cholesky(S[k])
             except np.linalg.LinAlgError as exc:
-                failed[k] = NotPositiveDefinite(f"{name} is not positive definite: {exc}")
+                failed[k] = NotPositiveDefinite(f"sigma is not positive definite: {exc}")
                 L[k] = np.eye(p)
     diag = np.diagonal(L, axis1=1, axis2=2)
     pivots = diag ** 2
@@ -126,7 +126,7 @@ def _factor_stack(S: np.ndarray, name: str = "sigma") -> tuple[np.ndarray, np.nd
     singular = smallest <= threshold
     for k in np.flatnonzero(singular):
         failed.setdefault(int(k), NotPositiveDefinite(
-            f"{name} is numerically singular (pivot {smallest[k]:.3e} "
+            f"sigma is numerically singular (pivot {smallest[k]:.3e} "
             f"below threshold {threshold[k]:.3e})"
         ))
     # The pivots of a slice that passed are positive.
@@ -134,7 +134,7 @@ def _factor_stack(S: np.ndarray, name: str = "sigma") -> tuple[np.ndarray, np.nd
     for k in np.flatnonzero(cond_estimate > _COND_WARN):
         if k not in failed:
             log.warning(
-                "%s is ill-conditioned (pivot-ratio estimate %.3e); proceeding", name, cond_estimate[k]
+                "sigma is ill-conditioned (pivot-ratio estimate %.3e); proceeding", cond_estimate[k]
             )
     return L, 2.0 * np.log(diag).sum(axis=1), failed
 
@@ -157,6 +157,14 @@ def _inverse_factors(L: np.ndarray) -> tuple[np.ndarray, dict]:
         for k in np.flatnonzero(~np.isfinite(inv).all(axis=(1, 2))):
             failed.setdefault(int(k), NumericError("triangular solve overflowed"))
     return np.tril(inv), failed
+
+
+def _whitened_squared_norms(inv_chol: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """Squared norms ``(K, m)`` of a stack of deviations ``(K, m, p)``
+    whitened by the inverse factors ``(K, p, p)``: one matrix product per
+    slice, so each slice gets the bits it would get alone."""
+    W = inv_chol @ dev.transpose(0, 2, 1)
+    return np.einsum("kij,kij->kj", W, W)
 
 
 @dataclass(frozen=True)
@@ -239,8 +247,7 @@ class LocationScatter:
             # round differently from the matrix-matrix one of a batch.
             dev = np.repeat(dev, 2, axis=0)
         with np.errstate(invalid="ignore", over="ignore"):
-            W = self.inv_chol @ dev.T
-            d2 = np.einsum("ij,ij->j", W, W)[: X.shape[0]]
+            d2 = _whitened_squared_norms(self.inv_chol[None], dev[None])[0, : X.shape[0]]
         # A non-finite deviation always yields a non-finite distance, so
         # the n x p check runs only when the n distances fail theirs.
         if not np.isfinite(d2).all() and not np.isfinite(dev).all():

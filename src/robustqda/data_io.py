@@ -262,12 +262,11 @@ def encode_labels(labels_raw) -> tuple[np.ndarray, tuple | None]:
 def encode_with_names(labels_raw, label_names) -> np.ndarray:
     """Encode labels against an existing name table (from a model file)."""
     index = {name: g for g, name in enumerate(label_names, start=1)}
-    out = np.empty(len(labels_raw), dtype=np.int64)
-    for i, cell in enumerate(labels_raw):
-        if cell not in index:
-            known = ", ".join(label_names)
-            raise DataError(f"row {i + 1}: label {cell!r} is not one of the trained classes ({known})")
-        out[i] = index[cell]
+    out = np.array([index.get(cell, 0) for cell in labels_raw], dtype=np.int64)
+    if not out.all():
+        i = int(np.argmin(out))  # the first unknown label
+        known = ", ".join(label_names)
+        raise DataError(f"row {i + 1}: label {labels_raw[i]!r} is not one of the trained classes ({known})")
     return out
 
 

@@ -13,7 +13,10 @@ Each (block, start) pair is a candidate.  The candidates of one call
 that share a block size are fitted together as a stack ``(K, m, p)`` in
 row layout: the starts, every concentration step and every polish sweep
 run as one numpy pass over the candidates still active, while each
-candidate keeps its own convergence, warnings and failures.  Stacked
+candidate keeps its own convergence, warnings and failures.  One record,
+:class:`_Fits`, holds the stack's fits, h-subsets, determinants and
+errors.  A candidate whose start is degenerate goes through the start's
+passes like the others and ends with its ``DegenerateStart``.  Stacked
 ``matmul`` and ``linalg`` calls make one BLAS or LAPACK call per slice,
 and means and cross-products reduce along the row axis, so a candidate
 gets the same bits in any stack as alone.  Only the exchange search's
@@ -21,8 +24,9 @@ pruned pair scoring (:func:`_best_exchange`) loops over candidates.  A
 stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded in the
 block size; a larger candidate is a stack of its own.  Every refit goes
 through :func:`_refit`, which forms the inverse Cholesky factor once;
-distances and exchange ratios whiten deviations through it, one matrix
-product per pass.
+distances (``core._whitened_squared_norms``, shared with
+:meth:`LocationScatter.squared_distances`) and exchange ratios whiten
+deviations through it, one matrix product per pass.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from .core import (
     _factor_stack,
     _inverse_factors,
     _mean_cov,
+    _whitened_squared_norms,
     as_data_matrix,
     chi2_cdf,
     chi2_quantile,
@@ -168,59 +173,69 @@ def raw_from_subset(Z, subset) -> RawEstimate:
     if subset.min() < 0 or subset.max() >= n:
         raise DataError(f"subset indices must lie in [0, {n})")
     c_alpha = consistency_factor(h, n, p)
-    fits, det = _refit(Z, np.sort(subset)[None], c_alpha)
-    if fits.failed:
-        raise fits.failed[0]
-    return RawEstimate(_loc_scat(fits, 0), np.sort(subset), float(det[0]), c_alpha)
+    fits = _refit(Z[None], np.zeros(1, dtype=np.intp), np.sort(subset)[None], c_alpha)
+    if fits.error[0] is not None:
+        raise fits.error[0]
+    return RawEstimate(_loc_scat(fits, 0), fits.subset[0], float(fits.det[0]), c_alpha)
 
 
 @dataclass
 class _Fits:
-    """Location/scatter fits of a stack, one per row of each array;
-    ``failed`` maps the index of each fit that failed to its exception."""
+    """Location/scatter fits of a stack of candidates, one per row of each
+    array: the fit, its h-subset (indices into the candidate's rows) with
+    the subset's uncorrected determinant (both None at the starts), and
+    ``error[k]``, the exception that ended fit ``k``, or None."""
 
     mu: np.ndarray
     sigma: np.ndarray
     chol: np.ndarray
     inv_chol: np.ndarray
     log_det: np.ndarray
-    failed: dict
+    subset: np.ndarray | None
+    det: np.ndarray | None
+    error: list
 
-    def ok(self) -> np.ndarray:
-        """Mask of the fits that did not fail."""
-        mask = np.ones(self.log_det.shape[0], dtype=bool)
-        mask[list(self.failed)] = False
-        return mask
+    def live(self) -> np.ndarray:
+        """Indices of the fits that did not fail."""
+        return np.array([k for k, exc in enumerate(self.error) if exc is None], dtype=np.intp)
+
+    def take(self, idx: np.ndarray, fits: _Fits, sel: np.ndarray) -> None:
+        """Take fits ``sel`` of ``fits`` as the fits ``idx``."""
+        for name in ("mu", "sigma", "chol", "inv_chol", "log_det", "subset", "det"):
+            getattr(self, name)[idx] = getattr(fits, name)[sel]
 
 
 def _factor(mu: np.ndarray, sigma: np.ndarray) -> _Fits:
-    """Cholesky factors, log-determinants and inverse factors of a stack
-    of symmetric scatters the package formed itself, so not checked again."""
+    """Fits of a stack of symmetric scatters the package formed itself, so
+    not checked again: Cholesky factors, log-determinants and inverse
+    factors, with no subset yet."""
     chol, log_det, failed = _factor_stack(sigma)
     inv_chol, inv_failed = _inverse_factors(chol)
-    return _Fits(mu, sigma, chol, inv_chol, log_det, {**inv_failed, **failed})
+    error = [failed.get(k, inv_failed.get(k)) for k in range(len(log_det))]
+    return _Fits(mu, sigma, chol, inv_chol, log_det, None, None, error)
 
 
-def _refit(Zflat: np.ndarray, rows: np.ndarray, c_alpha: float) -> tuple[_Fits, np.ndarray]:
-    """Raw fits of the row sets ``rows`` ``(K, h)`` of ``Zflat`` with
-    consistency factor ``c_alpha``, and their uncorrected determinants.
+def _refit(Z: np.ndarray, cand: np.ndarray, rows: np.ndarray, c_alpha: float) -> _Fits:
+    """Raw fits of the row sets ``rows`` ``(K, h)``, row ``j`` indexing the
+    rows of candidate ``Z[cand[j]]``, with consistency factor ``c_alpha``.
 
     Every caller refits through here: gather, mean and cross-product
     along the row axis (the bits of one row set fitted alone), then
     :func:`_factor`.
     """
-    X = np.take(Zflat, rows, axis=0)
+    _, m, p = Z.shape
+    X = np.take(Z.reshape(-1, p), rows + m * cand[:, None], axis=0)
     mu = X.mean(axis=1)
     dev = X - mu[:, None, :]
-    sigma = c_alpha * ((dev.transpose(0, 2, 1) @ dev) / (rows.shape[1] - 1))
-    fits = _factor(mu, sigma)
-    plain = fits.log_det - X.shape[2] * math.log(c_alpha)
-    return fits, np.array([math.exp(v) for v in plain.tolist()])
+    fits = _factor(mu, c_alpha * ((dev.transpose(0, 2, 1) @ dev) / (rows.shape[1] - 1)))
+    fits.subset = rows
+    fits.det = np.array([math.exp(v) for v in (fits.log_det - p * math.log(c_alpha)).tolist()])
+    return fits
 
 
-def _loc_scat(fits, k: int) -> LocationScatter:
-    """Fit ``k`` of a stack (a :class:`_Fits` or a :class:`_Stack`) as a
-    read-only :class:`LocationScatter` with its own arrays."""
+def _loc_scat(fits: _Fits, k: int) -> LocationScatter:
+    """Fit ``k`` of a stack as a read-only :class:`LocationScatter` with
+    its own arrays."""
     return LocationScatter._from_factors(
         fits.mu[k].copy(), fits.sigma[k].copy(), fits.chol[k].copy(), fits.log_det[k],
         fits.inv_chol[k].copy(),
@@ -230,8 +245,8 @@ def _loc_scat(fits, k: int) -> LocationScatter:
 def _smallest_h(d2: np.ndarray, h: int) -> np.ndarray:
     """Indices of the ``h`` smallest distances, sorted, in each row.
 
-    For a ``(K, m)`` stack the result is ``(K, h)`` indices into
-    ``d2.ravel()``; for a single row, the ``h`` indices.  Distance ties at
+    For a ``(K, m)`` stack the result is ``(K, h)`` indices into the
+    rows of ``d2``; for a single row, the ``h`` indices.  Distance ties at
     rank ``h`` resolve to the lowest row indices, which keeps the subset
     deterministic: each row equals ``np.sort(np.argsort(row,
     kind="stable")[:h])``, found by an O(m) selection instead of a full
@@ -246,7 +261,7 @@ def _smallest_h(d2: np.ndarray, h: int) -> np.ndarray:
         ties = np.flatnonzero(rows[k] == kth[k])
         less[ties[: h - np.count_nonzero(less)]] = True
         keep[k] = less
-    picked = np.flatnonzero(keep).reshape(-1, h)
+    picked = np.nonzero(keep)[1].reshape(-1, h)
     return picked if d2.ndim == 2 else picked[0]
 
 
@@ -257,99 +272,58 @@ def c_step(Z, current: RawEstimate) -> RawEstimate:
     return raw_from_subset(Z, _smallest_h(d2, current.h))
 
 
-class _Stack:
-    """Candidates of one block size, fitted in lockstep.
-
-    ``Z`` holds the candidates' rows as a ``(K, m, p)`` stack in row
-    layout; a block fitted from both starts appears twice.  Row ``k`` of
-    every other array is candidate ``k``'s current fit, and ``error[k]``
-    the exception that ended it: a ``DegenerateStart`` when its start
-    could not be formed.
-    """
-
-    def __init__(self, Z: np.ndarray):
-        K, m, p = Z.shape
-        self.Z = Z
-        self.subset = np.empty((K, 0), dtype=np.intp)  # set by _concentrate
-        self.mu = np.empty((K, p))
-        self.sigma = np.empty((K, p, p))
-        self.chol = np.empty((K, p, p))
-        self.inv_chol = np.empty((K, p, p))
-        self.log_det = np.empty(K)
-        self.det = np.full(K, math.inf)
-        self.error: list[Exception | None] = [None] * K
-
-    def live(self) -> np.ndarray:
-        return np.array([k for k, exc in enumerate(self.error) if exc is None], dtype=np.intp)
-
-    def take(self, idx: np.ndarray, fits: _Fits, sel: np.ndarray, subset=None, det=None) -> None:
-        """Take fits ``sel``, on row sets ``subset`` with determinants
-        ``det`` when given, as the fits of candidates ``idx``."""
-        for name in ("mu", "sigma", "chol", "inv_chol", "log_det"):
-            getattr(self, name)[idx] = getattr(fits, name)[sel]
-        if subset is not None:
-            self.subset[idx] = subset[sel]
-            self.det[idx] = det[sel]
-
-
-def _start(Z: np.ndarray, kinds: np.ndarray) -> _Stack:
-    """A stack of candidates at their starts: kind 0 takes the spatial-sign
-    start and kind 1 the tanh-correlation start of its rows.
+def _start(Z: np.ndarray, kinds: np.ndarray) -> _Fits:
+    """Fits of a stack of candidates at their starts: kind 0 takes the
+    spatial-sign start and kind 1 the tanh-correlation start of its rows.
 
     Each start's shape matrix is rescaled along its eigenvectors by squared
     MADs of the projected data, tiny eigenvalues are floored, and the
     location is the back-transformed coordinate-wise median of the data
-    sphered by that scatter.
+    sphered by that scatter.  A candidate whose shape is not finite goes
+    on with an identity shape, and one whose scales are all zero or not
+    finite with unit scales; each ends with the first ``DegenerateStart``
+    it got.
     """
-    st = _Stack(Z)
     K, m, p = Z.shape
     shape = np.empty((K, p, p))
     for kind, build in enumerate((_sign_shapes, _tanh_shapes)):
         idx = np.flatnonzero(kinds == kind)
         if idx.size:
             shape[idx] = build(Z if idx.size == K else Z[idx])
-    for k in np.flatnonzero(~np.isfinite(shape).all(axis=(1, 2))):
-        st.error[k] = DegenerateStart(
+    error = [None] * K
+    bad = ~np.isfinite(shape).all(axis=(1, 2))
+    for k in np.flatnonzero(bad):
+        error[k] = DegenerateStart(
             "tanh correlation is undefined (constant column)" if kinds[k]
             else "initial shape matrix has non-finite entries"
         )
-    live = st.live()
-    if not live.size:
-        return st
-    Zl = Z if live.size == K else Z[live]
-    S = shape[live]
-    _, vecs = np.linalg.eigh(0.5 * (S + S.transpose(0, 2, 1)))
-    proj = Zl @ vecs
+    shape[bad] = np.eye(p)
+    _, vecs = np.linalg.eigh(0.5 * (shape + shape.transpose(0, 2, 1)))
+    proj = Z @ vecs
     med = _median(proj, 1)
     lam = (MAD_TO_SD * _median(np.abs(proj - med[:, None, :]), 1)) ** 2
     finite = np.isfinite(lam).all(axis=1)
     lam_max = np.where(finite, lam.max(axis=1), 0.0)
-    for j in np.flatnonzero(lam_max <= 0.0):
-        st.error[live[j]] = DegenerateStart(
-            "all projected scales are zero; start is not repairable" if finite[j]
+    flat = lam_max <= 0.0
+    for k in np.flatnonzero(flat):
+        error[k] = error[k] or DegenerateStart(
+            "all projected scales are zero; start is not repairable" if finite[k]
             else "projected scales are not finite"
         )
-    good = lam_max > 0.0
-    if not good.all():
-        live, Zl, vecs, lam, lam_max = live[good], Zl[good], vecs[good], lam[good], lam_max[good]
-        if not live.size:
-            return st
+    lam[flat], lam_max[flat] = 1.0, 1.0
     lam = np.maximum(lam, _EIGEN_FLOOR * lam_max[:, None])
     sigma = (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1)
     fits = _factor(None, 0.5 * (sigma + sigma.transpose(0, 2, 1)))
-    sphered = fits.inv_chol @ Zl.transpose(0, 2, 1)
+    sphered = fits.inv_chol @ Z.transpose(0, 2, 1)
     fits.mu = (fits.chol @ _median(sphered, 2)[:, :, None])[:, :, 0]
-    for j, exc in fits.failed.items():
-        st.error[live[j]] = exc
-    ok = fits.ok()
-    st.take(live[ok], fits, ok)
-    return st
+    fits.error = [first or exc for first, exc in zip(error, fits.error)]
+    return fits
 
 
 def _median(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.median(x, axis)`` for finite ``x``, bit for bit, without its
-    NaN pass: the middle order statistic, or the mean of the two middle
-    ones, from one partition."""
+    """``np.median(x, axis)`` for finite ``x`` without its NaN pass: the
+    middle order statistic, or the mean of the two middle ones, from one
+    partition.  The same values; a zero may differ in sign."""
     half = x.shape[axis] // 2
     if x.shape[axis] % 2:
         return np.take(np.partition(x, half, axis=axis), half, axis=axis)
@@ -389,21 +363,20 @@ def initial_starts(Z) -> list[LocationScatter]:
     """The two deterministic robust starts used to seed concentration steps."""
     Z = as_data_matrix(Z, name="Z")
     st = _start(np.stack([Z, Z]), np.arange(2))
-    for exc in st.error:
-        if exc is not None:
-            raise exc
+    for exc in filter(None, st.error):
+        raise exc
     return [_loc_scat(st, k) for k in range(2)]
 
 
-def _distances(Z: np.ndarray, mu: np.ndarray, inv_chol: np.ndarray) -> np.ndarray:
-    """Squared distances ``(K, m)`` of the rows of each slice of ``Z``
-    under fit ``k``: :meth:`LocationScatter.squared_distances`, slice by slice."""
-    W = inv_chol @ (Z - mu[:, None, :]).transpose(0, 2, 1)
-    return np.einsum("kij,kij->kj", W, W)
+def _keep(act: np.ndarray, Za: np.ndarray, stay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The active candidates ``act`` and their rows ``Za`` cut to the
+    ascending positions ``stay``; the rows are copied only when some go."""
+    return act[stay], Za if stay.size == act.size else Za[stay]
 
 
-def _concentrate(st: _Stack, h: int, c_alpha: float, max_steps: int) -> None:
-    """Concentration steps for every live candidate of ``st``, in lockstep.
+def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float, max_steps: int) -> None:
+    """Concentration steps for every live fit of ``st``, of the candidates'
+    rows ``Z``, in lockstep.
 
     The first pass refits on the ``h`` rows closest to the start; each
     later pass re-selects, and a candidate whose subset reproduces itself
@@ -412,32 +385,27 @@ def _concentrate(st: _Stack, h: int, c_alpha: float, max_steps: int) -> None:
     moving after ``max_steps`` passes keeps its last subset, with a
     warning.
     """
-    K, m, p = st.Z.shape
-    st.subset = np.full((K, h), -1, dtype=np.intp)
+    K, m, _ = Z.shape
+    st.subset, st.det = np.full((K, h), -1, dtype=np.intp), np.full(K, math.inf)
     act = st.live()
-    Za = st.Z if act.size == K else st.Z[act]
+    Za = Z if act.size == K else Z[act]
     for _ in range(max_steps + 1):
         if not act.size:
             break
-        offsets = (np.arange(act.size) * m)[:, None]
-        picked = _smallest_h(_distances(Za, st.mu[act], st.inv_chol[act]), h)
-        moved = (picked - offsets != st.subset[act]).any(axis=1)
-        if not moved.any():
+        picked = _smallest_h(_whitened_squared_norms(st.inv_chol[act], Za - st.mu[act][:, None, :]), h)
+        moved = np.flatnonzero((picked != st.subset[act]).any(axis=1))
+        if not moved.size:
             act = act[:0]
             break
         idx = act[moved]
-        fits, det = _refit(Za.reshape(-1, p), picked[moved], c_alpha)
-        for j in np.flatnonzero(det > st.det[idx] * (1.0 + 1e-9)):
-            fits.failed.setdefault(j, NumericError("concentration step increased the determinant"))
-        for j, exc in fits.failed.items():
+        fits = _refit(Za, moved, picked[moved], c_alpha)
+        for j in np.flatnonzero(fits.det > st.det[idx] * (1.0 + 1e-9)):
+            fits.error[j] = fits.error[j] or NumericError("concentration step increased the determinant")
+        for j, exc in enumerate(fits.error):
             st.error[idx[j]] = exc
-        ok = fits.ok()
-        st.take(idx[ok], fits, ok, picked[moved] - offsets[moved], det)
-        still = np.zeros(act.size, dtype=bool)
-        still[np.flatnonzero(moved)[ok]] = True
-        act = act[still]
-        if not still.all():
-            Za = Za[still]
+        ok = fits.live()
+        st.take(idx[ok], fits, ok)
+        act, Za = _keep(act, Za, moved[ok])
     for k in act:
         log.warning(
             "concentration steps did not converge within %d steps (n=%d, h=%d); "
@@ -532,8 +500,9 @@ def _best_exchange(
     return best
 
 
-def _polish(st: _Stack, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
-    """Exchange descent from the concentration fixed points, in lockstep.
+def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
+    """Exchange descent from the concentration fixed points of ``st``, of
+    the candidates' rows ``Z``, in lockstep.
 
     Concentration steps stop at subsets that reproduce themselves under
     distance ranking, which on small blocks is a coarse notion of local
@@ -548,11 +517,11 @@ def _polish(st: _Stack, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
     rows left after the bound, a sweep costs O(m p^2 + k h) time and
     O(m p + max(_PAIR_CHUNK, h)) memory per candidate.
     """
-    K, m, p = st.Z.shape
+    K, m, p = Z.shape
     h = st.subset.shape[1]
     scale = math.sqrt(c_alpha / (h - 1))
     act = st.live()
-    Za = st.Z if act.size == K else st.Z[act]
+    Za = Z if act.size == K else Z[act]
     for _ in range(max_sweeps):
         if not act.size:
             break
@@ -579,18 +548,15 @@ def _polish(st: _Stack, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
         if not movers:
             act = act[:0]
             break
-        movers, rows = np.array(movers), np.array(rows)
+        movers = np.array(movers)
         idx = act[movers]
-        fits, det = _refit(Za.reshape(-1, p), rows, c_alpha)
-        for exc in fits.failed.values():
+        fits = _refit(Za, movers, np.array(rows) - offsets[movers], c_alpha)
+        for exc in filter(None, fits.error):
             log.warning("exchange polish stopped early: refit failed (%s)", exc)
-        better = fits.ok() & (det < st.det[idx])
-        st.take(idx[better], fits, better, rows - offsets[movers], det)
-        still = np.zeros(act.size, dtype=bool)
-        still[movers[better]] = True
-        act = act[still]
-        if not still.all():
-            Za = Za[still]
+        ok = fits.live()
+        better = ok[fits.det[ok] < st.det[idx[ok]]]
+        st.take(idx[better], fits, better)
+        act, Za = _keep(act, Za, movers[better])
     for _ in act:
         log.warning(
             "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
@@ -606,8 +572,8 @@ def _fit_stack(Z: np.ndarray, kinds: np.ndarray, h: int, max_csteps: int = _MAX_
     ended its fit."""
     st = _start(Z, kinds)
     c_alpha = consistency_factor(h, Z.shape[1], Z.shape[2])
-    _concentrate(st, h, c_alpha, max_csteps)
-    _polish(st, c_alpha)
+    _concentrate(Z, st, h, c_alpha, max_csteps)
+    _polish(Z, st, c_alpha)
     return [
         st.error[k] or RawEstimate(_loc_scat(st, k), st.subset[k], float(st.det[k]), c_alpha)
         for k in range(len(kinds))

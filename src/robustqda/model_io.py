@@ -9,14 +9,17 @@ bit-identical to the model that was saved.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .core import LocationScatter
-from .errors import DataError
+from .block_mcd import _block_count
+from .core import LocationScatter, check_seed
+from .errors import DataError, DomainError
 from .fileio import write_text_atomic
-from .qda import ClassModel, QdaModel
+from .mcd import _check_fraction
+from .qda import ClassModel, QdaModel, _check_options
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_from_json", "model_to_json", "save_model"]
 
@@ -68,6 +71,20 @@ def _require(doc: dict, key: str, kind, where: str = ""):
     return value
 
 
+def _checked(check, value, key: str):
+    """``value`` after ``check(value)``; its ``DomainError`` becomes a
+    ``DataError`` naming the key."""
+    try:
+        check(value)
+    except DomainError as exc:
+        raise DataError(f"model file key {key!r}: {exc}") from None
+    return value
+
+
+def _out_of_range(key: str, value) -> DataError:
+    return DataError(f"model file key {key!r} is out of range: {value!r}")
+
+
 def _numbers(doc: dict, key: str, where: str) -> np.ndarray:
     """``doc[key]``, a list (of equal-length lists) of numbers, as float64."""
     try:
@@ -96,8 +113,20 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     if p < 1 or G < 2:
         raise DataError(f"model file needs p >= 1 and G >= 2, got p = {p}, G = {G}")
     quantile = float(_require(doc, "outlier_quantile", (int, float)))
+    _check_options(mode, quantile)
     cutoff = float(_require(doc, "outlier_cutoff", (int, float)))
+    if not 0.0 < cutoff < math.inf:
+        raise _out_of_range("outlier_cutoff", cutoff)
     config = _require(doc, "fit_config", dict)
+    h_frac = float(_require(config, "h_frac", (int, float), "fit_config."))
+    _checked(_check_fraction, h_frac, "fit_config.h_frac")
+    q = _require(config, "q", str, "fit_config.")
+    if q != "auto":
+        try:
+            _block_count(float(q))
+        except (ValueError, DomainError):
+            raise _out_of_range("fit_config.q", q) from None
+    seed = _checked(check_seed, _require(config, "seed", int, "fit_config."), "fit_config.seed")
     raw_classes = _require(doc, "classes", list)
     if len(raw_classes) != G:
         raise DataError(f"model file lists {len(raw_classes)} classes but G = {G}")
@@ -106,6 +135,8 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
         if not isinstance(names, list) or len(names) != G:
             raise DataError("label_names must list one name per class")
         names = tuple(str(v) for v in names)
+        if len(set(names)) != G:
+            raise DataError(f"model file key 'label_names' repeats a name: {list(names)!r}")
 
     classes = []
     for g, entry in enumerate(raw_classes, start=1):
@@ -118,14 +149,21 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
             raise DataError(f"class {g}: mu/sigma shapes do not match p = {p}")
         if _require(entry, "label", int, where) != g:
             raise DataError(f"class {g}: labels must be stored in order 1..G")
+        prior = float(_require(entry, "prior", (int, float), where))
+        if not 0.0 < prior <= 1.0:
+            raise _out_of_range(where + "prior", prior)
+        n_raw = _require(entry, "n_raw", int, where)
+        n_inlier = _require(entry, "n_inlier", int, where)
+        if not 0 <= n_inlier <= n_raw:
+            raise _out_of_range(where + "n_inlier", n_inlier)
         classes.append(
             ClassModel(
                 label=g,
                 loc_scat=LocationScatter.from_sigma(mu, sigma),
-                prior=float(_require(entry, "prior", (int, float), where)),
-                n_raw=_require(entry, "n_raw", int, where),
-                n_inlier=_require(entry, "n_inlier", int, where),
-                blocks=_require(entry, "blocks", int, where),
+                prior=prior,
+                n_raw=n_raw,
+                n_inlier=n_inlier,
+                blocks=_checked(_block_count, _require(entry, "blocks", int, where), where + "blocks"),
             )
         )
     model = QdaModel(
@@ -133,9 +171,9 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
         mode=mode,
         outlier_quantile=quantile,
         outlier_cutoff=cutoff,
-        h_frac=float(_require(config, "h_frac", (int, float), "fit_config.")),
-        blocks_requested=_require(config, "q", str, "fit_config."),
-        seed=_require(config, "seed", int, "fit_config."),
+        h_frac=h_frac,
+        blocks_requested=q,
+        seed=seed,
     )
     return model, names
 

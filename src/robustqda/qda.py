@@ -114,6 +114,15 @@ def _trimmed_priors(kept: np.ndarray) -> np.ndarray:
     return kept / kept.sum()
 
 
+def _check_options(mode: str, outlier_quantile: float) -> None:
+    """``DataError`` unless ``mode`` names a fit and ``outlier_quantile``
+    lies in (0, 1)."""
+    if mode not in ("robust", "classical"):
+        raise DataError(f"mode must be 'robust' or 'classical', got {mode!r}")
+    if not (0.0 < outlier_quantile < 1.0):
+        raise DataError(f"outlier_quantile must lie in (0, 1), got {outlier_quantile!r}")
+
+
 def fit_qda(
     X,
     y,
@@ -137,10 +146,7 @@ def fit_qda(
     X = as_data_matrix(X)
     n, p = X.shape
     y, G = _validate_labels(y, n)
-    if mode not in ("robust", "classical"):
-        raise DataError(f"mode must be 'robust' or 'classical', got {mode!r}")
-    if not (0.0 < outlier_quantile < 1.0):
-        raise DataError(f"outlier_quantile must lie in (0, 1), got {outlier_quantile!r}")
+    _check_options(mode, outlier_quantile)
     seed = check_seed(seed)
     if mode == "classical":
         if blocks != "auto":

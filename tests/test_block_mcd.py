@@ -25,7 +25,7 @@ from robustqda.robust_scale import standardize
 
 def deviation(sigma_a, mu_a, sigma_b, mu_b) -> float:
     """The screening deviation of (sigma_a, mu_a) from (sigma_b, mu_b)."""
-    return _kl_core(sigma_a, mu_a, LocationScatter.from_sigma(mu_b, sigma_b))
+    return _kl_core(sigma_a, mu_a, [LocationScatter.from_sigma(mu_b, sigma_b)])[0]
 
 
 def contaminated(seed: int, n: int = 1200, p: int = 3, frac: float = 0.15):
@@ -128,7 +128,7 @@ class TestMedianPoolAndDeviation:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((2000, 3))
             X[:160] += 6.0
-            (dev,) = blockwise_mcd(X, blocks=1).diagnostics.kl_deviations
+            (dev,) = blockwise_mcd(X, blocks=1).raw.kl_deviations
             assert 0.0 <= dev < 1e-12
 
     def test_kl_mean_shift_term(self):
@@ -231,10 +231,8 @@ class TestBlockwiseMcd:
         d = res.diagnostics
         assert d.q == 4
         assert len(d.block_sizes) == len(d.h_values) == len(d.block_dets) == 4
-        assert len(d.kl_deviations) == 4
-        assert len(d.selected_blocks) == 2
-        assert d.pooled_h == res.raw.h
-        assert d.inlier_count == int(res.weights.sum())
+        assert len(res.raw.kl_deviations) == 4
+        assert len(res.raw.contributing_blocks) == 2
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
         X, _, _ = contaminated(12, n=600, p=3)
@@ -300,6 +298,19 @@ class TestPoolingComputedOnce:
         expected = tuple(deviation(sigma_med, mu_med, e.sigma, e.mu) for e in estimates)
         assert pooled.kl_deviations == expected
 
+    def test_select_and_pool_takes_one_log_determinant(self):
+        from unittest import mock
+
+        X, _, _ = contaminated(6, n=320, p=3)
+        plan = split_blocks(320, 4, np.random.default_rng(8))
+        estimates = [
+            fit_mcd(X[plan.assignments[b]], h_from_fraction(plan.sizes[b], 3, 0.5))
+            for b in range(4)
+        ]
+        with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as spy:
+            select_and_pool(X, plan, estimates)
+        assert spy.call_count == 1
+
     def test_blockwise_mcd_pools_once(self):
         from unittest import mock
 
@@ -309,7 +320,7 @@ class TestPoolingComputedOnce:
         with mock.patch.object(block_mcd, "median_pool", wraps=median_pool) as spy:
             res = blockwise_mcd(X, blocks=4, rng=1)
         assert spy.call_count == 1
-        assert res.diagnostics.kl_deviations == res.raw.kl_deviations
+        assert len(res.raw.kl_deviations) == 4
 
 
 class TestThreadedPath:

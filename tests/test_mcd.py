@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from robustqda.errors import (
     AllStartsDegenerate,
     DataError,
+    DegenerateStart,
     DomainError,
+    NotPositiveDefinite,
     TooFewInliers,
     TooFewObservations,
 )
@@ -349,7 +351,7 @@ def concentrated(Z, kinds, h, max_steps):
     from robustqda import mcd
 
     stack = mcd._start(Z, kinds)
-    mcd._concentrate(stack, h, consistency_factor(h, Z.shape[1], Z.shape[2]), max_steps)
+    mcd._concentrate(Z, stack, h, consistency_factor(h, Z.shape[1], Z.shape[2]), max_steps)
     return stack
 
 
@@ -584,7 +586,6 @@ class TestNonConvergenceIsLogged:
 
     def test_polish_refit_failure_warns_and_returns_input(self, caplog, monkeypatch):
         from robustqda import mcd
-        from robustqda.errors import NotPositiveDefinite
 
         rng = np.random.default_rng(43)
         Z = rng.standard_normal((120, 3))
@@ -598,14 +599,14 @@ class TestNonConvergenceIsLogged:
         assert mcd._best_exchange(*args)[0] < 1.0 - 1e-12  # the polish would swap
 
         def failing_refit(*args, **kwargs):
-            fits, det = real_refit(*args, **kwargs)
-            fits.failed = {j: NotPositiveDefinite("refit made to fail") for j in range(det.size)}
-            return fits, det
+            fits = real_refit(*args, **kwargs)
+            fits.error = [NotPositiveDefinite("refit made to fail")] * fits.det.size
+            return fits
 
         real_refit = mcd._refit
         monkeypatch.setattr(mcd, "_refit", failing_refit)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(stack, c_alpha)
+            mcd._polish(Z[None], stack, c_alpha)
         assert np.array_equal(stack.subset[0], subset)
         assert stack.det[0] == det
         assert np.array_equal(stack.sigma[0], est.sigma)
@@ -626,7 +627,7 @@ class TestNonConvergenceIsLogged:
         full = concentrated(Z[None], kinds, h, 100)
         est = mcd.RawEstimate(mcd._loc_scat(full, 0), full.subset[0], full.det[0], c_alpha)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(full, c_alpha)
+            mcd._polish(Z[None], full, c_alpha)
         assert not caplog.records
         args, outside = whitened(Z, est)
         _, b, slot = mcd._best_exchange(*args)
@@ -638,7 +639,7 @@ class TestNonConvergenceIsLogged:
 
         capped = concentrated(Z[None], kinds, h, 100)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(capped, c_alpha, max_sweeps=1)
+            mcd._polish(Z[None], capped, c_alpha, max_sweeps=1)
         assert any("did not converge within 1 sweeps" in r.message for r in caplog.records)
         assert np.array_equal(capped.subset[0], one_sweep.subset)
         assert np.array_equal(capped.sigma[0], one_sweep.loc_scat.sigma)
@@ -700,3 +701,26 @@ class TestStackedFit:
             assert any(stack[-1][1] == 0 for stack in plan_stacks)
             for a, b in zip(default, mcd._fit_blocks(Zc, plan.assignments, hs)):
                 self._assert_same(a, b)
+
+    def test_degenerate_candidates_beside_healthy_ones(self):
+        import warnings
+
+        from robustqda import mcd
+
+        rng = np.random.default_rng(18)
+        Zk = rng.standard_normal((4, 300, 3))
+        Zk[:, :40] += 5.0
+        Zk[1, :, 2] = 0.0
+        Zk[3, :, 1] = 0.0
+        kinds = np.array([1, 1, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stacked = mcd._fit_stack(Zk, kinds, 160)
+            alone = [mcd._fit_stack(Zk[k : k + 1], kinds[k : k + 1], 160)[0] for k in range(4)]
+        assert isinstance(stacked[1], DegenerateStart)
+        assert str(stacked[1]) == "tanh correlation is undefined (constant column)"
+        assert isinstance(stacked[3], NotPositiveDefinite)
+        for k in (1, 3):
+            assert type(stacked[k]) is type(alone[k]) and str(stacked[k]) == str(alone[k])
+        for k in (0, 2):
+            self._assert_same(stacked[k], alone[k])

@@ -155,6 +155,12 @@ def _set_config(key, value):
     return edit
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
 def _no_classes(doc):
     doc["G"] = 0
     doc["classes"] = []
@@ -190,6 +196,19 @@ MALFORMED = {
     "no classes": (_no_classes, "needs p >= 1 and G >= 2, got p = 3, G = 0"),
     "one class": (_one_class, "G >= 2"),
     "no features": (_no_features, "needs p >= 1"),
+    "negative prior": (_set_class("prior", -1.0), "key 'classes[0].prior' is out of range: -1.0"),
+    "zero prior": (_set_class("prior", 0), "key 'classes[0].prior' is out of range: 0.0"),
+    "infinite prior": (_set_class("prior", float("inf")), "key 'classes[0].prior' is out of range: inf"),
+    "unknown mode": (_set("mode", "fast"), "mode must be 'robust' or 'classical', got 'fast'"),
+    "duplicate label names": (_set("label_names", ["a", "a"]), "key 'label_names' repeats a name"),
+    "negative cutoff": (_set("outlier_cutoff", -5), "key 'outlier_cutoff' is out of range: -5.0"),
+    "quantile above 1": (_set("outlier_quantile", 2), "outlier_quantile must lie in (0, 1), got 2.0"),
+    "h_frac above 1": (_set_config("h_frac", 9), "key 'fit_config.h_frac': coverage fraction must lie in"),
+    "negative seed": (_set_config("seed", -1), "key 'fit_config.seed': seed must be a non-negative"),
+    "q not a count": (_set_config("q", "x"), "key 'fit_config.q' is out of range: 'x'"),
+    "zero q": (_set_config("q", "0"), "key 'fit_config.q' is out of range: '0'"),
+    "zero blocks": (_set_class("blocks", 0), "key 'classes[0].blocks': q must be a positive integer"),
+    "more inliers than rows": (_set_class("n_inlier", 301), "key 'classes[0].n_inlier' is out of range: 301"),
 }
 
 
@@ -201,6 +220,30 @@ def test_malformed_field_is_a_data_error_naming_the_key(trained, case):
     edit(doc)
     with pytest.raises(DataError, match=re.escape(message)):
         model_from_json(json.dumps(doc))
+
+
+def test_written_block_counts_load(trained):
+    model, _ = trained
+    doc = json.loads(model_to_json(model))
+    for q in ("auto", "1", "4.0"):
+        doc["fit_config"]["q"] = q
+        assert model_from_json(json.dumps(doc))[0].blocks_requested == q
+
+
+def test_predict_with_a_negative_prior_exits_2(trained, tmp_path, capsys):
+    from robustqda.cli import main
+
+    model, X = trained
+    doc = json.loads(model_to_json(model))
+    doc["classes"][0]["prior"] = -1.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    feats = tmp_path / "x.csv"
+    feats.write_text("a,b,c\n" + "".join(f"{r[0]!r},{r[1]!r},{r[2]!r}\n" for r in X[:5].tolist()))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(path), "--data", str(feats), "--out", str(out)]) == 2
+    assert "key 'classes[0].prior' is out of range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_on_a_class_without_label_exits_2(trained, tmp_path, capsys):
