@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConfigError, WorkerDied
@@ -70,6 +69,8 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[
     workers = min(worker_count(), len(items))
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from ._threads import ordered_map, worker_count
-from .core import LocationScatter, as_data_matrix, check_seed
+from .core import LocationScatter, as_data_matrix, check_block_count, check_seed, median, substream
 from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
 from .mcd import _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
@@ -115,23 +116,15 @@ def default_block_count(n: int, p: int) -> int:
     return max(1, min(n // _THREADED_BLOCK_ROWS, cap))
 
 
-def _block_count(q) -> int:
-    """``q`` as an int, if it is a positive integer; ``DomainError`` otherwise."""
-    # A bool is a numbers.Real, but blocks=True is no block count.
-    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
-        raise DomainError(f"q must be a positive integer, got {q!r}")
-    return int(q)
-
-
-def split_blocks(n: int, q: int, rng: np.random.Generator, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
+def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
     """Shuffle rows 0..n-1 and chunk them into q nearly equal blocks.
 
     The first ``n mod q`` blocks receive one extra row, and each block
     lists its rows in ascending order, so a block of rows in canonical
     order stays in canonical order.  With q = 1 the single block keeps
-    all rows (no shuffle needed, no size constraint).
+    all rows (no shuffle, so ``rng`` may be None, and no size constraint).
     """
-    q = _block_count(q)
+    q = check_block_count(q)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if q == 1:
@@ -162,7 +155,7 @@ def median_pool(estimates) -> tuple[np.ndarray, np.ndarray]:
         raise DataError("median_pool needs at least one estimate")
     mus = np.stack([e.mu for e in estimates])
     sigmas = np.stack([e.sigma for e in estimates])
-    return np.median(mus, axis=0), np.median(sigmas, axis=0)
+    return median(mus, 0), median(sigmas, 0)
 
 
 def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, fits) -> list[float]:
@@ -223,6 +216,16 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     )
 
 
+def _shuffle_stream(rng):
+    """A function returning the generator ``rng`` names: ``rng`` itself,
+    or ``substream(seed)`` for a seed that passes :func:`check_seed`.  An
+    integer is not compared with ``np.random.Generator``, whose first
+    reference loads ``numpy.random``."""
+    if not isinstance(rng, numbers.Integral) and isinstance(rng, np.random.Generator):
+        return lambda: rng
+    return partial(substream, check_seed(rng))
+
+
 def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> BlockwiseResult:
     """Robust location/scatter of ``X`` via block-parallel MCD.
 
@@ -247,9 +250,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         share, ``max(1, cap // workers)``, since the study's replications
         already run on up to ``cap`` processes.  The result is the same
         either way.
-    rng : int or numpy Generator
-        Non-negative integer seed (or generator) driving the single
-        random element, the row shuffle.  Everything else is deterministic.
+    rng : int, numpy Generator or function
+        The single random element, the row shuffle, draws from it.  A
+        non-negative integer seed, a generator, or a function of no
+        arguments that returns one, called only when q > 1; so a fit of
+        one block builds no generator.  Everything else is deterministic.
 
     Returns
     -------
@@ -262,16 +267,16 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     n, p = X.shape
     if n <= 2 * p:
         raise TooFewObservations(f"need n > 2p, got n={n}, p={p}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(np.random.SeedSequence(check_seed(rng)))
+    shuffle = rng if callable(rng) else _shuffle_stream(rng)
     standardizer = fit_standardizer(X)
     Z = standardize(X, standardizer)
     # Blocks list their rows in ascending order, so each block of Zc is
     # canonical as it stands and is fitted without sorting it again.
     order = _canonical_order(Z)
     Zc = Z[order]
-    q = default_block_count(n, p) if blocks == "auto" else blocks
-    plan = split_blocks(n, q, rng, min_block_size=max(2 * (p + 1), _MIN_BLOCK_ROWS))
+    q = default_block_count(n, p) if blocks == "auto" else check_block_count(blocks)
+    min_rows = max(2 * (p + 1), _MIN_BLOCK_ROWS)
+    plan = split_blocks(n, q, shuffle() if q > 1 else None, min_block_size=min_rows)
 
     threaded = min(plan.sizes) >= _THREADED_BLOCK_ROWS
     if not threaded:

@@ -20,15 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import block_mcd, lbplot, sim
 from ._threads import process_map, worker_count
-from .block_mcd import blockwise_mcd
 from .data_io import encode_labels, encode_with_names, read_dataset, read_rows, write_predictions_csv
 from .errors import DataError, DimensionMismatch, NumericError, WorkerDied
 from .fileio import write_text_atomic
-from .lbplot import lb_points, render_lb_svg, write_lb_csv
 from .model_io import load_model, save_model
+from .presets import preset_names
 from .qda import classify_rows, fit_qda
-from .sim import parse_scenario, preset_names, preset_scenario, run_study, write_study_report
 
 __all__ = ["build_parser", "main"]
 
@@ -157,7 +156,9 @@ def _mcd_report(result, names, h_frac, blocks_flag, seed) -> str:
 def cmd_mcd(args) -> int:
     dataset = read_dataset(args.data)
     start = time.perf_counter()
-    result = blockwise_mcd(dataset.X, h_frac=args.h_frac, blocks=args.blocks, rng=args.seed)
+    result = block_mcd.blockwise_mcd(
+        dataset.X, h_frac=args.h_frac, blocks=args.blocks, rng=args.seed
+    )
     elapsed = time.perf_counter() - start
     report = _mcd_report(result, dataset.feature_names, args.h_frac, args.blocks, args.seed)
     if args.out is None:
@@ -245,14 +246,14 @@ def cmd_lbplot(args) -> int:
         if extra_names is not None:
             raise DataError("data has text labels but the model was trained without a name table")
     g = _resolve_class(args.given_class, label_names, model.n_classes)
-    spec = lb_points(model, dataset.X, y, g)
+    spec = lbplot.lb_points(model, dataset.X, y, g)
     if not spec.row.size:
         shown = label_names[g - 1] if label_names else g
         raise DataError(f"class {shown} has no rows in {args.data}")
-    write_lb_csv(spec, args.csv)
+    lbplot.write_lb_csv(spec, args.csv)
     written = [args.csv]
     if args.svg is not None:
-        write_text_atomic(args.svg, render_lb_svg(spec))
+        write_text_atomic(args.svg, lbplot.render_lb_svg(spec))
         written.append(args.svg)
     print(f"wrote {', '.join(written)} ({spec.row.size} points)", file=sys.stderr)
     return 0
@@ -261,20 +262,20 @@ def cmd_lbplot(args) -> int:
 def cmd_simulate(args) -> int:
     if args.scenario in preset_names():
         seed = 0 if args.seed is None else args.seed
-        scenario = preset_scenario(args.scenario, scale=args.scale, seed=seed)
+        scenario = sim.preset_scenario(args.scenario, scale=args.scale, seed=seed)
     else:
         try:
             text = Path(args.scenario).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"scenario file is not UTF-8 text: {exc}") from None
-        scenario = parse_scenario(text)
+        scenario = sim.parse_scenario(text)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
     methods = ("robust", "classical") if args.methods == "both" else (args.methods,)
     start = time.perf_counter()
-    study = run_study(scenario, reps=args.reps, methods=methods)
+    study = sim.run_study(scenario, reps=args.reps, methods=methods)
     elapsed = time.perf_counter() - start
-    written = write_study_report(study, args.out)
+    written = sim.write_study_report(study, args.out)
     for report in study.methods:
         total = sum(report.seconds)
         print(f"{report.mode}: {study.reps} reps, fit time summed over reps {total:.3f}s",

@@ -14,7 +14,6 @@ their docstrings give the measured accuracy.
 """
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -27,14 +26,16 @@ from .errors import DimensionMismatch, DomainError, DataError, NotPositiveDefini
 __all__ = [
     "LocationScatter",
     "as_data_matrix",
+    "check_block_count",
+    "check_fraction",
     "check_seed",
     "chi2_cdf",
     "chi2_quantile",
+    "distinct",
+    "median",
     "mvn_sample",
     "substream",
 ]
-
-log = logging.getLogger(__name__)
 
 # Condition numbers past this trigger a log message but not an error.
 _COND_WARN = 1e12
@@ -57,11 +58,33 @@ def as_data_matrix(values, *, name: str = "X") -> np.ndarray:
     return X
 
 
+def _warn(name: str, message: str, *args) -> None:
+    """Log a warning through the logger ``name``.  ``logging`` is imported
+    at the first warning, so a run that has none never loads it."""
+    import logging
+
+    logging.getLogger(name).warning(message, *args, stacklevel=2)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int; ``DomainError`` unless it is a non-negative integer."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def check_block_count(q) -> int:
+    """``q`` as an int; ``DomainError`` unless it is a positive integer."""
+    # A bool is a numbers.Real, but blocks=True is no block count.
+    if isinstance(q, bool) or not isinstance(q, numbers.Real) or not float(q).is_integer() or q < 1:
+        raise DomainError(f"q must be a positive integer, got {q!r}")
+    return int(q)
+
+
+def check_fraction(frac) -> None:
+    """``DomainError`` unless the coverage fraction ``frac`` lies in [0.5, 1)."""
+    if not (0.5 <= frac < 1.0):
+        raise DomainError(f"coverage fraction must lie in [0.5, 1), got {frac!r}")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -72,6 +95,38 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     sub-fits can draw without coordinating.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
+
+
+def median(x: np.ndarray, axis: int, zero: float = 0.0) -> np.ndarray:
+    """``np.median(x, axis)`` for finite ``x``, bit for bit, from one
+    partition: the middle order statistic, or the mean of the two middle
+    ones, without the NaN pass (which loads ``numpy.ma``).
+
+    The middle values are added to ``zero``, as ``np.median``'s mean adds
+    them to its identity ``+0.0``, which turns a ``-0.0`` median into
+    ``+0.0``.  ``zero=-0.0`` changes no bit, so the median keeps the sign
+    the partition gives it.
+    """
+    half = x.shape[axis] // 2
+    if x.shape[axis] % 2:
+        return zero + np.take(np.partition(x, half, axis=axis), half, axis=axis)
+    part = np.partition(x, (half - 1, half), axis=axis)
+    return (zero + np.take(part, half - 1, axis=axis) + np.take(part, half, axis=axis)) / 2
+
+
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D array without
+    NaN, bit for bit, from the same sort but without the masked-array
+    check (which loads ``numpy.ma``): the sorted distinct values, and the
+    index among them of every entry."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(ordered.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def _mean_cov(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +188,8 @@ def _factor_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     cond_estimate = pivots.max(axis=1) / np.where(singular, 1.0, smallest)
     for k in np.flatnonzero(cond_estimate > _COND_WARN):
         if k not in failed:
-            log.warning(
-                "sigma is ill-conditioned (pivot-ratio estimate %.3e); proceeding", cond_estimate[k]
-            )
+            _warn(__name__, "sigma is ill-conditioned (pivot-ratio estimate %.3e); proceeding",
+                 cond_estimate[k])
     return L, 2.0 * np.log(diag).sum(axis=1), failed
 
 

@@ -30,7 +30,6 @@ deviations through it, one matrix product per pass.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,10 +40,14 @@ from .core import (
     _factor_stack,
     _inverse_factors,
     _mean_cov,
+    _warn,
     _whitened_squared_norms,
     as_data_matrix,
+    check_fraction,
     chi2_cdf,
     chi2_quantile,
+    distinct,
+    median,
 )
 from .errors import (
     AllStartsDegenerate,
@@ -68,8 +71,6 @@ __all__ = [
     "raw_from_subset",
     "reweight",
 ]
-
-log = logging.getLogger(__name__)
 
 # Trimming quantile of the one-step reweighting that follows a raw fit.
 REWEIGHT_QUANTILE = 0.975
@@ -120,15 +121,10 @@ class RawEstimate:
         return self.loc_scat.sigma
 
 
-def _check_fraction(frac: float) -> None:
-    if not (0.5 <= frac < 1.0):
-        raise DomainError(f"coverage fraction must lie in [0.5, 1), got {frac!r}")
-
-
 def h_from_fraction(n: int, p: int, frac: float) -> int:
     """Subset size for coverage fraction ``frac``: at least the breakdown
     floor ``(n + p + 1) // 2``, clamped strictly below ``n``."""
-    _check_fraction(frac)
+    check_fraction(frac)
     if n <= p + 2:
         raise TooFewObservations(f"need n > p + 2 for a covariance fit, got n={n}, p={p}")
     h = max((n + p + 1) // 2, int(math.floor(frac * n + 1e-9)))
@@ -168,7 +164,7 @@ def raw_from_subset(Z, subset) -> RawEstimate:
     h = subset.shape[0]
     if h < p + 1:
         raise TooFewObservations(f"subset of {h} rows cannot support a {p}-dimensional covariance")
-    if np.unique(subset).shape[0] != h:
+    if distinct(subset)[0].shape[0] != h:
         raise DataError("subset contains duplicate row indices")
     if subset.min() < 0 or subset.max() >= n:
         raise DataError(f"subset indices must lie in [0, {n})")
@@ -300,8 +296,8 @@ def _start(Z: np.ndarray, kinds: np.ndarray) -> _Fits:
     shape[bad] = np.eye(p)
     _, vecs = np.linalg.eigh(0.5 * (shape + shape.transpose(0, 2, 1)))
     proj = Z @ vecs
-    med = _median(proj, 1)
-    lam = (MAD_TO_SD * _median(np.abs(proj - med[:, None, :]), 1)) ** 2
+    med = median(proj, 1, -0.0)
+    lam = (MAD_TO_SD * median(np.abs(proj - med[:, None, :]), 1, -0.0)) ** 2
     finite = np.isfinite(lam).all(axis=1)
     lam_max = np.where(finite, lam.max(axis=1), 0.0)
     flat = lam_max <= 0.0
@@ -315,26 +311,15 @@ def _start(Z: np.ndarray, kinds: np.ndarray) -> _Fits:
     sigma = (vecs * lam[:, None, :]) @ vecs.transpose(0, 2, 1)
     fits = _factor(None, 0.5 * (sigma + sigma.transpose(0, 2, 1)))
     sphered = fits.inv_chol @ Z.transpose(0, 2, 1)
-    fits.mu = (fits.chol @ _median(sphered, 2)[:, :, None])[:, :, 0]
+    fits.mu = (fits.chol @ median(sphered, 2, -0.0)[:, :, None])[:, :, 0]
     fits.error = [first or exc for first, exc in zip(error, fits.error)]
     return fits
-
-
-def _median(x: np.ndarray, axis: int) -> np.ndarray:
-    """``np.median(x, axis)`` for finite ``x`` without its NaN pass: the
-    middle order statistic, or the mean of the two middle ones, from one
-    partition.  The same values; a zero may differ in sign."""
-    half = x.shape[axis] // 2
-    if x.shape[axis] % 2:
-        return np.take(np.partition(x, half, axis=axis), half, axis=axis)
-    part = np.partition(x, (half - 1, half), axis=axis)
-    return (np.take(part, half - 1, axis=axis) + np.take(part, half, axis=axis)) / 2
 
 
 def _sign_shapes(Z: np.ndarray) -> np.ndarray:
     """Spatial-sign shape matrices of a stack: the mean outer product of
     the unit deviations from the coordinate-wise median."""
-    dev = Z - _median(Z, 1)[:, None, :]
+    dev = Z - median(Z, 1, -0.0)[:, None, :]
     norms = np.sqrt(np.einsum("kij,kij->ki", dev, dev))
     nz = norms > 0.0
     signs = np.zeros_like(dev)
@@ -407,7 +392,8 @@ def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float, max_steps: in
         st.take(idx[ok], fits, ok)
         act, Za = _keep(act, Za, moved[ok])
     for k in act:
-        log.warning(
+        _warn(
+            __name__,
             "concentration steps did not converge within %d steps (n=%d, h=%d); "
             "continuing from the last subset",
             max_steps, m, h,
@@ -552,13 +538,14 @@ def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CST
         idx = act[movers]
         fits = _refit(Za, movers, np.array(rows) - offsets[movers], c_alpha)
         for exc in filter(None, fits.error):
-            log.warning("exchange polish stopped early: refit failed (%s)", exc)
+            _warn(__name__, "exchange polish stopped early: refit failed (%s)", exc)
         ok = fits.live()
         better = ok[fits.det[ok] < st.det[idx[ok]]]
         st.take(idx[better], fits, better)
         act, Za = _keep(act, Za, movers[better])
     for _ in act:
-        log.warning(
+        _warn(
+            __name__,
             "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
             "keeping the last subset",
             max_sweeps, m, h,

@@ -14,16 +14,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .block_mcd import _block_count
-from .core import LocationScatter, check_seed
+from .core import LocationScatter, check_block_count, check_fraction, check_seed, chi2_quantile
 from .errors import DataError, DomainError
 from .fileio import write_text_atomic
-from .mcd import _check_fraction
 from .qda import ClassModel, QdaModel, _check_options
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_from_json", "model_to_json", "save_model"]
 
 FORMAT_VERSION = 1
+
+# A stored cutoff must equal sqrt(chi2_quantile(p, outlier_quantile)), as
+# fit_qda writes it.  Files written while that quantile came from SciPy
+# differ from core.chi2_quantile by up to 8e-14 relative, so they still load.
+_CUTOFF_RTOL = 1e-9
 
 
 def model_to_json(model: QdaModel, label_names=None) -> str:
@@ -117,13 +120,19 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     cutoff = float(_require(doc, "outlier_cutoff", (int, float)))
     if not 0.0 < cutoff < math.inf:
         raise _out_of_range("outlier_cutoff", cutoff)
+    expected = math.sqrt(chi2_quantile(p, quantile))
+    if not math.isclose(cutoff, expected, rel_tol=_CUTOFF_RTOL):
+        raise DataError(
+            f"model file key 'outlier_cutoff' is {cutoff!r}, but outlier_quantile "
+            f"{quantile!r} at p = {p} gives {expected!r}"
+        )
     config = _require(doc, "fit_config", dict)
     h_frac = float(_require(config, "h_frac", (int, float), "fit_config."))
-    _checked(_check_fraction, h_frac, "fit_config.h_frac")
+    _checked(check_fraction, h_frac, "fit_config.h_frac")
     q = _require(config, "q", str, "fit_config.")
     if q != "auto":
         try:
-            _block_count(float(q))
+            check_block_count(float(q))
         except (ValueError, DomainError):
             raise _out_of_range("fit_config.q", q) from None
     seed = _checked(check_seed, _require(config, "seed", int, "fit_config."), "fit_config.seed")
@@ -163,7 +172,9 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
                 prior=prior,
                 n_raw=n_raw,
                 n_inlier=n_inlier,
-                blocks=_checked(_block_count, _require(entry, "blocks", int, where), where + "blocks"),
+                blocks=_checked(
+                    check_block_count, _require(entry, "blocks", int, where), where + "blocks"
+                ),
             )
         )
     model = QdaModel(

@@ -10,11 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .block_mcd import _block_count, blockwise_mcd
-from .core import LocationScatter, _mean_cov, as_data_matrix, check_seed, chi2_quantile, substream
+from . import block_mcd
+from .core import (
+    LocationScatter,
+    _mean_cov,
+    as_data_matrix,
+    check_block_count,
+    check_fraction,
+    check_seed,
+    chi2_quantile,
+    distinct,
+    substream,
+)
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -22,7 +33,6 @@ from .errors import (
     RobustQdaError,
     TooFewObservations,
 )
-from .mcd import _check_fraction
 
 __all__ = [
     "ClassModel",
@@ -81,7 +91,7 @@ def _validate_labels(y, n: int) -> tuple[np.ndarray, int]:
         y = yf.astype(np.int64)
     else:
         y = y.astype(np.int64)
-    present = np.unique(y)
+    present, _ = distinct(y)
     if present[0] < 1:
         raise DataError(f"labels must be positive (0 is reserved for outliers), got {present[0]}")
     G = int(present[-1])
@@ -140,7 +150,8 @@ def fit_qda(
     derives priors from the trimmed per-class counts.  Classical mode
     uses sample moments and empirical priors.  ``seed``, a non-negative
     integer, makes robust fits reproducible; each class consumes its own
-    substream, so the result does not depend on fit order.  Both modes
+    substream, built only if its rows are shuffled into more than one
+    block, so the result does not depend on fit order.  Both modes
     record ``blocks``, ``h_frac`` and ``seed`` and check them alike.
     """
     X = as_data_matrix(X)
@@ -150,8 +161,8 @@ def fit_qda(
     seed = check_seed(seed)
     if mode == "classical":
         if blocks != "auto":
-            _block_count(blocks)
-        _check_fraction(h_frac)
+            check_block_count(blocks)
+        check_fraction(h_frac)
     cutoff = math.sqrt(chi2_quantile(p, outlier_quantile))
 
     fits: list[LocationScatter] = []
@@ -162,7 +173,9 @@ def fit_qda(
         counts[g - 1] = Xg.shape[0]
         try:
             if mode == "robust":
-                result = blockwise_mcd(Xg, h_frac=h_frac, blocks=blocks, rng=substream(seed, g))
+                result = block_mcd.blockwise_mcd(
+                    Xg, h_frac=h_frac, blocks=blocks, rng=partial(substream, seed, g)
+                )
                 fits.append(result.estimate)
                 resolved_blocks.append(result.diagnostics.q)
             else:

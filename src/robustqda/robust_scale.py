@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LocationScatter, as_data_matrix
+from .core import LocationScatter, as_data_matrix, median
 from .errors import DimensionMismatch, TooFewObservations, ZeroScale
 
 __all__ = ["MAD_TO_SD", "Standardizer", "destandardize_estimate", "fit_standardizer", "standardize"]
@@ -45,8 +45,8 @@ def fit_standardizer(X) -> Standardizer:
     X = as_data_matrix(X)
     if X.shape[0] < 2:
         raise TooFewObservations("standardization needs at least 2 rows")
-    center = np.median(X, axis=0)
-    mad = np.median(np.abs(X - center), axis=0)
+    center = median(X, 0)
+    mad = median(np.abs(X - center), 0)
     if np.any(mad == 0.0):
         col = int(np.argwhere(mad == 0.0)[0, 0])
         raise ZeroScale(f"column {col} has zero median absolute deviation")

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import block_mcd
 from ._threads import process_map
-from .core import LocationScatter, check_seed, mvn_sample
+from .core import LocationScatter, check_seed, distinct, mvn_sample
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
+from .presets import PRESET_EPS, preset_names
 from .qda import classify_rows, fit_qda
 
 __all__ = [
@@ -260,7 +262,7 @@ def extended_confusion(pred_labels, tags: Tags, n_classes: int) -> ExtendedConfu
         raise DataError(f"tag origins and given labels must lie in 1..{G}")
     given_key = np.where(tags.kind == KIND_REPLACED, 0, tags.given)
     # origin * (G + 1) + given_key sorts like the (origin, given_key) pair.
-    keys, key_row = np.unique(tags.origin * (G + 1) + given_key, return_inverse=True)
+    keys, key_row = distinct(tags.origin * (G + 1) + given_key)
     column = np.where(pred == 0, G, pred - 1)
     cells = np.bincount(key_row * (G + 1) + column, minlength=keys.size * (G + 1))
     cells = cells.reshape(keys.size, G + 1)
@@ -405,6 +407,11 @@ def run_study(
     for mode in methods:
         if mode not in ("robust", "classical"):
             raise ConfigError(f"unknown method {mode!r}")
+    if "robust" in methods:
+        # Reading an attribute runs the lazily loaded fit modules (see the
+        # package's __init__).  Run them here, before the workers fork, so
+        # that they inherit the modules instead of each running them again.
+        block_mcd.blockwise_mcd
     per_rep = process_map(partial(_run_rep, scenario, methods, blocks), range(reps))
 
     reports = []
@@ -442,17 +449,6 @@ _PRESET_CONTAMINATION = (
     Contamination(kind="point", center=(0, 0, -15, 0, 20)),
     Contamination(kind="shift", center=(14, 0, 0, 0, -6)),
 )
-_PRESET_EPS = {
-    "clean": (0.0, 0.0),
-    "label": (0.2, 0.0),
-    "measurement": (0.0, 0.2),
-    "both": (0.1, 0.1),
-}
-
-
-def preset_names() -> tuple:
-    return tuple(sorted(_PRESET_EPS))
-
 
 def preset_scenario(name: str, *, scale: float = 0.01, seed: int = 0) -> Scenario:
     """One of the built-in contamination setups, size-scaled.
@@ -460,11 +456,11 @@ def preset_scenario(name: str, *, scale: float = 0.01, seed: int = 0) -> Scenari
     ``scale=0.01`` turns the reference class sizes (250k/350k/400k) into a
     desk-scale 2500/3500/4000 dataset.
     """
-    if name not in _PRESET_EPS:
+    if name not in PRESET_EPS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
     if scale <= 0.0:
         raise ConfigError(f"scale must be positive, got {scale!r}")
-    eps_label, eps_meas = _PRESET_EPS[name]
+    eps_label, eps_meas = PRESET_EPS[name]
     classes = tuple(
         ClassSpec(
             n=max(1, int(round(n * scale))),

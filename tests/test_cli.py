@@ -4,9 +4,11 @@ Most cases call ``main(argv)`` in process and inspect exit codes, files,
 and stderr.  One case shells out to verify that the worker-thread
 environment variable cannot change any output byte.
 """
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,3 +497,56 @@ class TestThreadEnvIndependence:
         assert proc.returncode == 2
         assert "ROBUST_QDA_THREADS" in proc.stderr
         assert not (tmp_path / "r.txt").exists()
+
+
+class TestStartUp:
+    """Each command runs only the package modules it uses: the five that
+    load lazily run at first use, and ``numpy.ma``, ``numpy.random`` and
+    ``concurrent.futures`` load only where something needs them."""
+
+    DEFERRED = {"block_mcd", "lbplot", "mcd", "robust_scale", "sim"}
+    UNUSED = {"numpy.ma", "numpy.random", "concurrent.futures"}
+    # Records the package files whose module body runs (the import system
+    # runs each through the builtin exec, which raises the "exec" audit
+    # event) and the modules loaded after numpy's own (numpy 1.x loads
+    # numpy.ma and numpy.random itself).
+    SCRIPT = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "files = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and files.append(args[0].co_filename))\n"
+        "from robustqda.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps({'code': code, 'files': files, 'modules': sorted(set(sys.modules) - before)}))\n"
+    )
+
+    def start(self, *argv):
+        """The deferred modules that ran, and which of ``UNUSED`` the run loaded."""
+        import robustqda
+
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["code"] == 0, proc.stderr
+        package = Path(robustqda.__file__).parent
+        ran = {Path(f).stem for f in out["files"] if Path(f).parent == package}
+        return ran & self.DEFERRED, self.UNUSED & set(out["modules"])
+
+    def test_each_command_runs_only_its_modules(self, tmp_path):
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.standard_normal((150, 2)), rng.standard_normal((150, 2)) + 5.0])
+        write_dataset(tmp_path / "train.csv", X, y=np.repeat([1, 2], 150))
+        write_dataset(tmp_path / "features.csv", X)
+        model = str(tmp_path / "model.json")
+
+        assert self.start() == (set(), set())
+        assert self.start("train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
+                          "--out", model) == ({"block_mcd", "mcd", "robust_scale"}, set())
+        assert self.start("predict", "--model", model, "--data", str(tmp_path / "features.csv"),
+                          "--out", str(tmp_path / "pred.csv")) == (set(), set())
+        assert self.start("lbplot", "--model", model, "--data", str(tmp_path / "train.csv"),
+                          "--label-col", "label", "--class", "1", "--csv", str(tmp_path / "lb.csv"),
+                          "--svg", str(tmp_path / "lb.svg")) == ({"lbplot"}, set())
+        assert self.start("simulate", "--scenario", "both", "--scale", "0.002", "--reps", "1",
+                          "--out", str(tmp_path / "study")) == (self.DEFERRED - {"lbplot"}, {"numpy.random"})

@@ -10,6 +10,8 @@ from robustqda.core import (
     as_data_matrix,
     chi2_cdf,
     chi2_quantile,
+    distinct,
+    median,
     mvn_sample,
     substream,
 )
@@ -425,3 +427,78 @@ class TestPrecisionOnFirstRead:
             assert not ls.precision.flags.writeable
             with pytest.raises(ValueError):
                 ls.precision[0, 0] = 1.0
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, so that -0.0 and +0.0 differ."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _partition_median(x: np.ndarray, axis: int) -> np.ndarray:
+    """The starts' median: the middle order statistic, or the plain mean of
+    the two middle ones, with the sign of zero the partition gives."""
+    half = x.shape[axis] // 2
+    if x.shape[axis] % 2:
+        return np.take(np.partition(x, half, axis=axis), half, axis=axis)
+    part = np.partition(x, (half - 1, half), axis=axis)
+    return (np.take(part, half - 1, axis=axis) + np.take(part, half, axis=axis)) / 2
+
+
+def _planted(rng, shape) -> np.ndarray:
+    """Half-integer values, so ties are common, with a share of -0.0 and +0.0."""
+    x = np.round(rng.standard_normal(shape) * 2.0) / 2.0
+    x[rng.random(shape) < 0.3] = -0.0
+    return x
+
+
+class TestMedianAndDistinctMatchNumpy:
+    """``median`` and ``distinct`` stand in for ``np.median`` and
+    ``np.unique``, which load ``numpy.ma``, and give the same bits."""
+
+    VECTORS = (
+        [-0.0, 1.0, -0.0],  # np.median turns the -0.0 median into +0.0
+        [-0.0, -0.0],
+        [0.0, -0.0, -0.0, 0.0],
+        [1.0, -0.0, 0.0, -0.0, 2.0],
+        [2.0, 1.0, 2.0, 2.0, -3.0],  # ties, odd count
+        [5.0, -1.0, 3.0, 3.0],  # ties, even count
+        [-5e-324, 0.0],  # the middle pair's mean rounds to -0.0
+        [7.5],
+    )
+
+    @pytest.mark.parametrize("values", VECTORS)
+    def test_median_of_a_vector(self, values):
+        x = np.array(values)
+        assert _same_bits(median(x, 0), np.median(x, axis=0))
+        assert _same_bits(median(x, 0, -0.0), _partition_median(x, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 64])
+    def test_median_along_the_callers_axes(self, n):
+        rng = np.random.default_rng(n)
+        # robust_scale: the rows of (n, p); block_mcd.median_pool: the
+        # blocks of (q, p) and (q, p, p); the starts: axes 1 and 2 of stacks.
+        for shape, axis in (((n, 4), 0), ((n, 3, 3), 0)):
+            x = _planted(rng, shape)
+            assert _same_bits(median(x, axis), np.median(x, axis=axis))
+        for shape, axis in (((3, n, 4), 1), ((3, 4, n), 2)):
+            x = _planted(rng, shape)
+            assert _same_bits(median(x, axis, -0.0), _partition_median(x, axis))
+            assert np.array_equal(median(x, axis, -0.0), np.median(x, axis=axis))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 1000])
+    def test_distinct_integers(self, n):
+        y = np.random.default_rng(n).integers(-3, 4, n)
+        values, inverse = distinct(y)
+        want_values, want_inverse = np.unique(y, return_inverse=True)
+        assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+        assert inverse.dtype == want_inverse.dtype and np.array_equal(inverse, want_inverse)
+        assert np.array_equal(values, np.unique(y))
+
+    @pytest.mark.parametrize("values", VECTORS)
+    def test_distinct_floats_with_signed_zeros(self, values):
+        x = np.array(values)
+        got, inverse = distinct(x)
+        want, want_inverse = np.unique(x, return_inverse=True)
+        assert _same_bits(got, want)
+        assert np.array_equal(inverse, want_inverse)

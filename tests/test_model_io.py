@@ -202,6 +202,7 @@ MALFORMED = {
     "unknown mode": (_set("mode", "fast"), "mode must be 'robust' or 'classical', got 'fast'"),
     "duplicate label names": (_set("label_names", ["a", "a"]), "key 'label_names' repeats a name"),
     "negative cutoff": (_set("outlier_cutoff", -5), "key 'outlier_cutoff' is out of range: -5.0"),
+    "cutoff off its quantile": (_set("outlier_cutoff", 0.001), "key 'outlier_cutoff' is 0.001, but"),
     "quantile above 1": (_set("outlier_quantile", 2), "outlier_quantile must lie in (0, 1), got 2.0"),
     "h_frac above 1": (_set_config("h_frac", 9), "key 'fit_config.h_frac': coverage fraction must lie in"),
     "negative seed": (_set_config("seed", -1), "key 'fit_config.seed': seed must be a non-negative"),
@@ -220,6 +221,16 @@ def test_malformed_field_is_a_data_error_naming_the_key(trained, case):
     edit(doc)
     with pytest.raises(DataError, match=re.escape(message)):
         model_from_json(json.dumps(doc))
+
+
+def test_cutoff_within_scipy_rounding_loads(trained):
+    # Files written while the quantile came from SciPy differ from
+    # core.chi2_quantile in the last digits, by up to 8e-14 relative.
+    model, _ = trained
+    doc = json.loads(model_to_json(model))
+    for factor in (1 - 8e-14, 1 + 8e-14):
+        doc["outlier_cutoff"] = model.outlier_cutoff * factor
+        assert model_from_json(json.dumps(doc))[0].outlier_cutoff == doc["outlier_cutoff"]
 
 
 def test_written_block_counts_load(trained):
