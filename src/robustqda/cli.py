@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input or validation problem, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 import time
@@ -29,7 +30,7 @@ from .model_io import load_model, save_model
 from .presets import preset_names
 from .qda import classify_rows, fit_qda
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "run"]
 
 # Fewest rows a ``predict`` worker process is given: a file of n rows is
 # cut into min(cap, n // MIN_ROWS_PER_WORKER) ranges, so below twice this
@@ -305,5 +306,21 @@ def main(argv=None) -> int:
         return 5
 
 
+def run() -> None:
+    """Entry point of the ``robust-qda`` script and of ``python -m
+    robustqda.cli``: run :func:`main` on ``sys.argv`` and exit with its
+    code.
+
+    ``gc.freeze()`` first moves every object to the collector's permanent
+    generation, so that the interpreter's shutdown collection does not
+    walk them all again; ``atexit`` handlers still run and buffered
+    output is still flushed.  :func:`main` itself leaves the collector as
+    it is, since tests and the benchmark call it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -407,10 +407,14 @@ def run_study(
     for mode in methods:
         if mode not in ("robust", "classical"):
             raise ConfigError(f"unknown method {mode!r}")
+    # Load here, before the workers fork, what every replication runs, so
+    # that they inherit it instead of each loading it again: numpy.random
+    # (which brings hashlib and OpenSSL) and, for robust fits, the lazily
+    # loaded fit modules, whose bodies run at the first attribute read (see
+    # the package's __init__).
+    import numpy.random  # noqa: F401
+
     if "robust" in methods:
-        # Reading an attribute runs the lazily loaded fit modules (see the
-        # package's __init__).  Run them here, before the workers fork, so
-        # that they inherit the modules instead of each running them again.
         block_mcd.blockwise_mcd
     per_rep = process_map(partial(_run_rep, scenario, methods, blocks), range(reps))
 

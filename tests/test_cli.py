@@ -550,3 +550,43 @@ class TestStartUp:
                           "--svg", str(tmp_path / "lb.svg")) == ({"lbplot"}, set())
         assert self.start("simulate", "--scenario", "both", "--scale", "0.002", "--reps", "1",
                           "--out", str(tmp_path / "study")) == (self.DEFERRED - {"lbplot"}, {"numpy.random"})
+
+
+class TestRunEntryPoint:
+    """``cli.run``, the console script's entry point, exits with the code
+    ``main`` returns and still runs ``atexit`` handlers and flushes stdout."""
+
+    SCRIPT = (
+        "import atexit, sys\n"
+        "from robustqda import cli\n"
+        "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
+        "cli.run()\n"
+    )
+
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("bad cell", 2), ("missing", 4),
+                                            ("no data flag", 2)])
+    def test_exit_code_and_output_match_main(self, case, code, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_dataset(data, np.random.default_rng(6).standard_normal((150, 3)))
+        (tmp_path / "bad.csv").write_text("a,b\n1.0,2.0\n3.0,oops\n")
+        argv = {
+            "ok": ["mcd", "--data", str(data), "--blocks", "3"],
+            "bad cell": ["mcd", "--data", str(tmp_path / "bad.csv")],
+            "missing": ["mcd", "--data", str(tmp_path / "nope.csv")],
+            "no data flag": ["mcd"],
+        }[case]
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True,
+                              text=True, timeout=120)
+        if case == "no data flag":
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == code
+        else:
+            assert main(argv) == code
+        assert proc.returncode == code
+        assert proc.stderr.endswith("atexit ran\n")
+        assert proc.stdout == capsys.readouterr().out
+        if case == "ok":
+            # The whole report, last line included, came through the pipe.
+            assert proc.stdout.startswith("blockwise mcd estimate\n")
+            assert proc.stdout.splitlines()[-1].startswith("pooled_h = ")

@@ -558,6 +558,46 @@ class TestSmallestH:
         assert _smallest_h(d2, 4).tolist() == [1, 2, 3, 4]
 
 
+@st.composite
+def _sort_matrices(draw):
+    """Small matrices of tie-heavy, half-integer, signed-zero or
+    continuous cells, some rows repeated, rows in any order."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    cells = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.integers(-8, 8).map(lambda v: v / 2),
+        st.sampled_from([-0.0, 0.0, 1.0]),
+        st.one_of(st.sampled_from([-0.0, 0.0]),
+                  st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+    ]))
+    Z = np.array(draw(st.lists(cells, min_size=n * p, max_size=n * p)),
+                 dtype=np.float64).reshape(n, p)
+    repeated = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    Z = np.vstack([Z, Z[repeated]])
+    return Z[draw(st.permutations(range(Z.shape[0])))]
+
+
+class TestCanonicalOrder:
+    """Sorting only the runs of tied first keys gives the permutation of a
+    full ``np.lexsort``, whichever of the two paths the tied share picks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_sort_matrices(), st.sampled_from([0.0, None, 1.0]))
+    def test_matches_lexsort(self, Z, share):
+        from robustqda import mcd
+
+        saved = mcd._FULL_SORT_TIED_SHARE
+        if share is not None:
+            mcd._FULL_SORT_TIED_SHARE = share
+        try:
+            got = mcd._canonical_order(Z)
+        finally:
+            mcd._FULL_SORT_TIED_SHARE = saved
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.lexsort(Z.T[::-1]))
+
+
 class TestNonConvergenceIsLogged:
     def test_concentration_cap_warns_and_keeps_output(self, caplog):
         rng = np.random.default_rng(41)
