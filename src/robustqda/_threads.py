@@ -127,7 +127,7 @@ def _fork_map(fn, items: list, workers: int, worker_cap: int) -> list:
             payload = pipes[worker].read()
             _, status = os.waitpid(pid, 0)
             pids[worker] = None
-            if status == 0:
+            if status == 0 and payload:
                 outcomes += pickle.loads(payload)
             else:
                 died = True

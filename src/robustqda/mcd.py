@@ -650,13 +650,6 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     return replace(best, subset=np.sort(order[best.subset]))
 
 
-# Share of rows in runs of tied first keys above which _canonical_order
-# takes one full lexsort instead of sorting those rows again.  On 2 cores,
-# at 3900 and at 400,000 rows of 5 columns, the two cost the same near
-# 0.75 of the rows tied, and the partial sort still saved 37% at 0.44.
-_FULL_SORT_TIED_SHARE = 0.5
-
-
 def _canonical_order(Z: np.ndarray) -> np.ndarray:
     """Row order that sorts ``Z`` lexicographically, first column first,
     equal rows in row order: the permutation ``np.lexsort(Z.T[::-1])``.
@@ -665,7 +658,7 @@ def _canonical_order(Z: np.ndarray) -> np.ndarray:
 
     A stable sort on the first column settles every row whose first key
     is unique; only the runs of tied first keys are sorted again, on the
-    other columns and then their current position.
+    other columns, the sort's stability keeping equal rows in row order.
     """
     order = np.argsort(Z[:, 0], kind="stable")
     first = Z[order, 0]
@@ -674,10 +667,8 @@ def _canonical_order(Z: np.ndarray) -> np.ndarray:
     tied[1:] = same
     tied[:-1] |= same
     at = np.flatnonzero(tied)
-    if at.size > _FULL_SORT_TIED_SHARE * order.shape[0]:
-        return np.lexsort(Z.T[::-1])
     rows = order[at]
-    order[at] = rows[np.lexsort((at, *Z[rows, :0:-1].T, first[at]))]
+    order[at] = rows[np.lexsort((*Z[rows, :0:-1].T, first[at]))]
     return order
 
 

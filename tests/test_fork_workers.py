@@ -28,6 +28,12 @@ def _exit_on_one(item):
     return item
 
 
+def _exit_cleanly_on_one(item):
+    if item == 1:
+        os._exit(0)
+    return item
+
+
 def _sleep(item):
     time.sleep(60)
     return item
@@ -55,6 +61,12 @@ class TestNoChildLeft:
     def test_after_a_dead_worker(self):
         with pytest.raises(WorkerDied):
             process_map(_exit_on_one, range(4))
+        _assert_no_child_left()
+
+    def test_after_a_worker_that_exits_with_code_zero(self):
+        # It sends nothing, which is a dead worker and not an empty pickle.
+        with pytest.raises(WorkerDied):
+            process_map(_exit_cleanly_on_one, range(4))
         _assert_no_child_left()
 
     def test_interrupt_while_reading_kills_and_reaps_the_children(self):

@@ -580,20 +580,14 @@ def _sort_matrices(draw):
 
 class TestCanonicalOrder:
     """Sorting only the runs of tied first keys gives the permutation of a
-    full ``np.lexsort``, whichever of the two paths the tied share picks."""
+    full ``np.lexsort``."""
 
     @settings(max_examples=400, deadline=None)
-    @given(_sort_matrices(), st.sampled_from([0.0, None, 1.0]))
-    def test_matches_lexsort(self, Z, share):
-        from robustqda import mcd
+    @given(_sort_matrices())
+    def test_matches_lexsort(self, Z):
+        from robustqda.mcd import _canonical_order
 
-        saved = mcd._FULL_SORT_TIED_SHARE
-        if share is not None:
-            mcd._FULL_SORT_TIED_SHARE = share
-        try:
-            got = mcd._canonical_order(Z)
-        finally:
-            mcd._FULL_SORT_TIED_SHARE = saved
+        got = _canonical_order(Z)
         assert got.dtype == np.intp
         assert np.array_equal(got, np.lexsort(Z.T[::-1]))
 
