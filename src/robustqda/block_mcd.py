@@ -13,14 +13,13 @@ count, any stack layout, and any row permutation of the input.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from ._threads import ordered_map, worker_count
-from .core import LocationScatter, as_data_matrix, check_block_count, check_seed, median, substream
+from .core import LocationScatter, _mean_cov, as_data_matrix, check_block_count, check_seed, median, substream
 from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
 from .mcd import _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
@@ -184,7 +183,8 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     Keeps the floor(q/2) blocks with the smallest KL deviation from the
     entry-wise median estimate (ties resolve to the lower block id; a
     single block is always kept) and recomputes one raw estimate from the
-    union of their h-subsets via accumulated sums and cross-products.
+    union of their h-subsets: their mean and consistency-scaled sample
+    covariance (``core._mean_cov``).
     """
     Z = as_data_matrix(Z, name="Z")
     n, p = Z.shape
@@ -199,13 +199,9 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     )
     m = pooled_rows.shape[0]
     n_selected = int(sum(plan.sizes[b] for b in chosen))
-    rows = Z[pooled_rows]
-    sum_x = rows.sum(axis=0)
-    cross = rows.T @ rows
-    mu = sum_x / m
-    scatter = cross - np.outer(sum_x, sum_x) / m
+    mu, cov = _mean_cov(Z[pooled_rows])
     c_alpha = consistency_factor(m, n_selected, p)
-    loc_scat = LocationScatter.from_sigma(mu, c_alpha * scatter / (m - 1))
+    loc_scat = LocationScatter.from_sigma(mu, c_alpha * cov)
     return PooledRaw(
         loc_scat=loc_scat,
         subset=pooled_rows,
@@ -214,16 +210,6 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
         n_selected=n_selected,
         kl_deviations=tuple(float(d) for d in deviations),
     )
-
-
-def _shuffle_stream(rng):
-    """A function returning the generator ``rng`` names: ``rng`` itself,
-    or ``substream(seed)`` for a seed that passes :func:`check_seed`.  An
-    integer is not compared with ``np.random.Generator``, whose first
-    reference loads ``numpy.random``."""
-    if not isinstance(rng, numbers.Integral) and isinstance(rng, np.random.Generator):
-        return lambda: rng
-    return partial(substream, check_seed(rng))
 
 
 def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> BlockwiseResult:
@@ -250,11 +236,13 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         share, ``max(1, cap // workers)``, since the study's replications
         already run on up to ``cap`` processes.  The result is the same
         either way.
-    rng : int, numpy Generator or function
+    rng : int or function
         The single random element, the row shuffle, draws from it.  A
-        non-negative integer seed, a generator, or a function of no
-        arguments that returns one, called only when q > 1; so a fit of
-        one block builds no generator.  Everything else is deterministic.
+        non-negative integer seed, whose generator is
+        ``core.substream(seed)``, or a function of no arguments that
+        returns a numpy generator.  Either is drawn on only when q > 1, so
+        a fit of one block builds no generator.  Anything else raises
+        ``DomainError``.  Everything else is deterministic.
 
     Returns
     -------
@@ -267,7 +255,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     n, p = X.shape
     if n <= 2 * p:
         raise TooFewObservations(f"need n > 2p, got n={n}, p={p}")
-    shuffle = rng if callable(rng) else _shuffle_stream(rng)
+    shuffle = rng if callable(rng) else partial(substream, check_seed(rng))
     standardizer = fit_standardizer(X)
     Z = standardize(X, standardizer)
     # Blocks list their rows in ascending order, so each block of Zc is

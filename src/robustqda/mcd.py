@@ -79,7 +79,10 @@ REWEIGHT_QUANTILE = 0.975
 # largest one, which repairs rank-deficient starts.
 _EIGEN_FLOOR = 1e-8
 
+# Concentration steps and exchange-polish sweeps a candidate may take; one
+# still moving after them keeps its last subset, with a warning.
 _MAX_CSTEPS = 100
+_MAX_SWEEPS = 100
 
 # Rows of candidate data fitted as one stack; bounds a stack's memory.  A
 # candidate with more rows is a stack of its own.
@@ -359,7 +362,7 @@ def _keep(act: np.ndarray, Za: np.ndarray, stay: np.ndarray) -> tuple[np.ndarray
     return act[stay], Za if stay.size == act.size else Za[stay]
 
 
-def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float, max_steps: int) -> None:
+def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float) -> None:
     """Concentration steps for every live fit of ``st``, of the candidates'
     rows ``Z``, in lockstep.
 
@@ -367,14 +370,14 @@ def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float, max_steps: in
     later pass re-selects, and a candidate whose subset reproduces itself
     has converged (a refit would reproduce its fit).  A candidate whose
     refit fails or whose determinant rises ends with that error; one still
-    moving after ``max_steps`` passes keeps its last subset, with a
+    moving after ``_MAX_CSTEPS`` passes keeps its last subset, with a
     warning.
     """
     K, m, _ = Z.shape
     st.subset, st.det = np.full((K, h), -1, dtype=np.intp), np.full(K, math.inf)
     act = st.live()
     Za = Z if act.size == K else Z[act]
-    for _ in range(max_steps + 1):
+    for _ in range(_MAX_CSTEPS + 1):
         if not act.size:
             break
         picked = _smallest_h(_whitened_squared_norms(st.inv_chol[act], Za - st.mu[act][:, None, :]), h)
@@ -396,7 +399,7 @@ def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float, max_steps: in
             __name__,
             "concentration steps did not converge within %d steps (n=%d, h=%d); "
             "continuing from the last subset",
-            max_steps, m, h,
+            _MAX_CSTEPS, m, h,
         )
 
 
@@ -486,7 +489,7 @@ def _best_exchange(
     return best
 
 
-def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CSTEPS) -> None:
+def _polish(Z: np.ndarray, st: _Fits, c_alpha: float) -> None:
     """Exchange descent from the concentration fixed points of ``st``, of
     the candidates' rows ``Z``, in lockstep.
 
@@ -499,7 +502,7 @@ def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CST
     subset row for one outside row lowers the determinant, so the final
     subsets are also optimal under single exchanges.  A candidate stops
     when no exchange lowers it, when its refit fails (with a warning) or
-    after ``max_sweeps`` exchanges (with a warning).  With ``k`` outside
+    after ``_MAX_SWEEPS`` exchanges (with a warning).  With ``k`` outside
     rows left after the bound, a sweep costs O(m p^2 + k h) time and
     O(m p + max(_PAIR_CHUNK, h)) memory per candidate.
     """
@@ -508,7 +511,7 @@ def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CST
     scale = math.sqrt(c_alpha / (h - 1))
     act = st.live()
     Za = Z if act.size == K else Z[act]
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         if not act.size:
             break
         offsets = (np.arange(act.size) * m)[:, None]
@@ -548,18 +551,18 @@ def _polish(Z: np.ndarray, st: _Fits, c_alpha: float, max_sweeps: int = _MAX_CST
             __name__,
             "exchange polish did not converge within %d sweeps (n=%d, h=%d); "
             "keeping the last subset",
-            max_sweeps, m, h,
+            _MAX_SWEEPS, m, h,
         )
 
 
-def _fit_stack(Z: np.ndarray, kinds: np.ndarray, h: int, max_csteps: int = _MAX_CSTEPS) -> list:
+def _fit_stack(Z: np.ndarray, kinds: np.ndarray, h: int) -> list:
     """Fits of a stack of candidates: the rows ``Z[k]`` from start
     ``kinds[k]``, each concentrated and polished at subset size ``h``.
     Returns per candidate a :class:`RawEstimate`, or the exception that
     ended its fit."""
     st = _start(Z, kinds)
     c_alpha = consistency_factor(h, Z.shape[1], Z.shape[2])
-    _concentrate(Z, st, h, c_alpha, max_csteps)
+    _concentrate(Z, st, h, c_alpha)
     _polish(Z, st, c_alpha)
     return [
         st.error[k] or RawEstimate(_loc_scat(st, k), st.subset[k], float(st.det[k]), c_alpha)
@@ -579,9 +582,7 @@ def _plan_stacks(sizes) -> list[list[tuple[int, int]]]:
     return stacks
 
 
-def _fit_blocks(
-    Z: np.ndarray, blocks, hs, *, max_csteps: int = _MAX_CSTEPS, map_stacks=map
-) -> list[RawEstimate]:
+def _fit_blocks(Z: np.ndarray, blocks, hs, *, map_stacks=map) -> list[RawEstimate]:
     """Best raw fit of each block ``Z[blocks[b]]``, whose rows are in
     canonical order, at subset size ``hs[b]``.
 
@@ -597,7 +598,7 @@ def _fit_blocks(
 
     def fit_one(stack):
         Zk = Z[np.concatenate([blocks[b] for b, _ in stack])].reshape(len(stack), -1, p)
-        return _fit_stack(Zk, np.array([start for _, start in stack]), hs[stack[0][0]], max_csteps)
+        return _fit_stack(Zk, np.array([start for _, start in stack]), hs[stack[0][0]])
 
     fits = {}
     for stack, results in zip(stacks, map_stacks(fit_one, stacks)):
@@ -619,7 +620,7 @@ def _fit_blocks(
     return best
 
 
-def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
+def fit_mcd(Z, h: int) -> RawEstimate:
     """Deterministic MCD fit of one data block.
 
     Parameters
@@ -633,8 +634,10 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     -------
     RawEstimate
         Best of the two starts after concentration to a fixed point (or
-        ``max_csteps`` steps) plus exchange polishing, fitted as a stack
-        of one block.  The returned subset refers to rows of ``Z`` in the
+        ``_MAX_CSTEPS`` steps) plus exchange polishing (at most
+        ``_MAX_SWEEPS`` sweeps), fitted as a stack of one block.  A
+        candidate that reaches either cap keeps its last subset, with a
+        warning through the ``robustqda.mcd`` logger.  The returned subset refers to rows of ``Z`` in the
         caller's ordering, while the estimate itself is computed in
         canonical row order, so permuting the rows of ``Z`` reproduces the
         identical estimate.
@@ -646,7 +649,7 @@ def fit_mcd(Z, h: int, *, max_csteps: int = _MAX_CSTEPS) -> RawEstimate:
     if not (p + 1 <= h < n):
         raise DomainError(f"h must satisfy p + 1 <= h < n, got h={h} for n={n}, p={p}")
     order = _canonical_order(Z)
-    best = _fit_blocks(Z, (order,), (h,), max_csteps=max_csteps)[0]
+    best = _fit_blocks(Z, (order,), (h,))[0]
     return replace(best, subset=np.sort(order[best.subset]))
 
 

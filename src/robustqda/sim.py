@@ -40,7 +40,6 @@ __all__ = [
     "generate",
     "kl_metric",
     "parse_scenario",
-    "preset_names",
     "preset_scenario",
     "run_study",
     "two_class_demo",
@@ -132,6 +131,9 @@ class Scenario:
         for i, cls in enumerate(self.classes, start=1):
             if cls.p != p:
                 raise ConfigError(f"class {i} has dimension {cls.p}, expected {p}")
+            n_center = p if cls.contamination is None else len(cls.contamination.center)
+            if n_center != p:
+                raise ConfigError(f"class {i}: contamination center has dimension {n_center}, expected {p}")
         for name, eps in (("eps_label", self.eps_label), ("eps_meas", self.eps_meas)):
             if not (0.0 <= eps < 0.5):
                 raise ConfigError(f"{name} must lie in [0, 0.5), got {eps!r}")
@@ -189,14 +191,9 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None):
 
         m_meas = int(math.floor(scenario.eps_meas * cls.n))
         if m_meas > 0:
-            candidates = np.flatnonzero(kind == KIND_CLEAN)
-            if candidates.shape[0] < m_meas:
-                raise ConfigError(f"class {g}: not enough clean rows left to replace")
-            chosen = rng.choice(candidates, size=m_meas, replace=False)
+            chosen = rng.choice(np.flatnonzero(kind == KIND_CLEAN), size=m_meas, replace=False)
             spec = cls.contamination
             center = np.array(spec.center)
-            if center.shape[0] != cls.p:
-                raise ConfigError(f"class {g}: contamination center has wrong dimension")
             if spec.kind == "point":
                 Xg[chosen] = center
             else:

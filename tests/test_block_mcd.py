@@ -258,7 +258,7 @@ class TestCanonicalOrderOnce:
 
     def test_seeds_that_are_not_non_negative_integers(self):
         X, _, _ = contaminated(6, n=200)
-        for seed in (-1, -(2**40), 1.5, "3", None, True):
+        for seed in (-1, -(2**40), 1.5, "3", None, True, np.random.default_rng(0)):
             with pytest.raises(DomainError, match="seed must be a non-negative integer"):
                 blockwise_mcd(X, blocks=2, rng=seed)
         assert blockwise_mcd(X, blocks=2, rng=np.int64(3)).weights.sum() > 0

@@ -330,7 +330,7 @@ class TestTrustedConcentration:
             Z[:10] = rng.standard_normal((10, 3)) * 0.3 + 6.0
             h = h_from_fraction(80, 3, 0.5)
             # both starts concentrated in one stack
-            stack = concentrated(np.stack([Z, Z]), np.arange(2), h, 100)
+            fixed = concentrated(np.stack([Z, Z]), np.arange(2), h)
             for k, start in enumerate(initial_starts(Z)):
                 current = raw_from_subset(Z, _smallest_h(start.squared_distances(Z), h))
                 for _ in range(100):
@@ -339,20 +339,21 @@ class TestTrustedConcentration:
                     current = refined
                     if done:
                         break
-                assert np.array_equal(stack.subset[k], current.subset)
-                assert stack.det[k] == current.det_uncorrected
-                assert consistency_factor(h, 80, 3) == current.c_alpha
-                assert np.array_equal(stack.sigma[k], current.sigma)
-                assert np.array_equal(stack.mu[k], current.mu)
+                assert np.array_equal(fixed[k].subset, current.subset)
+                assert fixed[k].det_uncorrected == current.det_uncorrected
+                assert fixed[k].c_alpha == current.c_alpha == consistency_factor(h, 80, 3)
+                assert np.array_equal(fixed[k].sigma, current.sigma)
+                assert np.array_equal(fixed[k].mu, current.mu)
 
 
-def concentrated(Z, kinds, h, max_steps):
-    """A stack of candidates ``Z`` from starts ``kinds``, concentrated."""
+def concentrated(Z, kinds, h):
+    """The fits of a stack of candidates ``Z`` from starts ``kinds`` where
+    their concentration steps end: ``mcd._fit_stack`` with no polish sweep."""
     from robustqda import mcd
 
-    stack = mcd._start(Z, kinds)
-    mcd._concentrate(Z, stack, h, consistency_factor(h, Z.shape[1], Z.shape[2]), max_steps)
-    return stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcd, "_MAX_SWEEPS", 0)
+        return mcd._fit_stack(Z, kinds, h)
 
 
 def whitened(Z, est):
@@ -593,30 +594,36 @@ class TestCanonicalOrder:
 
 
 class TestNonConvergenceIsLogged:
-    def test_concentration_cap_warns_and_keeps_output(self, caplog):
+    def test_concentration_cap_warns_and_keeps_output(self, caplog, monkeypatch):
+        from robustqda import mcd
+
         rng = np.random.default_rng(41)
         Z = rng.standard_normal((200, 3))
         Z[:30] += 6.0
         h = h_from_fraction(200, 3, 0.5)
         start = initial_starts(Z)[0]
+        kinds = np.zeros(1, dtype=np.intp)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            capped = concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 1)
+            mcd._fit_stack(Z[None], kinds, h)
+        assert not caplog.records
+        monkeypatch.setattr(mcd, "_MAX_CSTEPS", 1)
+        with caplog.at_level("WARNING", logger="robustqda.mcd"):
+            capped = concentrated(Z[None], kinds, h)[0]
         assert any("did not converge within 1 steps" in r.message for r in caplog.records)
         # the output is the subset after the one step, as before
         first = raw_from_subset(Z, np.sort(np.argsort(start.squared_distances(Z), kind="stable")[:h]))
-        assert np.array_equal(capped.subset[0], c_step(Z, first).subset)
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 100)
-        assert not caplog.records
+        assert np.array_equal(capped.subset, c_step(Z, first).subset)
 
-    def test_fit_mcd_with_one_step_warns(self, caplog):
+    def test_fit_mcd_with_one_step_warns(self, caplog, monkeypatch):
+        from robustqda import mcd
+
         rng = np.random.default_rng(42)
         Z = rng.standard_normal((300, 4))
         Z[:60] = rng.standard_normal((60, 4)) * 0.2 + 5.0
+        monkeypatch.setattr(mcd, "_MAX_CSTEPS", 1)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            fit_mcd(Z, h_from_fraction(300, 4, 0.5), max_csteps=1)
-        assert any("did not converge" in r.message for r in caplog.records)
+            fit_mcd(Z, h_from_fraction(300, 4, 0.5))
+        assert any("did not converge within 1 steps" in r.message for r in caplog.records)
 
     def test_polish_refit_failure_warns_and_returns_input(self, caplog, monkeypatch):
         from robustqda import mcd
@@ -625,59 +632,68 @@ class TestNonConvergenceIsLogged:
         Z = rng.standard_normal((120, 3))
         Z[:20] += 5.0
         h = h_from_fraction(120, 3, 0.5)
-        c_alpha = consistency_factor(h, 120, 3)
-        stack = concentrated(Z[None], np.zeros(1, dtype=np.intp), h, 100)
-        est = mcd._loc_scat(stack, 0)
-        subset, det = stack.subset[0].copy(), stack.det[0]
-        args, _ = whitened(Z, mcd.RawEstimate(est, subset, det, c_alpha))
+        kinds = np.zeros(1, dtype=np.intp)
+        real_refit = mcd._refit
+        refits = []
+
+        def counted_refit(*args, **kwargs):
+            refits.append(None)
+            return real_refit(*args, **kwargs)
+
+        monkeypatch.setattr(mcd, "_refit", counted_refit)
+        fixed = concentrated(Z[None], kinds, h)[0]
+        concentration_refits = len(refits)
+        args, _ = whitened(Z, fixed)
         assert mcd._best_exchange(*args)[0] < 1.0 - 1e-12  # the polish would swap
 
         def failing_refit(*args, **kwargs):
-            fits = real_refit(*args, **kwargs)
-            fits.error = [NotPositiveDefinite("refit made to fail")] * fits.det.size
+            fits = counted_refit(*args, **kwargs)
+            if len(refits) > concentration_refits:  # the polish refits after the concentration
+                fits.error = [NotPositiveDefinite("refit made to fail")] * fits.det.size
             return fits
 
-        real_refit = mcd._refit
+        refits.clear()
         monkeypatch.setattr(mcd, "_refit", failing_refit)
+        caplog.clear()
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(Z[None], stack, c_alpha)
-        assert np.array_equal(stack.subset[0], subset)
-        assert stack.det[0] == det
-        assert np.array_equal(stack.sigma[0], est.sigma)
+            polished = mcd._fit_stack(Z[None], kinds, h)[0]
+        assert len(refits) > concentration_refits
+        assert np.array_equal(polished.subset, fixed.subset)
+        assert polished.det_uncorrected == fixed.det_uncorrected
+        assert np.array_equal(polished.sigma, fixed.sigma)
         assert any(
             "exchange polish stopped early" in r.message and "refit made to fail" in r.message
             for r in caplog.records
         )
 
-    def test_polish_cap_warns_and_keeps_the_one_sweep_estimate(self, caplog):
+    def test_polish_cap_warns_and_keeps_the_one_sweep_estimate(self, caplog, monkeypatch):
         from robustqda import mcd
 
         rng = np.random.default_rng(45)
         Z = rng.standard_normal((120, 3))
         Z[:20] += 5.0
         h = h_from_fraction(120, 3, 0.5)
-        c_alpha = consistency_factor(h, 120, 3)
         kinds = np.zeros(1, dtype=np.intp)
-        full = concentrated(Z[None], kinds, h, 100)
-        est = mcd.RawEstimate(mcd._loc_scat(full, 0), full.subset[0], full.det[0], c_alpha)
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(Z[None], full, c_alpha)
+            full = mcd._fit_stack(Z[None], kinds, h)[0]
         assert not caplog.records
+        est = concentrated(Z[None], kinds, h)[0]
         args, outside = whitened(Z, est)
         _, b, slot = mcd._best_exchange(*args)
         swapped = est.subset.copy()
         swapped[slot] = outside[b]
         one_sweep = raw_from_subset(Z, swapped)
         assert mcd._best_exchange(*whitened(Z, one_sweep)[0])[0] < 1.0 - 1e-12  # a second swap follows
-        assert not np.array_equal(full.subset[0], one_sweep.subset)
+        assert not np.array_equal(full.subset, one_sweep.subset)
 
-        capped = concentrated(Z[None], kinds, h, 100)
+        monkeypatch.setattr(mcd, "_MAX_SWEEPS", 1)
+        caplog.clear()
         with caplog.at_level("WARNING", logger="robustqda.mcd"):
-            mcd._polish(Z[None], capped, c_alpha, max_sweeps=1)
+            capped = mcd._fit_stack(Z[None], kinds, h)[0]
         assert any("did not converge within 1 sweeps" in r.message for r in caplog.records)
-        assert np.array_equal(capped.subset[0], one_sweep.subset)
-        assert np.array_equal(capped.sigma[0], one_sweep.loc_scat.sigma)
-        assert capped.det[0] == one_sweep.det_uncorrected
+        assert np.array_equal(capped.subset, one_sweep.subset)
+        assert np.array_equal(capped.sigma, one_sweep.loc_scat.sigma)
+        assert capped.det_uncorrected == one_sweep.det_uncorrected
 
 
 class TestStackedFit:

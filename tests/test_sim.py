@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustqda.errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
+from robustqda.presets import preset_names
 from robustqda.qda import classify_rows, fit_qda
 from robustqda.sim import (
     KIND_MISLABELED,
@@ -21,7 +22,6 @@ from robustqda.sim import (
     generate,
     kl_metric,
     parse_scenario,
-    preset_names,
     preset_scenario,
     run_study,
     two_class_demo,
@@ -92,6 +92,18 @@ class TestScenarioValidation:
             Contamination(kind="blob", center=(0.0,))
         with pytest.raises(ConfigError):
             Contamination(kind="cluster", center=(0.0,), scale=0.0)
+
+    def test_contamination_center_must_match_the_dimension(self):
+        # checked when the scenario is built, not when a replication draws from it
+        noise = Contamination(kind="point", center=(7.0,))
+        with pytest.raises(ConfigError, match="class 1: contamination center has dimension 1, expected 2"):
+            Scenario(
+                classes=(
+                    ClassSpec(n=10, mu=(0.0, 0.0), sigma=(1.0, 1.0), contamination=noise),
+                    ClassSpec(n=10, mu=(5.0, 5.0), sigma=(1.0, 1.0), contamination=noise),
+                ),
+                eps_meas=0.1,
+            )
 
 
 class TestGenerate:
