@@ -14,8 +14,7 @@ The modules that only some commands run are registered here but load
 lazily: each one's body runs at the first read of one of its attributes,
 so ``predict``, for one, never compiles the MCD estimator.  That first
 read must happen on the main thread, since ``importlib.util.LazyLoader``
-is not thread-safe on Python 3.10 and 3.11; the worker threads of
-``_threads.ordered_map`` only run code that is loaded by then.
+is not thread-safe on Python 3.10 and 3.11.
 """
 import importlib
 import importlib.util

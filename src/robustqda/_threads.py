@@ -1,38 +1,38 @@
-"""Worker pools: threads for block fits, forked processes for replications
-and for ``predict``'s row ranges.
+"""The worker pool: forked processes for block fits, replications and
+``predict``'s row ranges.
 
 ``ROBUST_QDA_THREADS`` is the one cap on parallel work (default: the CPU
 count), validated by :func:`worker_count` before any pool starts.
 
-* :func:`ordered_map` fits the stacks of block candidates of one
-  ``blockwise_mcd`` call (``mcd._fit_blocks``) on threads, and only when
-  every block has at least ``block_mcd._THREADED_BLOCK_ROWS`` rows.
-  Smaller fits spend much of their time in Python-level per-step
-  overhead that holds the GIL, so threads would only contend for it;
-  they run one after another.  Blocks of up to ``mcd._STACK_ROWS // 2``
-  rows share stacks, so a call has work for two threads only when its
-  candidates fill two stacks.
-* :func:`process_map` runs the replications of ``sim.run_study`` on up to
-  ``min(cap, reps)`` forked processes, since each one is a whole study
-  fit that threads cannot overlap.  Each worker is one ``os.fork``
-  child, dealt items round-robin, that sends all its results through its
-  own pipe when done; every child is reaped on every path, so no call
-  leaves a process behind.  Inside each worker the cap reads
-  ``max(1, cap // workers)``, so block threads started there never add
-  up to more than the cap.  Every worker holds one replication's data at
-  a time, so ``simulate`` needs about ``min(cap, reps)`` times the memory
-  of one.  While other threads are alive the replications run
-  in-process, since ``fork`` cannot copy a process with threads safely.
-* ``predict`` maps the same :func:`process_map` over up to
-  ``min(cap, rows // cli.MIN_ROWS_PER_WORKER)`` contiguous row ranges of
-  its input, each parsed, scored and formatted in a worker, since CSV
-  parsing and float formatting hold the GIL.  The parent holds the input
-  and the output text, each worker its own range; the texts are joined
-  in row order.
+:func:`process_map` maps a function over items on up to ``min(cap,
+len(items))`` forked processes.  Each worker is one ``os.fork`` child,
+dealt items round-robin, that sends all its results through its own
+pipe when done; every child is reaped on every path, so no call leaves
+a process behind.  Inside each worker the cap reads ``max(1, cap //
+workers)``, so workers that start workers of their own never add up to
+more than the cap.  While other threads are alive the items run
+in-process, since ``fork`` cannot copy a process with threads safely.
+Three callers map over it:
+
+* :func:`ordered_map`, for the stacks of block candidates of one
+  ``blockwise_mcd`` call (``mcd._fit_blocks``), and only when every
+  block has at least ``block_mcd._THREADED_BLOCK_ROWS`` rows; smaller
+  fits run one after another, in-process.  Blocks of up to
+  ``mcd._STACK_ROWS // 2`` rows share stacks, so a call has work for two
+  workers only when its candidates fill two stacks.
+* ``sim.run_study``, for its replications, each a whole study fit.
+  Every worker holds one replication's data at a time, so ``simulate``
+  needs about ``min(cap, reps)`` times the memory of one.
+* ``predict``, for up to ``min(cap, rows // cli.MIN_ROWS_PER_WORKER)``
+  contiguous row ranges of its input, each parsed, scored and formatted
+  in a worker.  The parent holds the input and the output text, each
+  worker its own range; the texts are joined in row order.
 
 Per-class fits run serially.  Results are collected in task order and
-neither pool changes any arithmetic, so the cap, like the core count,
-only affects wall-clock time.
+the pool changes no arithmetic, so the cap, like the core count, only
+affects wall-clock time.  The package starts no threads; BLAS may, and
+the command-line interface pins it to one thread unless the user has
+set its thread count (``cli.py``).
 """
 from __future__ import annotations
 
@@ -65,19 +65,10 @@ def worker_count() -> int:
 
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:
-    """Apply ``fn`` to every item, preserving input order in the result.
-
-    Runs on a thread pool when more than one worker is allowed; results do
-    not depend on the worker count.
-    """
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """:func:`process_map` for the stacks of block fits: a function of its
+    own, so that the block fits can be told apart from the other callers
+    of the pool."""
+    return process_map(fn, items)
 
 
 def process_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T]) -> list[R]:

@@ -7,7 +7,7 @@ a KL sense, re-pool the surviving h-subsets in a single pass, reweight
 once against the pooled raw estimate, and map everything back to the
 original coordinates.  The block fits run as stacks of (block, start)
 candidates of one block size, at most ``mcd._STACK_ROWS`` rows each
-(``mcd._fit_blocks``), mapped over worker threads when the blocks are
+(``mcd._fit_blocks``), mapped over forked workers when the blocks are
 large.  Given the same seed the result is identical for any worker
 count, any stack layout, and any row permutation of the input.
 """
@@ -38,15 +38,13 @@ __all__ = [
 
 _MIN_BLOCK_ROWS = 20
 
-# The smallest block worth splitting off, and worth a thread.  Small
+# The smallest block worth splitting off, and worth a worker.  Small
 # fits are dominated by per-step Python overhead: on 100k rows, 5000-row
 # blocks fit as fast as 25000-row ones and 1000-row blocks took 60%
-# longer, so ``"auto"`` never splits below this size.  That overhead
-# holds the GIL, so threads pay off only on larger blocks: with BLAS
-# pinned to one thread on 2 cores and the blocks' candidates filling two
-# stacks, two threads were slower than one at 1000-row blocks and faster
-# from 2500 rows on (BENCH_threads_crossover.json).  The constant stays
-# at the ``"auto"`` size, which it also sets.
+# longer, so ``"auto"`` never splits below this size.  Forking workers
+# and sending their fits back costs more than a small stack's fit
+# (BENCH_threads_crossover.json).  The constant stays at the ``"auto"``
+# size, which it also sets.
 _THREADED_BLOCK_ROWS = 5_000
 
 
@@ -227,11 +225,9 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         of the data's shape, the same on any machine.  Anything else that
         is not a positive integer raises ``DomainError``.  q = 1 reduces to a
         single MCD fit followed by reweighting.  The stacks of block
-        candidates are fitted on a pool of up to ``ROBUST_QDA_THREADS``
-        threads when the smallest block has at least
-        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise:
-        smaller fits spend much of their time in Python-level overhead
-        that holds the GIL, so threads would slow them down.
+        candidates are fitted on up to ``ROBUST_QDA_THREADS`` forked
+        workers when the smallest block has at least
+        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise.
         Inside a ``simulate`` worker process the cap is that worker's
         share, ``max(1, cap // workers)``, since the study's replications
         already run on up to ``cap`` processes.  The result is the same
@@ -266,11 +262,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     min_rows = max(2 * (p + 1), _MIN_BLOCK_ROWS)
     plan = split_blocks(n, q, shuffle() if q > 1 else None, min_block_size=min_rows)
 
-    threaded = min(plan.sizes) >= _THREADED_BLOCK_ROWS
-    if not threaded:
-        worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, threaded or not
+    forked = min(plan.sizes) >= _THREADED_BLOCK_ROWS
+    if not forked:
+        worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, forked or not
     hs = [h_from_fraction(size, p, h_frac) for size in plan.sizes]
-    estimates = _fit_blocks(Zc, plan.assignments, hs, map_stacks=ordered_map if threaded else map)
+    estimates = _fit_blocks(Zc, plan.assignments, hs, map_stacks=ordered_map if forked else map)
     pooled = select_and_pool(Zc, plan, estimates)
     refined, weights_c = reweight(Zc, pooled)
     weights = np.empty(n, dtype=bool)

@@ -14,10 +14,19 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# A command's parallelism comes from its own forked workers, and BLAS
+# threads started in every worker would oversubscribe the cores, so BLAS
+# runs on one thread unless the user has set its thread count.  BLAS
+# reads these once, when numpy loads it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 import numpy as np
 

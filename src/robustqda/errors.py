@@ -3,7 +3,8 @@
 Two broad families matter for callers (and for CLI exit codes): problems
 with the input itself (``DataError``) and failures that arise while
 estimating (``NumericError``).  ``WorkerDied`` stands apart: a worker
-process of a parallel study was lost, whatever it was computing.
+process of a block fit, a study or ``predict`` was lost, whatever it
+was computing.
 """
 
 

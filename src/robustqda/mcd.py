@@ -152,11 +152,6 @@ def consistency_factor(h: int, n: int, p: int) -> float:
     return ratio / chi2_cdf(q, p + 2)
 
 
-def _reweight_factor(p: int) -> float:
-    q = chi2_quantile(p, REWEIGHT_QUANTILE)
-    return REWEIGHT_QUANTILE / chi2_cdf(q, p + 2)
-
-
 def raw_from_subset(Z, subset) -> RawEstimate:
     """Raw estimate from an explicit h-subset of rows of ``Z``."""
     Z = as_data_matrix(Z, name="Z")
@@ -587,9 +582,9 @@ def _fit_blocks(Z: np.ndarray, blocks, hs, *, map_stacks=map) -> list[RawEstimat
     canonical order, at subset size ``hs[b]``.
 
     The stacks of :func:`_plan_stacks` are fitted through ``map_stacks``
-    (the builtin ``map``, or a thread pool's).  Each block keeps the
-    candidate with the smaller determinant, the spatial-sign start on a
-    tie.  The first failure in (block, start) order is raised, and
+    (the builtin ``map``, or the worker pool's ``_threads.ordered_map``).
+    Each block keeps the candidate with the smaller determinant, the
+    spatial-sign start on a tie.  The first failure in (block, start) order is raised, and
     ``AllStartsDegenerate`` when both starts of a block are degenerate.
     The returned subsets index the rows of each block.
     """
@@ -687,10 +682,11 @@ def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:
     n, p = Z.shape
     loc_scat = raw.loc_scat if hasattr(raw, "loc_scat") else raw
     d2 = loc_scat.squared_distances(Z)
-    weights = d2 <= chi2_quantile(p, REWEIGHT_QUANTILE)
+    cutoff = chi2_quantile(p, REWEIGHT_QUANTILE)
+    weights = d2 <= cutoff
     kept = int(weights.sum())
     if kept <= p:
         raise TooFewInliers(f"reweighting kept {kept} rows, need more than p={p}")
     mu, cov = _mean_cov(Z[weights])
-    refined = LocationScatter.from_sigma(mu, _reweight_factor(p) * cov)
+    refined = LocationScatter.from_sigma(mu, REWEIGHT_QUANTILE / chi2_cdf(cutoff, p + 2) * cov)
     return refined, weights

@@ -352,7 +352,7 @@ class TestThreadedPath:
     def test_thread_counts_and_serial_path_agree(self, monkeypatch):
         from unittest import mock
 
-        from robustqda import block_mcd
+        from robustqda import block_mcd, mcd
 
         X, _, _ = contaminated(13, n=800, p=3)
         y = np.where(np.arange(800) % 3 == 0, 2, 1)
@@ -361,12 +361,39 @@ class TestThreadedPath:
             serial = self._fits(X, y)
         assert pool.call_count == 0
         monkeypatch.setattr(block_mcd, "_THREADED_BLOCK_ROWS", 0)
+        # Two candidates of the 200-row blocks per stack: four stacks, so
+        # that two and four workers each get some.
+        monkeypatch.setattr(mcd, "_STACK_ROWS", 400)
         for workers in ("1", "2", "4"):
             monkeypatch.setenv("ROBUST_QDA_THREADS", workers)
             with mock.patch.object(block_mcd, "ordered_map", wraps=block_mcd.ordered_map) as pool:
                 threaded = self._fits(X, y)
             assert pool.call_count == 3  # one blockwise_mcd call, two classes
             self._assert_same(serial, threaded)
+
+    def test_degenerate_blocks_raise_the_same_error_at_every_cap(self, monkeypatch):
+        """Blocks of a constant class fail the same way on forked workers as
+        in-process: both starts of every block end in ``DegenerateStart``,
+        which the workers send back.  ``blockwise_mcd`` stops a constant
+        column at ``ZeroScale`` before any block fit, so the blocks go to
+        the pool through ``mcd._fit_blocks``."""
+        from unittest import mock
+
+        from robustqda import _threads, mcd
+        from robustqda.errors import AllStartsDegenerate
+
+        Z = np.full((240, 3), 2.0)
+        blocks = tuple(np.arange(b, 240, 4) for b in range(4))
+        monkeypatch.setattr(mcd, "_STACK_ROWS", 120)  # two candidates per stack: four stacks
+        seen = []
+        for cap in ("1", "2", "3"):
+            monkeypatch.setenv("ROBUST_QDA_THREADS", cap)
+            with mock.patch.object(_threads.os, "fork", wraps=os.fork) as fork:
+                with pytest.raises(AllStartsDegenerate) as info:
+                    mcd._fit_blocks(Z, blocks, (40,) * 4, map_stacks=_threads.ordered_map)
+            seen.append((fork.call_count, str(info.value)))
+        message = "both initial scatter estimates are degenerate"
+        assert seen == [(0, message), (2, message), (3, message)]
 
     def test_serial_path_still_validates_thread_env(self, monkeypatch):
         from robustqda.errors import ConfigError

@@ -502,36 +502,97 @@ class TestThreadEnvIndependence:
 class TestStartUp:
     """Each command runs only the package modules it uses: the five that
     load lazily run at first use, and ``numpy.ma``, ``numpy.random`` and
-    ``concurrent.futures`` load only where something needs them."""
+    ``concurrent.futures`` load only where something needs them.  No
+    command starts a thread, and the CLI pins BLAS to one thread before
+    numpy loads it unless the user has set its thread count."""
 
     DEFERRED = {"block_mcd", "lbplot", "mcd", "robust_scale", "sim"}
     UNUSED = {"numpy.ma", "numpy.random", "concurrent.futures"}
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
     # Records the package files whose module body runs (the import system
     # runs each through the builtin exec, which raises the "exec" audit
-    # event) and the modules loaded after numpy's own (numpy 1.x loads
-    # numpy.ma and numpy.random itself).
+    # event), the processes forked (the "os.fork" audit event), the
+    # threads started, and the modules loaded after numpy's own (numpy 1.x
+    # loads numpy.ma and numpy.random itself).
     SCRIPT = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "import numpy\n"
         "before = set(sys.modules)\n"
-        "files = []\n"
-        "sys.addaudithook(lambda event, args: event == 'exec' and files.append(args[0].co_filename))\n"
+        "files, forks, threads = [], [], []\n"
+        "def audit(event, args):\n"
+        "    if event == 'exec':\n"
+        "        files.append(args[0].co_filename)\n"
+        "    elif event == 'os.fork':\n"
+        "        forks.append(event)\n"
+        "sys.addaudithook(audit)\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: threads.append(self.name) or start(self)\n"
         "from robustqda.cli import main\n"
         "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(json.dumps({'code': code, 'files': files, 'modules': sorted(set(sys.modules) - before)}))\n"
+        "print(json.dumps({'code': code, 'files': files, 'forks': len(forks), 'threads': threads,\n"
+        "                  'modules': sorted(set(sys.modules) - before)}))\n"
     )
 
-    def start(self, *argv):
-        """The deferred modules that ran, and which of ``UNUSED`` the run loaded."""
-        import robustqda
-
+    def run_script(self, *argv) -> dict:
+        """The record of a run, which must have started no thread."""
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["code"] == 0, proc.stderr
+        assert out["threads"] == [], out["threads"]
+        return out
+
+    def loaded(self, out: dict):
+        """The deferred modules that ran, and which of ``UNUSED`` the run loaded."""
+        import robustqda
+
         package = Path(robustqda.__file__).parent
         ran = {Path(f).stem for f in out["files"] if Path(f).parent == package}
         return ran & self.DEFERRED, self.UNUSED & set(out["modules"])
+
+    def start(self, *argv):
+        return self.loaded(self.run_script(*argv))
+
+    def test_blocks_on_forked_workers_start_no_thread(self, tmp_path, monkeypatch):
+        """``mcd --blocks auto`` on 20,800 rows fits four 5200-row blocks,
+        whose eight candidates fill two stacks, on two forked workers."""
+        from robustqda import mcd
+
+        assert len(mcd._plan_stacks([5200] * 4)) == 2
+        X = np.random.default_rng(0).standard_normal((20_800, 3))
+        X[::50] += 12.0
+        write_dataset(tmp_path / "class.csv", X)
+        report = tmp_path / "mcd.txt"
+        argv = ("mcd", "--data", str(tmp_path / "class.csv"), "--blocks", "auto", "--out", str(report))
+        monkeypatch.setenv("ROBUST_QDA_THREADS", "2")
+        out = self.run_script(*argv)
+        # The block shuffle draws from numpy.random.
+        assert self.loaded(out) == ({"block_mcd", "mcd", "robust_scale"}, {"numpy.random"})
+        assert out["forks"] == 2
+        assert "block_sizes = 5200 5200 5200 5200\n" in report.read_text()
+
+    # Records each BLAS variable as numpy's import finds it, and after.
+    PROBE = (
+        "import json, os, sys\n"
+        "names, seen = sys.argv[1:], []\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append({v: os.environ.get(v) for v in names})\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "import robustqda.cli\n"
+        "print(json.dumps(seen + [{v: os.environ.get(v) for v in names}]))\n"
+    )
+
+    @pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
+    def test_blas_pinned_before_numpy_loads_unless_set(self, user):
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *self.BLAS_VARS],
+                              env={**env, **user}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        at_numpy, after = json.loads(proc.stdout)
+        want = {v: user.get(v, "1") for v in self.BLAS_VARS}
+        assert at_numpy == after == want
 
     def test_each_command_runs_only_its_modules(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ The commands are the corpus that "same bytes" claims in ``CHANGES.md``
 were checked on:
 - ``mcd`` at ``--blocks`` auto, 1 and 4, and 4 with ``--h-frac 0.75
   --seed 9``, on a 10,400-row class; at auto on a 20,800-row class (four
-  5200-row blocks, two stacks on the thread pool); at 7 on 10,007 tied
+  5200-row blocks, two stacks on forked workers); at 7 on 10,007 tied
   half-integer rows, on a row-shuffled copy and with ``--h-frac 0.75
   --seed 3``;
 - ``train`` at auto, 1, 4 and classical on two 10,400-row classes, at

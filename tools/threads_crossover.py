@@ -1,16 +1,17 @@
-"""Block size at which fitting blocks on threads starts to pay off.
+"""Block size at which fitting blocks on forked workers starts to pay off.
 
 Times ``blockwise_mcd`` calls at each block size, with the block fits
-forced onto the thread pool, at ``ROBUST_QDA_THREADS=1`` and ``2`` in
+forced onto the worker pool, at ``ROBUST_QDA_THREADS=1`` and ``2`` in
 alternating order, and prints a JSON record of the median time per
 call.  The pool maps over stacks of candidates (``mcd._plan_stacks``),
 so each size takes 4 blocks, or more where 4 blocks would fill only one
 stack: enough that their candidates form two stacks.  Each sample
 repeats the call until it has fitted about ``SAMPLE_ROWS`` rows, so
 that small blocks are not timed from a single call of a few tens of
-milliseconds.  BLAS is pinned to one thread, as the benchmark pins it,
-so the package's own pool is the only parallelism.  The crossover
-constant ``block_mcd._THREADED_BLOCK_ROWS`` is set from this sweep.
+milliseconds.  BLAS is pinned to one thread, as the benchmark and the
+command-line interface pin it, so the package's own pool is the only
+parallelism.  The crossover constant ``block_mcd._THREADED_BLOCK_ROWS``
+is set from this sweep.
 
     PYTHONPATH=src python tools/threads_crossover.py [--repeats 5]
 """
@@ -32,7 +33,7 @@ from robustqda import block_mcd, mcd  # noqa: E402
 
 BLOCKS = 4
 P = 5
-BLOCK_ROWS = (1_000, 2_500, 5_000, 10_000, 15_000, 20_000, 25_000, 50_000, 100_000)
+BLOCK_ROWS = (1_000, 2_500, 5_000, 10_000, 15_000, 20_000, 25_000)
 THREADS = ("1", "2")
 SAMPLE_ROWS = 160_000
 
