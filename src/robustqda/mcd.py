@@ -673,15 +673,16 @@ def _canonical_order(Z: np.ndarray) -> np.ndarray:
 def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:
     """One-step reweighting of a raw estimate.
 
-    Flags row ``i`` as an inlier (weight 1) when its squared robust
-    distance under ``raw`` is at most the chi-square 0.975 quantile, then
+    ``raw`` is any estimate that carries its location and scatter as
+    ``raw.loc_scat`` (a ``RawEstimate`` or a pooled one).  Flags row ``i``
+    as an inlier (weight 1) when its squared robust distance under
+    ``raw.loc_scat`` is at most the chi-square 0.975 quantile, then
     returns the classical mean and covariance of the inliers with the
     matching consistency factor applied, plus the 0/1 weight vector.
     """
     Z = as_data_matrix(Z, name="Z")
     n, p = Z.shape
-    loc_scat = raw.loc_scat if hasattr(raw, "loc_scat") else raw
-    d2 = loc_scat.squared_distances(Z)
+    d2 = raw.loc_scat.squared_distances(Z)
     cutoff = chi2_quantile(p, REWEIGHT_QUANTILE)
     weights = d2 <= cutoff
     kept = int(weights.sum())

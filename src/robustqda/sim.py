@@ -87,8 +87,8 @@ class Contamination:
         if self.kind not in ("cluster", "point", "shift"):
             raise ConfigError(f"contamination kind must be cluster, point, or shift, got {self.kind!r}")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if self.scale <= 0.0:
-            raise ConfigError(f"contamination scale must be positive, got {self.scale!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigError(f"contamination scale must be positive and finite, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -459,8 +459,8 @@ def preset_scenario(name: str, *, scale: float = 0.01, seed: int = 0) -> Scenari
     """
     if name not in PRESET_EPS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
-    if scale <= 0.0:
-        raise ConfigError(f"scale must be positive, got {scale!r}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"scale must be positive and finite, got {scale!r}")
     eps_label, eps_meas = PRESET_EPS[name]
     classes = tuple(
         ClassSpec(
@@ -544,6 +544,8 @@ def parse_scenario(text: str) -> Scenario:
             values = tuple(float(v) for v in text_value.split())
         except ValueError:
             raise ConfigError(f"{key}: expected numbers, got {text_value!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key}: expected finite numbers, got {text_value!r}")
         if expect is not None and len(values) != expect:
             raise ConfigError(f"{key}: expected {expect} values, got {len(values)}")
         return values

@@ -462,6 +462,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert "error: ConfigError:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["0", "-inf", "nan", "inf"])
+    def test_scale_must_be_positive_and_finite(self, scale, tmp_path, capsys):
+        rc = main(["simulate", "--scenario", "clean", f"--scale={scale}", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: scale must be positive and finite, got {float(scale)!r}\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestThreadEnvIndependence:
     def test_mcd_bytes_match_across_worker_counts(self, tmp_path):

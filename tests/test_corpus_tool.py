@@ -1,5 +1,6 @@
-"""``tools/corpus.py compare``: every file that differs, or exists on one
-side only, is named, and any of them makes the exit code 1."""
+"""``tools/corpus.py``: ``compare`` names every file that differs, or
+exists on one side only, and any of them makes the exit code 1; ``check``
+names every file that breaks one of the corpus's own invariants."""
 import importlib.util
 from pathlib import Path
 
@@ -32,3 +33,29 @@ def test_compare_names_every_file_that_does_not_match(tmp_path, capsys):
     ]
     assert corpus.compare(a, a) == 0
     assert capsys.readouterr().out.splitlines() == [f"3 identical, 0 differ, 0 only in {a}, 0 only in {a}"]
+
+
+def _reports(root, ties_shuffled_7=None, class_20800_auto=None):
+    """A corpus's three checked reports, holding the lines ``check`` wants
+    unless a report's text is given."""
+    ties = "method = blockwise\nblock_sizes = 1430 1430 1430 1430 1429 1429 1429\n"
+    (root / "mcd").mkdir(parents=True)
+    (root / "mcd" / "ties_7.txt").write_text(ties)
+    (root / "mcd" / "ties_shuffled_7.txt").write_text(ties_shuffled_7 or ties)
+    (root / "mcd" / "class_20800_auto.txt").write_text(
+        class_20800_auto or "method = blockwise\nblock_sizes = 5200 5200 5200 5200\n")
+    return root
+
+
+def test_check_passes_a_corpus_that_keeps_its_invariants(tmp_path):
+    assert _corpus_tool().check(_reports(tmp_path)) == []
+
+
+def test_check_names_the_file_that_breaks_an_invariant(tmp_path):
+    corpus = _corpus_tool()
+    shuffled = _reports(tmp_path / "a", ties_shuffled_7="block_sizes = 1430 1430 1430 1430 1429 1429 1429\n")
+    assert corpus.check(shuffled) == ["mcd/ties_7.txt and mcd/ties_shuffled_7.txt differ"]
+    # A block_sizes line must be a whole line, not a prefix of one.
+    blocks = _reports(tmp_path / "b", class_20800_auto="block_sizes = 5200 5200 5200 5200 5200\n")
+    assert corpus.check(blocks) == [
+        "mcd/class_20800_auto.txt has no line 'block_sizes = 5200 5200 5200 5200'"]

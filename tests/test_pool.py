@@ -163,19 +163,24 @@ class TestProcessMap:
             process_map(_pid_and_cap, range(3))
 
     def test_cli_import_and_serial_study_leave_multiprocessing_unloaded(self):
-        code = (
-            "import sys, tempfile, robustqda.cli\n"
-            "assert 'multiprocessing' not in sys.modules\n"
-            "with tempfile.TemporaryDirectory() as out:\n"
-            "    assert robustqda.cli.main(['simulate', '--scenario', 'clean', '--scale',"
-            " '0.002', '--reps', '2', '--methods', 'classical', '--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
-        )
-        env = dict(os.environ, ROBUST_QDA_THREADS="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        """Neither a serial study nor one on two forked workers, which runs
+        both methods, loads ``multiprocessing`` or
+        ``concurrent.futures.process``."""
+        for threads, methods in (("1", "classical"), ("2", "both")):
+            code = (
+                "import sys, tempfile, robustqda.cli\n"
+                "assert 'multiprocessing' not in sys.modules\n"
+                "with tempfile.TemporaryDirectory() as out:\n"
+                "    assert robustqda.cli.main(['simulate', '--scenario', 'clean', '--scale',"
+                f" '0.002', '--reps', '2', '--methods', {methods!r}, '--out', out]) == 0\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('multiprocessing') or m == 'concurrent.futures.process'))\n"
+            )
+            env = dict(os.environ, ROBUST_QDA_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            assert out.stdout.strip() == "[]", threads
 
 
     def test_predict_below_the_minimum_leaves_multiprocessing_unloaded(self, tmp_path):

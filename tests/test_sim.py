@@ -90,8 +90,9 @@ class TestScenarioValidation:
     def test_contamination_validation(self):
         with pytest.raises(ConfigError):
             Contamination(kind="blob", center=(0.0,))
-        with pytest.raises(ConfigError):
-            Contamination(kind="cluster", center=(0.0,), scale=0.0)
+        for scale in (0.0, -math.inf, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                Contamination(kind="cluster", center=(0.0,), scale=scale)
 
     def test_contamination_center_must_match_the_dimension(self):
         # checked when the scenario is built, not when a replication draws from it
@@ -394,6 +395,11 @@ class TestPresets:
         with pytest.raises(ConfigError, match="choose from"):
             preset_scenario("dirty")
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ConfigError, match="scale must be positive and finite"):
+            preset_scenario("clean", scale=scale)
+
     def test_clean_preset_priors_recovered(self):
         # empirical class shares are 0.25 / 0.35 / 0.40; robust trimming
         # must leave the priors within a percent of those targets
@@ -436,6 +442,13 @@ class TestScenarioFormat:
             parse_scenario("dims = 2\n")
         with pytest.raises(ConfigError, match="expected numbers"):
             parse_scenario(text.replace("eps_label = 0.0", "eps_label = x"))
+        # A non-finite number, last on its line, is named by its key.
+        for line in ("eps_label = 0.0", "class1.noise_scale = 0.2", "class2.mu = 5.0 5.0"):
+            assert f"\n{line}\n" in text
+            for value in ("nan", "inf", "-inf"):
+                bad = f"{line.rsplit(' ', 1)[0]} {value}"
+                with pytest.raises(ConfigError, match=f"^{line.split(' = ')[0]}: expected finite numbers"):
+                    parse_scenario(text.replace(f"\n{line}\n", f"\n{bad}\n"))
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_scenario(text + "dims = 2\n")
         with pytest.raises(ConfigError, match="'key = value'"):

@@ -11,9 +11,21 @@ working directory and under the environment it is given: the package
 is the one this script imports (``PYTHONPATH`` picks the tree), and
 ``ROBUST_QDA_THREADS`` sets the cap.  A command that
 must fail has its exit code and stderr written to a file; any other
-command that fails stops the run.  ``DIR/SHA256SUMS`` then lists every
-file in ``sha256sum`` format.  The outputs carry no timings, so two runs
-of the same tree give the same bytes at any cap.
+command that fails stops the run.  :func:`check` then tests the
+corpus's own invariants, and ``write`` exits 1 naming each file that
+breaks one:
+- ``mcd/ties_7.txt`` and ``mcd/ties_shuffled_7.txt`` are the same bytes,
+  since the fit must not depend on row order;
+- ``mcd/class_20800_auto.txt`` holds the line
+  ``block_sizes = 5200 5200 5200 5200``, since ``--blocks auto`` takes
+  one block per full 5000 rows;
+- ``mcd/ties_7.txt`` holds the line
+  ``block_sizes = 1430 1430 1430 1430 1429 1429 1429``, since
+  ``--blocks 7`` splits 10,007 rows as evenly as it can.
+
+``DIR/SHA256SUMS`` then lists every file in ``sha256sum`` format.  The
+outputs carry no timings, so two runs of the same tree give the same
+bytes at any cap.
 
 ``compare`` hashes every file under ``A`` and ``B``, lists each one that
 differs or exists on one side only, prints a summary line, and exits 1
@@ -171,6 +183,19 @@ def _hashes(folder: Path) -> dict:
     }
 
 
+def check(folder: Path) -> list:
+    """One message for each of the corpus's invariants that ``folder``
+    breaks, naming the file; empty if it keeps them all."""
+    problems = []
+    if (folder / "mcd/ties_7.txt").read_bytes() != (folder / "mcd/ties_shuffled_7.txt").read_bytes():
+        problems.append("mcd/ties_7.txt and mcd/ties_shuffled_7.txt differ")
+    for name, line in (("mcd/class_20800_auto.txt", "block_sizes = 5200 5200 5200 5200"),
+                       ("mcd/ties_7.txt", "block_sizes = 1430 1430 1430 1430 1429 1429 1429")):
+        if line not in (folder / name).read_text().splitlines():
+            problems.append(f"{name} has no line {line!r}")
+    return problems
+
+
 def write(folder: Path) -> int:
     import robustqda
 
@@ -192,6 +217,9 @@ def write(folder: Path) -> int:
             sys.exit(f"robust-qda {' '.join(argv)}: exit {proc.returncode}\n{proc.stderr}")
         if failed:
             (folder / stderr_file).write_text(f"exit {proc.returncode}\n{proc.stderr}")
+    problems = check(folder)
+    if problems:
+        sys.exit("\n".join(problems))
     hashes = _hashes(folder)
     (folder / MANIFEST).write_text("".join(f"{digest}  {name}\n" for name, digest in hashes.items()))
     print(f"wrote {len(hashes)} files from {len(commands)} commands of {package} to {folder}"
