@@ -10,7 +10,8 @@ def write_text_atomic(path, text: str) -> Path:
     """Write ``text`` to ``path`` via a temp file and rename.
 
     Readers never observe a half-written file; on failure the target is
-    left untouched.
+    left untouched.  The file gets the mode ``open(path, "w")`` would
+    leave: an existing file's own, else ``0o666`` less the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -18,6 +19,7 @@ def write_text_atomic(path, text: str) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp_name, _mode_for(path))
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -26,6 +28,17 @@ def write_text_atomic(path, text: str) -> Path:
             pass
         raise
     return path
+
+
+def _mode_for(path: Path) -> int:
+    """The permission bits ``open(path, "w")`` leaves on ``path``."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        # Python has no call that only reads the umask: set it and put it back.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def write_text(target, text: str) -> None:

@@ -27,6 +27,13 @@ through :func:`_refit`, which forms the inverse Cholesky factor once;
 distances (``core._whitened_squared_norms``, shared with
 :meth:`LocationScatter.squared_distances`) and exchange ratios whiten
 deviations through it, one matrix product per pass.
+
+:func:`fit_mcd` fits one block through the same stack, and
+:func:`initial_starts`, :func:`raw_from_subset` and :func:`c_step` take
+its steps one at a time.  No command or exported function reaches
+them, so they are not exported: they are the tests' reference path,
+and ``bench/tracing.py`` hooks ``fit_mcd``, ``c_step`` and
+``raw_from_subset`` by name.
 """
 from __future__ import annotations
 
@@ -63,12 +70,8 @@ from .robust_scale import MAD_TO_SD
 __all__ = [
     "REWEIGHT_QUANTILE",
     "RawEstimate",
-    "c_step",
     "consistency_factor",
-    "fit_mcd",
     "h_from_fraction",
-    "initial_starts",
-    "raw_from_subset",
     "reweight",
 ]
 

@@ -36,6 +36,13 @@ def chi2_quantile_oracle(dof: int, prob: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def test_numpy_runtime_warnings_are_errors_in_this_suite():
+    # pyproject.toml's filterwarnings turns every RuntimeWarning into an
+    # error, so a test that hits a numeric warning fails.
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        np.log(np.zeros(1))
+
+
 class TestAsDataMatrix:
     def test_accepts_lists(self):
         X = as_data_matrix([[1.0, 2.0], [3.0, 4.0]])

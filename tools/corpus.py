@@ -1,6 +1,7 @@
 """Byte corpus of the command-line interface: write it, or compare two.
 
     PYTHONPATH=src python3 tools/corpus.py write DIR
+    ENV/bin/python tools/corpus.py write DIR
     python3 tools/corpus.py compare A B
 
 ``write`` draws its inputs into ``DIR/in`` with numpy (the label-noise
@@ -8,8 +9,9 @@ sets with the benchmark's own ``bench.inputs``, the two-class demo with
 ``sim.two_class_demo``), then runs every command of :func:`_commands` in a
 fresh ``python -m robustqda.cli`` process, in order, with ``DIR`` as the
 working directory and under the environment it is given: the package
-is the one this script imports (``PYTHONPATH`` picks the tree), and
-``ROBUST_QDA_THREADS`` sets the cap.  A command that
+is the one this script imports (``PYTHONPATH`` picks a tree's ``src``;
+without it, an environment's Python runs the package installed there),
+and ``ROBUST_QDA_THREADS`` sets the cap.  A command that
 must fail has its exit code and stderr written to a file; any other
 command that fails stops the run.  :func:`check` then tests the
 corpus's own invariants, and ``write`` exits 1 naming each file that
@@ -47,8 +49,11 @@ were checked on:
 - the ``fit-diagnose`` inputs (``bench.inputs.label_preset`` at scale
   0.01, generator seeds 1 and 7, two sets each): ``train --blocks auto``
   and ``lbplot`` of classes 1 to 3;
-- ``simulate`` of all four presets at ``--reps 3``, and ``measurement
-  --methods robust --reps 2 --seed 4``;
+- ``simulate`` of all four presets at ``--reps 3``, ``measurement
+  --methods robust --reps 2 --seed 4``, and ``both --scale 0.06 --reps
+  1``, whose one replication has the whole cap, so that its classes 2
+  and 3 (5212- and 5850-row blocks) fit their stacks on forked workers
+  at caps 2 and 3;
 - the stderr of the oversized-cell error and of ``lbplot --class 3`` on
   a two-class model.
 """
@@ -118,6 +123,7 @@ def _commands() -> list:
         runs.append(f"simulate --scenario {preset} --reps 3 --out simulate/{preset}")
     runs.append("simulate --scenario measurement --methods robust --reps 2 --seed 4"
                 " --out simulate/measurement_robust_s4")
+    runs.append("simulate --scenario both --scale 0.06 --reps 1 --out simulate/both_scale_0.06")
     commands = [(run.split(), None) for run in runs]
     commands += [
         ("mcd --data in/huge_cell.csv".split(), "stderr/mcd_huge_cell.txt"),
