@@ -33,7 +33,7 @@ import numpy as np
 from . import block_mcd, lbplot, sim
 from ._threads import process_map, worker_count
 from .data_io import encode_labels, encode_with_names, read_dataset, read_rows, write_predictions_csv
-from .errors import DataError, DimensionMismatch, NumericError, WorkerDied
+from .errors import ConfigError, DataError, DimensionMismatch, NumericError, WorkerDied
 from .fileio import write_text_atomic
 from .model_io import load_model, save_model
 from .presets import preset_names
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a contamination study")
     p_sim.add_argument("--scenario", required=True,
                        help=f"scenario file, or one of the presets: {', '.join(preset_names())}")
-    p_sim.add_argument("--scale", type=_fraction_arg, default=0.01,
+    p_sim.add_argument("--scale", type=_fraction_arg, default=None,
                        help="class-size multiplier for presets (default 0.01)")
     p_sim.add_argument("--reps", type=int, default=5, help="replications (default 5)")
     p_sim.add_argument("--methods", choices=("both", "robust", "classical"), default="both")
@@ -271,16 +271,17 @@ def cmd_lbplot(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.scenario in preset_names():
-        seed = 0 if args.seed is None else args.seed
-        scenario = sim.preset_scenario(args.scenario, scale=args.scale, seed=seed)
+        scenario = sim.preset_scenario(args.scenario, scale=0.01 if args.scale is None else args.scale)
+    elif args.scale is not None:
+        raise ConfigError("--scale sizes a preset's classes; a scenario file gives its own sizes")
     else:
         try:
             text = Path(args.scenario).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"scenario file is not UTF-8 text: {exc}") from None
         scenario = sim.parse_scenario(text)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     methods = ("robust", "classical") if args.methods == "both" else (args.methods,)
     start = time.perf_counter()
     study = sim.run_study(scenario, reps=args.reps, methods=methods)

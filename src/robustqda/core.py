@@ -136,16 +136,16 @@ def _mean_cov(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, (dev.T @ dev) / (rows.shape[0] - 1)
 
 
-def _check_square_symmetric(sigma, *, name: str = "sigma") -> np.ndarray:
+def _check_square_symmetric(sigma) -> np.ndarray:
     S = np.asarray(sigma, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {S.shape}")
+        raise DimensionMismatch(f"sigma must be square, got shape {S.shape}")
     if not np.all(np.isfinite(S)):
-        raise DataError(f"{name} contains non-finite entries")
+        raise DataError("sigma contains non-finite entries")
     scale = np.abs(S).max()
     tol = 1e-12 * max(scale, 1.0)
     if np.abs(S - S.T).max() > tol:
-        raise DataError(f"{name} is not symmetric to within 1e-12 relative")
+        raise DataError("sigma is not symmetric to within 1e-12 relative")
     return 0.5 * (S + S.T)
 
 

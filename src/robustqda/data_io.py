@@ -246,8 +246,8 @@ def encode_labels(labels_raw) -> tuple[np.ndarray, tuple | None]:
 
     If every cell parses as an integer the values pass through untouched
     (contiguity is checked at fit time) and the name table is None.
-    Otherwise the distinct strings are mapped to 1..G in sorted order and
-    returned as the second element.
+    Otherwise the distinct strings, none of which may be ``0``, are
+    mapped to 1..G in sorted order and returned as the second element.
     """
     try:
         y = np.array([int(cell) for cell in labels_raw], dtype=np.int64)
@@ -255,6 +255,8 @@ def encode_labels(labels_raw) -> tuple[np.ndarray, tuple | None]:
     except ValueError:
         pass
     names = tuple(sorted(set(labels_raw)))
+    if "0" in names:
+        raise DataError("no class may be named '0', the outlier class's label")
     index = {name: g for g, name in enumerate(names, start=1)}
     return np.array([index[cell] for cell in labels_raw], dtype=np.int64), names
 
@@ -274,8 +276,8 @@ def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label
     """Write features (and optionally labels) as CSV.
 
     Floats use shortest round-trip decimals, so a write/read cycle
-    reproduces the array bit for bit.  ``target`` may be a path or an
-    open text file.
+    reproduces the array bit for bit; names and labels are written as
+    CSV cells.  ``target`` may be a path or an open text file.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
@@ -291,15 +293,23 @@ def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label
         if y.shape[0] != n:
             raise DataError("labels and data have different lengths")
         header.append(label_col)
+        if y.dtype.kind in "OU":  # names: quote each distinct one once
+            distinct, index = np.unique(y.astype(str), return_inverse=True)
+            y = np.array([_csv_cell(v) for v in distinct.tolist()], dtype=object)[index]
         columns.append(y)
         row_format += ",%s"
-    write_text(target, csv_text(",".join(header), row_format, columns))
+    write_text(target, csv_text(",".join(map(_csv_cell, header)), row_format, columns))
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted as ``csv.QUOTE_MINIMAL`` quotes it."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def write_predictions_csv(target, labels, scores, min_rd, label_names=None, first_row=1) -> None:
     """Write classification output: row, predicted, min_rd, then one
-    score column per class.  Predicted is the original class name when a
-    name table is given; the outlier class always prints as 0.
+    score column per class.  Predicted is the class name, as a CSV cell,
+    when a name table is given; the outlier class always prints as 0.
 
     Rows are numbered from ``first_row``, and the header line comes before
     row 1 only, so the texts written for consecutive ranges of rows join
@@ -310,7 +320,7 @@ def write_predictions_csv(target, labels, scores, min_rd, label_names=None, firs
     min_rd = np.asarray(min_rd, dtype=np.float64)
     G = scores.shape[1]
     header = ["row", "predicted", "min_rd"] + [f"score_{g}" for g in range(1, G + 1)]
-    shown = codes if label_names is None else np.array(["0", *label_names], dtype=object)[codes]
+    shown = codes if label_names is None else np.array(["0", *map(_csv_cell, label_names)], object)[codes]
     columns = [np.arange(first_row, first_row + codes.shape[0]), shown, min_rd, *scores.T]
     head = ",".join(header) if first_row == 1 else None
     write_text(target, csv_text(head, "%d,%s" + ",%.9g" * (G + 1), columns))

@@ -17,7 +17,7 @@ import numpy as np
 from .core import LocationScatter, check_block_count, check_fraction, check_seed, chi2_quantile
 from .errors import DataError, DomainError
 from .fileio import write_text_atomic
-from .qda import ClassModel, QdaModel, _check_options
+from .qda import ClassModel, QdaModel, _check_mode
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_from_json", "model_to_json", "save_model"]
 
@@ -116,7 +116,9 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     if p < 1 or G < 2:
         raise DataError(f"model file needs p >= 1 and G >= 2, got p = {p}, G = {G}")
     quantile = float(_require(doc, "outlier_quantile", (int, float)))
-    _check_options(mode, quantile)
+    _check_mode(mode)
+    if not 0.0 < quantile < 1.0:
+        raise DataError(f"outlier_quantile must lie in (0, 1), got {quantile!r}")
     cutoff = float(_require(doc, "outlier_cutoff", (int, float)))
     if not 0.0 < cutoff < math.inf:
         raise _out_of_range("outlier_cutoff", cutoff)
@@ -146,6 +148,8 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
         names = tuple(str(v) for v in names)
         if len(set(names)) != G:
             raise DataError(f"model file key 'label_names' repeats a name: {list(names)!r}")
+        if "0" in names:
+            raise DataError("no class may be named '0', the outlier class's label")
 
     classes = []
     for g, entry in enumerate(raw_classes, start=1):

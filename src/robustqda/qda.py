@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 OUTLIER_LABEL = 0
-DEFAULT_OUTLIER_QUANTILE = 0.99
+OUTLIER_QUANTILE = 0.99  # chi-square quantile of every fit's outlier cutoff
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,10 @@ def _trimmed_priors(kept: np.ndarray) -> np.ndarray:
     return kept / kept.sum()
 
 
-def _check_options(mode: str, outlier_quantile: float) -> None:
-    """``DataError`` unless ``mode`` names a fit and ``outlier_quantile``
-    lies in (0, 1)."""
+def _check_mode(mode: str) -> None:
+    """``DataError`` unless ``mode`` names a fit."""
     if mode not in ("robust", "classical"):
         raise DataError(f"mode must be 'robust' or 'classical', got {mode!r}")
-    if not (0.0 < outlier_quantile < 1.0):
-        raise DataError(f"outlier_quantile must lie in (0, 1), got {outlier_quantile!r}")
 
 
 def fit_qda(
@@ -141,7 +138,6 @@ def fit_qda(
     h_frac: float = 0.5,
     blocks: int | str = "auto",
     seed: int = 0,
-    outlier_quantile: float = DEFAULT_OUTLIER_QUANTILE,
 ) -> QdaModel:
     """Train a QDA model with classical or robust class-conditional fits.
 
@@ -152,18 +148,19 @@ def fit_qda(
     integer, makes robust fits reproducible; each class consumes its own
     substream, built only if its rows are shuffled into more than one
     block, so the result does not depend on fit order.  Both modes
-    record ``blocks``, ``h_frac`` and ``seed`` and check them alike.
+    record ``blocks``, ``h_frac`` and ``seed`` and check them alike.  The
+    outlier cutoff is the ``OUTLIER_QUANTILE`` (0.99) chi-square quantile.
     """
     X = as_data_matrix(X)
     n, p = X.shape
     y, G = _validate_labels(y, n)
-    _check_options(mode, outlier_quantile)
+    _check_mode(mode)
     seed = check_seed(seed)
     if mode == "classical":
         if blocks != "auto":
             check_block_count(blocks)
         check_fraction(h_frac)
-    cutoff = math.sqrt(chi2_quantile(p, outlier_quantile))
+    cutoff = math.sqrt(chi2_quantile(p, OUTLIER_QUANTILE))
 
     fits: list[LocationScatter] = []
     resolved_blocks: list[int] = []
@@ -201,7 +198,7 @@ def fit_qda(
     return QdaModel(
         classes=classes,
         mode=mode,
-        outlier_quantile=outlier_quantile,
+        outlier_quantile=OUTLIER_QUANTILE,
         outlier_cutoff=cutoff,
         h_frac=h_frac,
         blocks_requested=str(blocks),

@@ -50,8 +50,9 @@ KIND_CLEAN = 0
 KIND_MISLABELED = 1
 KIND_REPLACED = 2
 
-# Subset fraction of every study fit, printed in the text report.
+# Subset fraction and block count of every study fit, printed in the report.
 _H_FRAC = 0.5
+_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,6 @@ class ExtendedConfusion:
     rates: np.ndarray
     row_counts: np.ndarray
     n_classes: int
-    rep_count: int = 1
 
     def __post_init__(self):
         self.rates.setflags(write=False)
@@ -265,9 +265,7 @@ def extended_confusion(pred_labels, tags: Tags, n_classes: int) -> ExtendedConfu
     cells = cells.reshape(keys.size, G + 1)
     counts = cells.sum(axis=1)
     row_keys = tuple(zip((keys // (G + 1)).tolist(), (keys % (G + 1)).tolist()))
-    return ExtendedConfusion(
-        row_keys=row_keys, rates=cells / counts[:, None], row_counts=counts, n_classes=G, rep_count=1
-    )
+    return ExtendedConfusion(row_keys, cells / counts[:, None], counts, G)
 
 
 def average_confusions(confusions) -> ExtendedConfusion:
@@ -281,13 +279,7 @@ def average_confusions(confusions) -> ExtendedConfusion:
             raise DataError("confusion matrices have mismatched subclass rows")
     rates = np.mean([c.rates for c in confusions], axis=0)
     counts = np.mean([c.row_counts for c in confusions], axis=0)
-    return ExtendedConfusion(
-        row_keys=first.row_keys,
-        rates=rates,
-        row_counts=counts,
-        n_classes=first.n_classes,
-        rep_count=sum(c.rep_count for c in confusions),
-    )
+    return ExtendedConfusion(first.row_keys, rates, counts, first.n_classes)
 
 
 def kl_metric(sigma_hat, sigma_true) -> float:
@@ -334,8 +326,6 @@ class MethodReport:
 class StudyReport:
     scenario: Scenario
     reps: int
-    h_frac: float
-    blocks: int | str
     methods: tuple  # of MethodReport
 
     def method(self, mode: str) -> MethodReport:
@@ -351,7 +341,7 @@ def _spread(values: np.ndarray) -> np.ndarray:
     return values.std(axis=0, ddof=1)
 
 
-def _run_rep(scenario: Scenario, methods: tuple, blocks: int | str, rep: int) -> dict:
+def _run_rep(scenario: Scenario, methods: tuple, rep: int) -> dict:
     """Replication ``rep`` of the study: per method, a dict of its
     confusion, per-class kl, det and alpha (None without planted noise),
     and the seconds taken by the fit and the scoring."""
@@ -365,7 +355,7 @@ def _run_rep(scenario: Scenario, methods: tuple, blocks: int | str, rep: int) ->
     rows = {}
     for mode in methods:
         start = time.perf_counter()
-        model = fit_qda(X, y, mode=mode, h_frac=_H_FRAC, blocks=blocks, seed=fit_seed)
+        model = fit_qda(X, y, mode=mode, h_frac=_H_FRAC, blocks=_BLOCKS, seed=fit_seed)
         labels, _, rd, _ = classify_rows(model, X)
         elapsed = time.perf_counter() - start
         alpha = None
@@ -382,16 +372,10 @@ def _run_rep(scenario: Scenario, methods: tuple, blocks: int | str, rep: int) ->
     return rows
 
 
-def run_study(
-    scenario: Scenario,
-    reps: int = 5,
-    methods: tuple = ("robust", "classical"),
-    *,
-    blocks: int | str = 4,
-) -> StudyReport:
+def run_study(scenario: Scenario, reps: int = 5, methods: tuple = ("robust", "classical")) -> StudyReport:
     """Run ``reps`` replications of the scenario for each method.
 
-    Every fit uses ``h_frac=0.5`` and :func:`fit_qda`'s outlier quantile.
+    Every fit uses ``_H_FRAC``, ``_BLOCKS`` and ``qda.OUTLIER_QUANTILE``.
     Replication r draws its data from substream r of the scenario seed
     and hands the fit another substream-derived seed, so the study is
     reproducible end to end and replications are independent.  They run
@@ -413,7 +397,7 @@ def run_study(
 
     if "robust" in methods:
         block_mcd.blockwise_mcd
-    per_rep = process_map(partial(_run_rep, scenario, methods, blocks), range(reps))
+    per_rep = process_map(partial(_run_rep, scenario, methods), range(reps))
 
     reports = []
     for mode in methods:
@@ -434,9 +418,7 @@ def run_study(
                 seconds=tuple(row["seconds"] for row in rows),
             )
         )
-    return StudyReport(
-        scenario=scenario, reps=reps, h_frac=_H_FRAC, blocks=blocks, methods=tuple(reports)
-    )
+    return StudyReport(scenario=scenario, reps=reps, methods=tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +574,12 @@ def parse_scenario(text: str) -> Scenario:
 # Two-class demonstration data: mild overlap, a few swapped labels, and two
 # planted outlier clusters that lean toward class 1.
 
-def two_class_demo(seed: int = 0, *, n1: int = 80, n2: int = 100, swaps=(4, 4), planted=(5, 8)):
+_DEMO_N = (80, 100)  # rows per class
+_DEMO_SWAPS = (4, 4)  # rows given the other class's label
+_DEMO_PLANTED = (5, 8)  # rows replaced by an outlier, keeping their label
+
+
+def two_class_demo(seed: int = 0):
     """Bivariate two-class dataset with label swaps and planted outliers.
 
     Returns ``(X, y, info)`` where ``info`` records the affected row
@@ -601,8 +588,7 @@ def two_class_demo(seed: int = 0, *, n1: int = 80, n2: int = 100, swaps=(4, 4), 
     outliers, keeping their label).  The planted clusters sit closer to
     class 1 than class 2 but outside the 0.99 ellipsoid of both.
     """
-    if swaps[0] + planted[0] > n1 or swaps[1] + planted[1] > n2:
-        raise ConfigError("swaps + planted outliers exceed a class size")
+    n1, n2 = _DEMO_N
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ls1 = LocationScatter.from_sigma([0.0, 0.0], [[1.0, 0.5], [0.5, 1.2]])
     ls2 = LocationScatter.from_sigma([3.8, 2.0], [[1.3, -0.4], [-0.4, 0.9]])
@@ -611,18 +597,18 @@ def two_class_demo(seed: int = 0, *, n1: int = 80, n2: int = 100, swaps=(4, 4), 
 
     rows1 = np.arange(n1)
     rows2 = n1 + np.arange(n2)
-    swapped_1 = np.sort(rng.choice(rows1, size=swaps[0], replace=False))
-    swapped_2 = np.sort(rng.choice(rows2, size=swaps[1], replace=False))
+    swapped_1 = np.sort(rng.choice(rows1, size=_DEMO_SWAPS[0], replace=False))
+    swapped_2 = np.sort(rng.choice(rows2, size=_DEMO_SWAPS[1], replace=False))
     y[swapped_1] = 2
     y[swapped_2] = 1
 
     clean1 = np.setdiff1d(rows1, swapped_1)
     clean2 = np.setdiff1d(rows2, swapped_2)
-    planted_1 = np.sort(rng.choice(clean1, size=planted[0], replace=False))
-    planted_2 = np.sort(rng.choice(clean2, size=planted[1], replace=False))
+    planted_1 = np.sort(rng.choice(clean1, size=_DEMO_PLANTED[0], replace=False))
+    planted_2 = np.sort(rng.choice(clean2, size=_DEMO_PLANTED[1], replace=False))
     tight = LocationScatter.from_sigma([0.0, 0.0], 0.05 * np.eye(2))
-    X[planted_1] = np.array([-4.0, -6.0]) + mvn_sample(rng, tight, planted[0])
-    X[planted_2] = np.array([-4.0, 1.5]) + mvn_sample(rng, tight, planted[1])
+    X[planted_1] = np.array([-4.0, -6.0]) + mvn_sample(rng, tight, _DEMO_PLANTED[0])
+    X[planted_2] = np.array([-4.0, 1.5]) + mvn_sample(rng, tight, _DEMO_PLANTED[1])
 
     info = {
         "swapped_1": swapped_1,
@@ -661,7 +647,7 @@ def _text_report(study: StudyReport) -> str:
         f"scenario: {sc.name}",
         f"  classes={G} dims={sc.p} n={sc.n_total} seed={sc.seed}",
         f"  eps_label={sc.eps_label:g} eps_meas={sc.eps_meas:g}",
-        f"  reps={study.reps} h_frac={study.h_frac:g} blocks={study.blocks}",
+        f"  reps={study.reps} h_frac={_H_FRAC:g} blocks={_BLOCKS}",
         "",
     ]
     for report in study.methods:

@@ -33,7 +33,7 @@ BOTH_SEED = 0
 
 
 def study(name, seed):
-    return run_study(preset_scenario(name, scale=0.01, seed=seed), reps=5, blocks=4)
+    return run_study(preset_scenario(name, scale=0.01, seed=seed), reps=5)
 
 
 @pytest.fixture(scope="module")

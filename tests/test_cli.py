@@ -4,6 +4,7 @@ Most cases call ``main(argv)`` in process and inspect exit codes, files,
 and stderr.  One case shells out to verify that the worker-thread
 environment variable cannot change any output byte.
 """
+import csv
 import json
 import os
 import subprocess
@@ -203,6 +204,34 @@ class TestTrainCommand:
         _, label_names = load_model(model_path)
         assert label_names == ("run", "walk")
         assert "class run:" in capsys.readouterr().err
+
+    def test_quoted_names_predict_as_csv_cells(self, tmp_path):
+        rng = np.random.default_rng(6)
+        X = np.vstack([rng.standard_normal((60, 2)), rng.standard_normal((60, 2)) + 8])
+        names = ["a,b"] * 60 + ['say "hi"'] * 60
+        with open(tmp_path / "named.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["x1", "x2", "label"], *zip(*X.T, names)])
+        write_dataset(tmp_path / "features.csv", np.vstack([X, [[40.0, -40.0]]]))
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--data", str(tmp_path / "named.csv"), "--label-col", "label",
+                     "--mode", "classical", "--out", model]) == 0
+        assert main(["predict", "--model", model, "--data", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "pred.csv")]) == 0
+        with open(tmp_path / "pred.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["row", "predicted", "min_rd", "score_1", "score_2"]
+        assert {len(row) for row in rows} == {5}
+        assert [row[1] for row in rows[1:]] == names + ["0"]
+
+    def test_class_named_zero_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        write_dataset(data, np.random.default_rng(7).standard_normal((40, 2)),
+                      y=np.array(["0", "a"] * 20, dtype=object))
+        rc = main(["train", "--data", str(data), "--label-col", "label", "--mode", "classical",
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "no class may be named '0'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 
@@ -462,6 +491,13 @@ class TestSimulateCommand:
         assert rc == 2
         assert "error: ConfigError:" in capsys.readouterr().err
 
+    def test_scale_with_scenario_file_exits_2(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path)
+        rc = main(["simulate", "--scenario", str(path), "--scale", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: --scale ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("scale", ["0", "-inf", "nan", "inf"])
     def test_scale_must_be_positive_and_finite(self, scale, tmp_path, capsys):
         rc = main(["simulate", "--scenario", "clean", f"--scale={scale}", "--out", str(tmp_path / "o")])
@@ -511,8 +547,9 @@ class TestStartUp:
     """Each command runs only the package modules it uses: the five that
     load lazily run at first use, and ``numpy.ma``, ``numpy.random`` and
     ``concurrent.futures`` load only where something needs them.  No
-    command starts a thread, and the CLI pins BLAS to one thread before
-    numpy loads it unless the user has set its thread count."""
+    command loads SciPy or starts a thread, and the CLI pins BLAS to one
+    thread before numpy loads it unless the user has set its thread
+    count."""
 
     DEFERRED = {"block_mcd", "lbplot", "mcd", "robust_scale", "sim"}
     UNUSED = {"numpy.ma", "numpy.random", "concurrent.futures"}
@@ -542,11 +579,14 @@ class TestStartUp:
     )
 
     def run_script(self, *argv) -> dict:
-        """The record of a run, which must have started no thread."""
+        """The record of a run, which must have loaded no SciPy module and
+        started no thread."""
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["code"] == 0, proc.stderr
+        scipy = [name for name in out["modules"] if name.split(".")[0] == "scipy"]
+        assert scipy == [], scipy
         assert out["threads"] == [], out["threads"]
         return out
 
@@ -619,6 +659,8 @@ class TestStartUp:
                           "--svg", str(tmp_path / "lb.svg")) == ({"lbplot"}, set())
         assert self.start("simulate", "--scenario", "both", "--scale", "0.002", "--reps", "1",
                           "--out", str(tmp_path / "study")) == (self.DEFERRED - {"lbplot"}, {"numpy.random"})
+        for name in ("pred.csv", "lb.csv", "lb.svg", "study/report.txt"):
+            assert (tmp_path / name).stat().st_size > 0, name
 
 
 class TestRunEntryPoint:

@@ -112,9 +112,17 @@ class TestEncodeLabels:
         again = encode_with_names(raw, names)
         assert np.array_equal(y, again)
 
+    def test_outlier_name_rejected(self):
+        with pytest.raises(DataError, match="no class may be named '0'"):
+            encode_labels(("a", "0", "a"))
+
     def test_encode_with_names_unknown_label(self):
         with pytest.raises(DataError, match="'d' is not one of the trained classes"):
             encode_with_names(("a", "d"), ("a", "b", "c"))
+
+
+# Class names that a CSV cell must quote, and one that it need not.
+QUOTED_NAMES = ("a,b", 'say "hi"', "two\nlines", "plain")
 
 
 class TestWriteDataset:
@@ -139,6 +147,16 @@ class TestWriteDataset:
         with pytest.raises(DataError):
             write_dataset(io.StringIO(), np.ones((1, 3)), feature_names=("a",))
 
+    def test_names_that_need_quotes_round_trip(self, tmp_path):
+        X = np.random.default_rng(1).standard_normal((8, 2))
+        y = np.array(QUOTED_NAMES * 2, dtype=object)
+        path = tmp_path / "quoted.csv"
+        write_dataset(path, X, feature_names=("x,1", 'x"2'), y=y, label_col="class, given")
+        ds = read_dataset(path, label_col="class, given")
+        assert ds.feature_names == ("x,1", 'x"2')
+        assert ds.labels_raw == tuple(y)
+        assert np.array_equal(ds.X, X)
+
 
 class TestWritePredictions:
     def test_format_and_names(self):
@@ -152,6 +170,16 @@ class TestWritePredictions:
         assert lines[1].split(",")[:2] == ["1", "dog"]
         assert lines[2].split(",")[:2] == ["2", "0"]  # outlier stays numeric
         assert lines[3].split(",")[:2] == ["3", "cat"]
+
+    def test_names_are_written_as_csv_cells(self):
+        buf = io.StringIO()
+        labels = np.array([1, 2, 3, 4, 0])
+        write_predictions_csv(buf, labels, np.zeros((5, 4)), np.ones(5), label_names=QUOTED_NAMES)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert [len(row) for row in rows] == [7] * 6
+        assert [row[1] for row in rows[1:]] == [*QUOTED_NAMES, "0"]
+        for line in ('1,"a,b",1,', '2,"say ""hi""",1,', '3,"two\nlines",1,', "4,plain,1,"):
+            assert "\n" + line in buf.getvalue()
 
     def test_numeric_labels_without_table(self):
         buf = io.StringIO()

@@ -201,6 +201,7 @@ MALFORMED = {
     "infinite prior": (_set_class("prior", float("inf")), "key 'classes[0].prior' is out of range: inf"),
     "unknown mode": (_set("mode", "fast"), "mode must be 'robust' or 'classical', got 'fast'"),
     "duplicate label names": (_set("label_names", ["a", "a"]), "key 'label_names' repeats a name"),
+    "class named 0": (_set("label_names", ["0", "a"]), "no class may be named '0'"),
     "negative cutoff": (_set("outlier_cutoff", -5), "key 'outlier_cutoff' is out of range: -5.0"),
     "cutoff off its quantile": (_set("outlier_cutoff", 0.001), "key 'outlier_cutoff' is 0.001, but"),
     "quantile above 1": (_set("outlier_quantile", 2), "outlier_quantile must lie in (0, 1), got 2.0"),

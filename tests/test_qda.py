@@ -11,6 +11,7 @@ from robustqda.errors import (
     DomainError,
     EmptyClassAfterTrim,
 )
+from robustqda import qda
 from robustqda.lbplot import lb_points
 from robustqda.qda import (
     OUTLIER_LABEL,
@@ -112,10 +113,13 @@ class TestOutlierRule:
         assert labels[0] == OUTLIER_LABEL
         assert min_rd[0] > model.outlier_cutoff
 
-    def test_quantile_is_configurable(self):
+    def test_quantile_is_configurable(self, monkeypatch):
         X, y = two_gaussians(8)
-        strict = fit_qda(X, y, mode="classical", outlier_quantile=0.9)
-        loose = fit_qda(X, y, mode="classical", outlier_quantile=0.999)
+        monkeypatch.setattr(qda, "OUTLIER_QUANTILE", 0.9)
+        strict = fit_qda(X, y, mode="classical")
+        monkeypatch.setattr(qda, "OUTLIER_QUANTILE", 0.999)
+        loose = fit_qda(X, y, mode="classical")
+        assert (strict.outlier_quantile, loose.outlier_quantile) == (0.9, 0.999)
         assert strict.outlier_cutoff < loose.outlier_cutoff
         pts = np.random.default_rng(2).uniform(-15, 20, (2000, 2))
         n_strict = int((classify_rows(strict, pts)[0] == 0).sum())
@@ -205,9 +209,10 @@ class TestRobustMode:
 
 
 class TestRobustPriors:
-    def test_trimming_rule(self):
+    def test_trimming_rule(self, monkeypatch):
         X, y = two_gaussians(15)
-        model = fit_qda(X, y, mode="robust", blocks=1, seed=0, outlier_quantile=0.5)
+        monkeypatch.setattr(qda, "OUTLIER_QUANTILE", 0.5)
+        model = fit_qda(X, y, mode="robust", blocks=1, seed=0)
         cutoff = model.outlier_cutoff
         kept = []
         for g in (1, 2):
@@ -217,10 +222,11 @@ class TestRobustPriors:
         assert 0 < kept.sum() < X.shape[0]
         assert np.allclose(model.priors, kept / kept.sum(), atol=1e-15)
 
-    def test_all_trimmed_class_raises(self):
+    def test_all_trimmed_class_raises(self, monkeypatch):
         X, y = two_gaussians(16)
+        monkeypatch.setattr(qda, "OUTLIER_QUANTILE", 1e-12)
         with pytest.raises(EmptyClassAfterTrim, match="class 1"):
-            fit_qda(X, y, mode="robust", blocks=1, outlier_quantile=1e-12)
+            fit_qda(X, y, mode="robust", blocks=1)
 
 
 class TestInputChecks:

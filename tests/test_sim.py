@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from robustqda import sim
 from robustqda.errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from robustqda.presets import preset_names
 from robustqda.qda import classify_rows, fit_qda
@@ -41,6 +42,12 @@ def small_scenario(eps_label=0.0, eps_meas=0.0, seed=0, n=(120, 140)):
         seed=seed,
         name="unit",
     )
+
+
+@pytest.fixture
+def one_block(monkeypatch):
+    """Study fits in one block, the block count these tests' studies use."""
+    monkeypatch.setattr(sim, "_BLOCKS", 1)
 
 
 class TestScenarioValidation:
@@ -215,7 +222,6 @@ class TestExtendedConfusion:
         a = extended_confusion(np.array([1, 1, 2, 0, 2, 2, 1, 2]), tags, 2)
         b = extended_confusion(np.array([2, 1, 2, 0, 2, 2, 1, 2]), tags, 2)
         avg = average_confusions([a, b])
-        assert avg.rep_count == 2
         assert avg.rate(1, 1, 1) == 0.75
         assert avg.rate(1, 1, 2) == 0.25
         assert np.allclose(avg.rates.sum(axis=1), 1.0, atol=1e-12)
@@ -338,11 +344,12 @@ class TestMetrics:
             alpha_metric(np.ones(2), tags, 1, cutoff=5.0)
 
 
+@pytest.mark.usefixtures("one_block")
 class TestRunStudy:
     def test_deterministic_and_well_formed(self):
         sc = small_scenario(eps_label=0.1, seed=7, n=(150, 160))
-        a = run_study(sc, reps=2, blocks=1)
-        b = run_study(sc, reps=2, blocks=1)
+        a = run_study(sc, reps=2)
+        b = run_study(sc, reps=2)
         for ra, rb in zip(a.methods, b.methods):
             assert ra.mode == rb.mode
             assert np.array_equal(ra.confusion.rates, rb.confusion.rates)
@@ -358,7 +365,7 @@ class TestRunStudy:
 
     def test_single_rep_has_zero_spread(self):
         sc = small_scenario(seed=8, n=(150, 160))
-        st = run_study(sc, reps=1, methods=("classical",), blocks=1)
+        st = run_study(sc, reps=1, methods=("classical",))
         rep = st.method("classical")
         assert np.all(rep.kl_sd == 0.0)
         assert np.all(rep.det_sd == 0.0)
@@ -366,7 +373,7 @@ class TestRunStudy:
 
     def test_method_lookup(self):
         sc = small_scenario(seed=9, n=(150, 160))
-        st = run_study(sc, reps=1, methods=("classical",), blocks=1)
+        st = run_study(sc, reps=1, methods=("classical",))
         with pytest.raises(DataError):
             st.method("robust")
 
@@ -488,19 +495,16 @@ class TestTwoClassDemo:
         assert np.array_equal(X1, X2)
         assert np.array_equal(y1, y2)
 
-    def test_size_guard(self):
-        with pytest.raises(ConfigError):
-            two_class_demo(swaps=(50, 4), planted=(40, 8))
 
-
+@pytest.mark.usefixtures("one_block")
 class TestReportFiles:
     def test_written_files_and_determinism(self, tmp_path):
         sc = small_scenario(eps_label=0.1, seed=13, n=(150, 160))
-        study = run_study(sc, reps=1, blocks=1)
+        study = run_study(sc, reps=1)
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         paths1 = write_study_report(study, out1)
-        study2 = run_study(sc, reps=1, blocks=1)
+        study2 = run_study(sc, reps=1)
         paths2 = write_study_report(study2, out2)
         names = [p.name for p in paths1]
         assert names == [
@@ -513,10 +517,11 @@ class TestReportFiles:
         ]
         for p1, p2 in zip(paths1, paths2):
             assert p1.read_bytes() == p2.read_bytes()
+        assert "  reps=1 h_frac=0.5 blocks=1\n" in (out1 / "report.txt").read_text()
 
     def test_scenario_file_round_trips(self, tmp_path):
         sc = small_scenario(seed=14)
-        study = run_study(sc, reps=1, methods=("classical",), blocks=1)
+        study = run_study(sc, reps=1, methods=("classical",))
         paths = write_study_report(study, tmp_path)
         text = (tmp_path / "scenario.txt").read_text()
         assert parse_scenario(text) == sc
@@ -555,7 +560,7 @@ class TestReportFiles:
 
     def test_confusion_csv_header(self, tmp_path):
         sc = small_scenario(seed=15)
-        study = run_study(sc, reps=1, methods=("classical",), blocks=1)
+        study = run_study(sc, reps=1, methods=("classical",))
         write_study_report(study, tmp_path)
         head = (tmp_path / "confusion_classical.csv").read_text().splitlines()[0]
         assert head == "origin,given,pred_1,pred_2,pred_0,rows"

@@ -6,12 +6,14 @@
 
 ``write`` draws its inputs into ``DIR/in`` with numpy (the label-noise
 sets with the benchmark's own ``bench.inputs``, the two-class demo with
-``sim.two_class_demo``), then runs every command of :func:`_commands` in a
-fresh ``python -m robustqda.cli`` process, in order, with ``DIR`` as the
-working directory and under the environment it is given: the package
-is the one this script imports (``PYTHONPATH`` picks a tree's ``src``;
-without it, an environment's Python runs the package installed there),
-and ``ROBUST_QDA_THREADS`` sets the cap.  A command that
+``sim.two_class_demo``, the quoted-name set with Python's ``csv``
+module, so that every tree reads the same bytes), then runs every
+command of :func:`_commands` in a fresh ``python -m robustqda.cli``
+process, in order, with ``DIR`` as the working directory and under
+the environment it is given: the package is the one this script
+imports (``PYTHONPATH`` picks a tree's ``src``; without it, an
+environment's Python runs the package installed there), and
+``ROBUST_QDA_THREADS`` sets the cap.  A command that
 must fail has its exit code and stderr written to a file; any other
 command that fails stops the run.  :func:`check` then tests the
 corpus's own invariants, and ``write`` exits 1 naming each file that
@@ -42,10 +44,14 @@ were checked on:
   --seed 3``;
 - ``train`` at auto, 1, 4 and classical on two 10,400-row classes, at
   auto on two 20,800-row classes, robust and classical on named
-  three-class quarter-step data with a duplicated far row and on the
-  two-class demo;
-- ``predict`` on 160,000 rows and on the named set;
-- ``lbplot --csv --svg`` for every class of those nine models;
+  three-class quarter-step data with a duplicated far row, on the
+  two-class demo and on three classes whose names are quoted cells
+  holding a comma and a doubled quote;
+- ``predict`` on 160,000 rows, on the named set and on the quoted-name
+  set;
+- ``lbplot --csv --svg`` for every class of the first nine models, and
+  for class 1 of the quoted-name ones (by number, since a command is
+  split on whitespace);
 - the ``fit-diagnose`` inputs (``bench.inputs.label_preset`` at scale
   0.01, generator seeds 1 and 7, two sets each): ``train --blocks auto``
   and ``lbplot`` of classes 1 to 3;
@@ -60,6 +66,7 @@ were checked on:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import subprocess
@@ -83,6 +90,7 @@ def _models():
     named = ("alpha", "beta", "gamma")
     return [(*model, ("1", "2")) for model in two] + [
         ("named_robust", "named", "", named), ("named_classical", "named", "--mode classical", named),
+        ("quoted_robust", "quoted", "", ("1",)), ("quoted_classical", "quoted", "--mode classical", ("1",)),
     ]
 
 
@@ -107,6 +115,10 @@ def _commands() -> list:
         "predict --model model/named_robust.json --data in/named_features.csv --out predict/named_robust.csv",
         "predict --model model/named_classical.json --data in/named_features.csv"
         " --out predict/named_classical.csv",
+        "predict --model model/quoted_robust.json --data in/quoted_features.csv"
+        " --out predict/quoted_robust.csv",
+        "predict --model model/quoted_classical.json --data in/quoted_features.csv"
+        " --out predict/quoted_classical.csv",
     ]
     for name, data, _, classes in _models():
         for g in classes:
@@ -169,6 +181,14 @@ def _write_inputs(folder: Path) -> None:
     X[[7, 8]] = (40.0, -40.0)  # a far row and its duplicate
     write_csv(folder / "named.csv", X, names)
     write_csv(folder / "named_features.csv", X)
+
+    centers = {"north, east": (0.0, 0.0), 'say "when"': (6.0, 0.0), "west": (0.0, 6.0)}
+    names = np.repeat(list(centers), [240, 200, 180])
+    X = rng.standard_normal((names.size, 2)) + np.array([centers[name] for name in names])
+    X[::40] += 15.0
+    with open(folder / "quoted.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("x1", "x2", "label"), *zip(*X.T.tolist(), names)])
+    write_csv(folder / "quoted_features.csv", X)
 
     X, y, _ = two_class_demo(0)
     write_csv(folder / "demo.csv", X, y)
