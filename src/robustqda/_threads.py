@@ -15,8 +15,8 @@ in-process, since ``fork`` cannot copy a process with threads safely.
 Three callers map over it:
 
 * :func:`ordered_map`, for the stacks of block candidates of one
-  ``blockwise_mcd`` call (``mcd._fit_blocks``), and only when every
-  block has at least ``block_mcd._THREADED_BLOCK_ROWS`` rows; smaller
+  ``mcd._fit_blocks`` call (``blockwise_mcd``, ``fit_mcd``), and only
+  when every block has at least ``mcd._WORKER_BLOCK_ROWS`` rows; smaller
   fits run one after another, in-process.  Blocks of up to
   ``mcd._STACK_ROWS // 2`` rows share stacks, so a call has work for two
   workers only when its candidates fill two stacks.

@@ -18,15 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from ._threads import ordered_map, worker_count
 from .core import LocationScatter, _mean_cov, as_data_matrix, check_block_count, check_seed, median, substream
 from .errors import BlocksTooSmall, DataError, DomainError, TooFewObservations
-from .mcd import _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
+from .mcd import _WORKER_BLOCK_ROWS, _canonical_order, _fit_blocks, consistency_factor, h_from_fraction, reweight
 from .robust_scale import Standardizer, destandardize_estimate, fit_standardizer, standardize
 
 __all__ = [
     "BlockDiagnostics",
-    "BlockPlan",
     "BlockwiseResult",
     "PooledRaw",
     "blockwise_mcd",
@@ -37,24 +35,6 @@ __all__ = [
 ]
 
 _MIN_BLOCK_ROWS = 20
-
-# The smallest block worth splitting off, and worth a worker.  Small
-# fits are dominated by per-step Python overhead: on 100k rows, 5000-row
-# blocks fit as fast as 25000-row ones and 1000-row blocks took 60%
-# longer, so ``"auto"`` never splits below this size.  Forking workers
-# and sending their fits back costs more than a small stack's fit
-# (BENCH_threads_crossover.json).  The constant stays at the ``"auto"``
-# size, which it also sets.
-_THREADED_BLOCK_ROWS = 5_000
-
-
-@dataclass(frozen=True)
-class BlockPlan:
-    """Disjoint covering assignment of row indices to q blocks."""
-
-    q: int
-    assignments: tuple
-    sizes: tuple
 
 
 @dataclass(frozen=True)
@@ -83,14 +63,17 @@ class PooledRaw:
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
-    """Per-block facts of a fit: the block count, each block's rows, subset
-    size and uncorrected determinant.  The screening and pooling facts
-    live in :class:`PooledRaw`."""
+    """Per-block facts of a fit: each block's rows, subset size and
+    uncorrected determinant, and the block count ``q``.  The screening and
+    pooling facts live in :class:`PooledRaw`."""
 
-    q: int
     block_sizes: tuple
     h_values: tuple
     block_dets: tuple
+
+    @property
+    def q(self) -> int:
+        return len(self.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -107,14 +90,15 @@ class BlockwiseResult:
 
 def default_block_count(n: int, p: int) -> int:
     """The q that ``blocks="auto"`` resolves to: one block per full
-    ``_THREADED_BLOCK_ROWS`` rows, capped so blocks keep at least ``20 p``
+    ``mcd._WORKER_BLOCK_ROWS`` rows, capped so blocks keep at least ``20 p``
     rows and the hard minimum size.  Reads n and p only, never the machine."""
     cap = min(n // (20 * p), n // max(2 * (p + 1), _MIN_BLOCK_ROWS))
-    return max(1, min(n // _THREADED_BLOCK_ROWS, cap))
+    return max(1, min(n // _WORKER_BLOCK_ROWS, cap))
 
 
-def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_size: int = _MIN_BLOCK_ROWS) -> BlockPlan:
-    """Shuffle rows 0..n-1 and chunk them into q nearly equal blocks.
+def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_size: int = _MIN_BLOCK_ROWS) -> tuple:
+    """Shuffle rows 0..n-1 and chunk them into q nearly equal blocks,
+    returned as a tuple of q disjoint index arrays that cover the rows.
 
     The first ``n mod q`` blocks receive one extra row, and each block
     lists its rows in ascending order, so a block of rows in canonical
@@ -125,20 +109,12 @@ def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_s
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if q == 1:
-        return BlockPlan(q=1, assignments=(np.arange(n, dtype=np.intp),), sizes=(n,))
+        return (np.arange(n, dtype=np.intp),)
     if n // q < min_block_size:
         raise BlocksTooSmall(
             f"{q} blocks of {n} rows gives blocks of {n // q} < {min_block_size} rows"
         )
-    perm = rng.permutation(n)
-    base, extra = divmod(n, q)
-    assignments = []
-    start = 0
-    for block in range(q):
-        size = base + (1 if block < extra else 0)
-        assignments.append(np.sort(perm[start : start + size]).astype(np.intp))
-        start += size
-    return BlockPlan(q=q, assignments=tuple(assignments), sizes=tuple(len(a) for a in assignments))
+    return tuple(np.sort(rows).astype(np.intp) for rows in np.array_split(rng.permutation(n), q))
 
 
 def median_pool(estimates) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +151,9 @@ def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, fits) -> list[float]:
     return deviations
 
 
-def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
-    """Screen block fits against their median and pool the survivors.
+def select_and_pool(Z, blocks, estimates) -> PooledRaw:
+    """Screen the fits of the q ``blocks`` of :func:`split_blocks`, one
+    estimate per block, against their median and pool the survivors.
 
     Keeps the floor(q/2) blocks with the smallest KL deviation from the
     entry-wise median estimate (ties resolve to the lower block id; a
@@ -186,17 +163,18 @@ def select_and_pool(Z, plan: BlockPlan, estimates) -> PooledRaw:
     """
     Z = as_data_matrix(Z, name="Z")
     n, p = Z.shape
-    if len(estimates) != plan.q:
-        raise DataError(f"expected {plan.q} block estimates, got {len(estimates)}")
+    q = len(blocks)
+    if len(estimates) != q:
+        raise DataError(f"expected {q} block estimates, got {len(estimates)}")
     mu_med, sigma_med = median_pool(estimates)
     deviations = np.array(_kl_core(sigma_med, mu_med, [e.loc_scat for e in estimates]))
-    keep = max(1, plan.q // 2)
+    keep = max(1, q // 2)
     chosen = np.sort(np.argsort(deviations, kind="stable")[:keep])
     pooled_rows = np.sort(
-        np.concatenate([plan.assignments[b][estimates[b].subset] for b in chosen])
+        np.concatenate([blocks[b][estimates[b].subset] for b in chosen])
     )
     m = pooled_rows.shape[0]
-    n_selected = int(sum(plan.sizes[b] for b in chosen))
+    n_selected = int(sum(blocks[b].shape[0] for b in chosen))
     mu, cov = _mean_cov(Z[pooled_rows])
     c_alpha = consistency_factor(m, n_selected, p)
     loc_scat = LocationScatter.from_sigma(mu, c_alpha * cov)
@@ -227,7 +205,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
         single MCD fit followed by reweighting.  The stacks of block
         candidates are fitted on up to ``ROBUST_QDA_THREADS`` forked
         workers when the smallest block has at least
-        ``_THREADED_BLOCK_ROWS`` rows, and one after another otherwise.
+        ``mcd._WORKER_BLOCK_ROWS`` rows, and one after another otherwise.
         Inside a ``simulate`` worker process the cap is that worker's
         share, ``max(1, cap // workers)``, since the study's replications
         already run on up to ``cap`` processes.  The result is the same
@@ -260,14 +238,11 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     Zc = Z[order]
     q = default_block_count(n, p) if blocks == "auto" else check_block_count(blocks)
     min_rows = max(2 * (p + 1), _MIN_BLOCK_ROWS)
-    plan = split_blocks(n, q, shuffle() if q > 1 else None, min_block_size=min_rows)
-
-    forked = min(plan.sizes) >= _THREADED_BLOCK_ROWS
-    if not forked:
-        worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, forked or not
-    hs = [h_from_fraction(size, p, h_frac) for size in plan.sizes]
-    estimates = _fit_blocks(Zc, plan.assignments, hs, map_stacks=ordered_map if forked else map)
-    pooled = select_and_pool(Zc, plan, estimates)
+    blocks = split_blocks(n, q, shuffle() if q > 1 else None, min_block_size=min_rows)
+    sizes = tuple(rows.shape[0] for rows in blocks)
+    hs = [h_from_fraction(size, p, h_frac) for size in sizes]
+    estimates = _fit_blocks(Zc, blocks, hs)
+    pooled = select_and_pool(Zc, blocks, estimates)
     refined, weights_c = reweight(Zc, pooled)
     weights = np.empty(n, dtype=bool)
     weights[order] = weights_c
@@ -275,8 +250,7 @@ def blockwise_mcd(X, *, h_frac: float = 0.5, blocks: int | str = 1, rng=0) -> Bl
     # the caller's row numbering before exposing it.
     pooled = replace(pooled, subset=np.sort(order[pooled.subset]))
     diagnostics = BlockDiagnostics(
-        q=plan.q,
-        block_sizes=plan.sizes,
+        block_sizes=sizes,
         h_values=tuple(int(e.h) for e in estimates),
         block_dets=tuple(float(e.det_uncorrected) for e in estimates),
     )

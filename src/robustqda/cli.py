@@ -194,8 +194,8 @@ def cmd_train(args) -> int:
     )
     elapsed = time.perf_counter() - start
     save_model(args.out, model, label_names)
-    for cm in model.classes:
-        shown = label_names[cm.label - 1] if label_names else cm.label
+    for g, cm in enumerate(model.classes, start=1):
+        shown = label_names[g - 1] if label_names else g
         print(
             f"class {shown}: n={cm.n_raw} inliers={cm.n_inlier} prior={cm.prior:.4f}",
             file=sys.stderr,

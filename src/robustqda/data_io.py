@@ -2,11 +2,11 @@
 
 The dialect is deliberately plain: comma separators, a mandatory header
 row, one observation per line and no blank lines.  LF and CRLF line
-endings are both read, and cells may be quoted.  Feature cells must
-parse as finite decimals.  A body without quotes is parsed by one
-``np.loadtxt`` call; the cell-by-cell parse runs only for inputs that
-call declines, to read quoted cells and to name the offending row and
-column in errors.  Labels may be integers (validated as 1..G at fit
+endings are read, and CR ones from a path; cells may be quoted, keeping
+any line break as written.  Feature cells must parse as finite decimals.
+A body without quotes is parsed by one ``np.loadtxt`` call; the
+cell-by-cell parse runs only for inputs that call declines, to read
+quoted cells and to name the offending row and column in errors.  Labels may be integers (validated as 1..G at fit
 time) or arbitrary strings, in which case the distinct names are mapped
 to 1..G in sorted order and the mapping travels with the model file.
 """
@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .fileio import csv_text, write_text
+
+# A quoted cell as the csv module reads one: a quote that opens a line or
+# follows a comma, up to the next quote that is not doubled or the end.
+_QUOTED_CELL = re.compile(r'("(?<![^,\r\n]")[^"]*(?:""[^"]*)*(?:"|\Z))')
 
 __all__ = [
     "Dataset",
@@ -141,7 +145,15 @@ def read_rows(source, label_col: str | None = None) -> CsvRows:
     """Read a CSV's text and check its header, as :func:`read_dataset`
     does, leaving the body unparsed."""
     try:
-        text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            if "\r" in text:  # universal newlines, except in quoted cells
+                pieces = _QUOTED_CELL.split(text)
+                pieces[::2] = [piece.replace("\r\n", "\n").replace("\r", "\n") for piece in pieces[::2]]
+                text = "".join(pieces)
     except UnicodeDecodeError as exc:
         raise DataError(f"CSV is not UTF-8 text: {exc}") from None
     # A quoted cell may hold commas or line breaks, so with any quote in the

@@ -54,7 +54,9 @@ class LbPlotSpec:
     """The rows labeled ``given_class``, in row order, as read-only columns:
     ``row`` (index into the data), ``rd_own`` (robust distance to the given
     class), ``lb`` (label bias), ``predicted`` (argmax class, 1-based) and
-    ``overall_outlier`` (beyond the cutoff for every class)."""
+    ``overall_outlier`` (beyond the cutoff for every class).  The plot's
+    cutoffs are ``rd_cutoff``, the model's, and the constant
+    ``LB_CUTOFF``."""
 
     given_class: int
     row: np.ndarray
@@ -63,7 +65,6 @@ class LbPlotSpec:
     predicted: np.ndarray
     overall_outlier: np.ndarray
     rd_cutoff: float
-    lb_cutoff: float
 
     def __post_init__(self):
         for column in (self.row, self.rd_own, self.lb, self.predicted, self.overall_outlier):
@@ -98,7 +99,6 @@ def lb_points(model: QdaModel, X, y, given_class: int) -> LbPlotSpec:
         predicted=np.argmax(scores, axis=1) + 1,
         overall_outlier=min_rd > model.outlier_cutoff,
         rd_cutoff=float(model.outlier_cutoff),
-        lb_cutoff=LB_CUTOFF,
     )
 
 
@@ -120,7 +120,7 @@ def render_lb_svg(spec: LbPlotSpec) -> str:
     plot_w = width - left - right
     plot_h = height - top - bottom
     max_rd = float(np.max(spec.rd_own, initial=spec.rd_cutoff))
-    max_lb = float(np.max(spec.lb, initial=spec.lb_cutoff))
+    max_lb = float(np.max(spec.lb, initial=LB_CUTOFF))
     x_hi = 1.08 * max_rd
     y_hi = 1.08 * max_lb
 
@@ -183,8 +183,8 @@ def render_lb_svg(spec: LbPlotSpec) -> str:
         f'y2="{top + plot_h:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>\n'
     )
     out.write(
-        f'<line x1="{left:.2f}" y1="{sy(spec.lb_cutoff):.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{sy(spec.lb_cutoff):.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>\n'
+        f'<line x1="{left:.2f}" y1="{sy(LB_CUTOFF):.2f}" x2="{left + plot_w:.2f}" '
+        f'y2="{sy(LB_CUTOFF):.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>\n'
     )
     # points: dots for ordinary rows, empty circles for overall outliers,
     # filled or stroked in the color of the predicted class

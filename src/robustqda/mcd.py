@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._threads import ordered_map, worker_count
 from .core import (
     LocationScatter,
     _factor_stack,
@@ -90,6 +91,13 @@ _MAX_SWEEPS = 100
 # Rows of candidate data fitted as one stack; bounds a stack's memory.  A
 # candidate with more rows is a stack of its own.
 _STACK_ROWS = 1 << 15
+
+# The smallest block worth a worker, and worth splitting off: forking
+# costs more than a small stack's fit (BENCH_threads_crossover.json), and
+# on 100k rows 5000-row blocks fit as fast as 25000-row ones while
+# 1000-row blocks took 60% longer.  ``_fit_blocks`` takes the pool only
+# when every block has this many rows; ``"auto"`` blocks never have fewer.
+_WORKER_BLOCK_ROWS = 5_000
 
 # Exchange pairs scored per candidate in the polish; bounds its scratch memory.
 _PAIR_CHUNK = 1 << 16
@@ -580,26 +588,30 @@ def _plan_stacks(sizes) -> list[list[tuple[int, int]]]:
     return stacks
 
 
-def _fit_blocks(Z: np.ndarray, blocks, hs, *, map_stacks=map) -> list[RawEstimate]:
+def _fit_blocks(Z: np.ndarray, blocks, hs) -> list[RawEstimate]:
     """Best raw fit of each block ``Z[blocks[b]]``, whose rows are in
     canonical order, at subset size ``hs[b]``.
 
-    The stacks of :func:`_plan_stacks` are fitted through ``map_stacks``
-    (the builtin ``map``, or the worker pool's ``_threads.ordered_map``).
-    Each block keeps the candidate with the smaller determinant, the
-    spatial-sign start on a tie.  The first failure in (block, start) order is raised, and
-    ``AllStartsDegenerate`` when both starts of a block are degenerate.
-    The returned subsets index the rows of each block.
+    The stacks of :func:`_plan_stacks` go to ``_threads.ordered_map`` when
+    every block has ``_WORKER_BLOCK_ROWS`` rows, else to ``map``.  Each
+    block keeps the candidate with the smaller determinant, the
+    spatial-sign start on a tie.  The first failure in (block, start)
+    order is raised, and ``AllStartsDegenerate`` when both starts of a
+    block are degenerate.  The returned subsets index the rows of each
+    block.
     """
     p = Z.shape[1]
-    stacks = _plan_stacks([rows.shape[0] for rows in blocks])
+    sizes = [rows.shape[0] for rows in blocks]
+    stacks = _plan_stacks(sizes)
 
     def fit_one(stack):
         Zk = Z[np.concatenate([blocks[b] for b, _ in stack])].reshape(len(stack), -1, p)
         return _fit_stack(Zk, np.array([start for _, start in stack]), hs[stack[0][0]])
 
+    worker_count()  # a bad ROBUST_QDA_THREADS fails every fit, pooled or not
+    pool = ordered_map if min(sizes) >= _WORKER_BLOCK_ROWS else map
     fits = {}
-    for stack, results in zip(stacks, map_stacks(fit_one, stacks)):
+    for stack, results in zip(stacks, pool(fit_one, stacks)):
         fits.update(zip(stack, results))
     best = []
     for b in range(len(blocks)):

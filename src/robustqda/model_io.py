@@ -32,10 +32,10 @@ _CUTOFF_RTOL = 1e-9
 def model_to_json(model: QdaModel, label_names=None) -> str:
     """Serialize a model (and optional class-name table) to JSON text."""
     classes = []
-    for cm in model.classes:
+    for g, cm in enumerate(model.classes, start=1):
         classes.append(
             {
-                "label": cm.label,
+                "label": g,
                 "mu": [float(v) for v in cm.loc_scat.mu],
                 "sigma": [[float(v) for v in row] for row in cm.loc_scat.sigma],
                 "prior": cm.prior,
@@ -171,7 +171,6 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
             raise _out_of_range(where + "n_inlier", n_inlier)
         classes.append(
             ClassModel(
-                label=g,
                 loc_scat=LocationScatter.from_sigma(mu, sigma),
                 prior=prior,
                 n_raw=n_raw,

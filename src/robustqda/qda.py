@@ -47,9 +47,9 @@ OUTLIER_QUANTILE = 0.99  # chi-square quantile of every fit's outlier cutoff
 
 @dataclass(frozen=True)
 class ClassModel:
-    """Per-class Gaussian fit plus bookkeeping counts."""
+    """Per-class Gaussian fit plus bookkeeping counts.  A class's label
+    is its position in ``QdaModel.classes`` plus one."""
 
-    label: int
     loc_scat: LocationScatter
     prior: float
     n_raw: int
@@ -186,7 +186,6 @@ def fit_qda(
 
     classes = tuple(
         ClassModel(
-            label=g + 1,
             loc_scat=fits[g],
             prior=float(priors[g]),
             n_raw=int(counts[g]),

@@ -218,18 +218,21 @@ class ExtendedConfusion:
     """Row-stochastic confusion over provenance subclasses.
 
     Row keys are ``(origin, given)`` pairs where ``given`` is 0 for
-    replaced (measurement-noise) rows; columns are the predicted classes
-    1..G followed by the outlier class 0.
+    replaced (measurement-noise) rows; the G + 1 columns are the predicted
+    classes 1..G followed by the outlier class 0.
     """
 
     row_keys: tuple
     rates: np.ndarray
     row_counts: np.ndarray
-    n_classes: int
 
     def __post_init__(self):
         self.rates.setflags(write=False)
         self.row_counts.setflags(write=False)
+
+    @property
+    def n_classes(self) -> int:
+        return self.rates.shape[1] - 1
 
     def rate(self, origin: int, given: int, predicted: int) -> float:
         """Rate in row (origin, given) for a predicted class (0 = outlier)."""
@@ -265,7 +268,7 @@ def extended_confusion(pred_labels, tags: Tags, n_classes: int) -> ExtendedConfu
     cells = cells.reshape(keys.size, G + 1)
     counts = cells.sum(axis=1)
     row_keys = tuple(zip((keys // (G + 1)).tolist(), (keys % (G + 1)).tolist()))
-    return ExtendedConfusion(row_keys, cells / counts[:, None], counts, G)
+    return ExtendedConfusion(row_keys, cells / counts[:, None], counts)
 
 
 def average_confusions(confusions) -> ExtendedConfusion:
@@ -279,7 +282,7 @@ def average_confusions(confusions) -> ExtendedConfusion:
             raise DataError("confusion matrices have mismatched subclass rows")
     rates = np.mean([c.rates for c in confusions], axis=0)
     counts = np.mean([c.row_counts for c in confusions], axis=0)
-    return ExtendedConfusion(first.row_keys, rates, counts, first.n_classes)
+    return ExtendedConfusion(first.row_keys, rates, counts)
 
 
 def kl_metric(sigma_hat, sigma_true) -> float:

@@ -19,7 +19,7 @@ import pytest
 
 from robustqda.block_mcd import blockwise_mcd
 from robustqda.core import chi2_quantile
-from robustqda.lbplot import lb_points
+from robustqda.lbplot import LB_CUTOFF, lb_points
 from robustqda.mcd import c_step, h_from_fraction, initial_starts, raw_from_subset
 from robustqda.qda import classify_rows, fit_qda
 from robustqda.sim import generate, preset_scenario, run_study, two_class_demo
@@ -329,8 +329,8 @@ def test_criterion_9_label_bias_demo_counts():
     model = fit_qda(X, y, blocks=1, seed=0)
     spec = lb_points(model, X, y, 2)
     lb, rd, overall = spec.lb, spec.rd_own, spec.overall_outlier
-    a = int(np.sum(overall & (lb > spec.lb_cutoff)))
-    b = int(np.sum(~overall & (lb > spec.lb_cutoff) & (rd > spec.rd_cutoff)))
+    a = int(np.sum(overall & (lb > LB_CUTOFF)))
+    b = int(np.sum(~overall & (lb > LB_CUTOFF) & (rd > spec.rd_cutoff)))
     assert abs(a - 8) <= 1
     assert abs(b - 4) <= 1
     print(f"criterion 9 PASS: {a} biased overall outliers, {b} flagged mislabeled rows")

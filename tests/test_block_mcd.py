@@ -40,23 +40,23 @@ def contaminated(seed: int, n: int = 1200, p: int = 3, frac: float = 0.15):
 class TestSplitBlocks:
     def test_partition_properties(self):
         rng = np.random.default_rng(0)
-        plan = split_blocks(103, 4, rng)
-        assert plan.q == 4
-        assert plan.sizes == (26, 26, 26, 25)
-        joined = np.concatenate(plan.assignments)
+        blocks = split_blocks(103, 4, rng)
+        assert len(blocks) == 4
+        assert tuple(len(rows) for rows in blocks) == (26, 26, 26, 25)
+        joined = np.concatenate(blocks)
         assert np.array_equal(np.sort(joined), np.arange(103))
 
     def test_single_block_identity(self):
-        plan = split_blocks(10, 1, np.random.default_rng(0))
-        assert plan.sizes == (10,)
-        assert np.array_equal(plan.assignments[0], np.arange(10))
+        blocks = split_blocks(10, 1, np.random.default_rng(0))
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], np.arange(10))
 
     def test_seed_controls_shuffle(self):
         a = split_blocks(60, 3, np.random.default_rng(5))
         b = split_blocks(60, 3, np.random.default_rng(5))
         c = split_blocks(60, 3, np.random.default_rng(6))
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
-        assert any(not np.array_equal(x, y) for x, y in zip(a.assignments, c.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_too_small_blocks_rejected(self):
         with pytest.raises(BlocksTooSmall):
@@ -67,8 +67,8 @@ class TestSplitBlocks:
             split_blocks(100, 0, np.random.default_rng(0))
 
     def test_blocks_list_rows_in_ascending_order(self):
-        plan = split_blocks(103, 4, np.random.default_rng(0))
-        assert all(np.all(np.diff(rows) > 0) for rows in plan.assignments)
+        blocks = split_blocks(103, 4, np.random.default_rng(0))
+        assert all(np.all(np.diff(rows) > 0) for rows in blocks)
 
 
 class TestDefaultBlockCount:
@@ -76,7 +76,7 @@ class TestDefaultBlockCount:
         assert default_block_count(30, 2) == 1
 
     def test_auto_blocks_reach_the_threading_crossover(self):
-        from robustqda.block_mcd import _THREADED_BLOCK_ROWS
+        from robustqda.mcd import _WORKER_BLOCK_ROWS
 
         for p in (1, 2, 5, 10):
             for n in (30, 999, 5_000, 9_999):
@@ -84,9 +84,9 @@ class TestDefaultBlockCount:
             for n in (10_000, 10_001, 14_999, 15_000, 60_001):
                 q = default_block_count(n, p)
                 assert q > 1
-                plan = split_blocks(n, q, np.random.default_rng(0))
-                assert min(plan.sizes) >= _THREADED_BLOCK_ROWS
-        assert default_block_count(10**6, 2) == 10**6 // _THREADED_BLOCK_ROWS
+                blocks = split_blocks(n, q, np.random.default_rng(0))
+                assert min(len(rows) for rows in blocks) >= _WORKER_BLOCK_ROWS
+        assert default_block_count(10**6, 2) == 10**6 // _WORKER_BLOCK_ROWS
         # at p = 300 the 20 p rows per block exceed the crossover, so the cap binds
         assert default_block_count(10**6, 300) == 10**6 // (20 * 300)
 
@@ -144,12 +144,9 @@ class TestSelectAndPool:
     def test_single_pass_pooling_matches_direct_moments(self):
         X, _, _ = contaminated(2, n=240, p=3)
         rng = np.random.default_rng(3)
-        plan = split_blocks(240, 4, rng)
-        estimates = [
-            fit_mcd(X[plan.assignments[b]], h_from_fraction(plan.sizes[b], 3, 0.5))
-            for b in range(4)
-        ]
-        pooled = select_and_pool(X, plan, estimates)
+        blocks = split_blocks(240, 4, rng)
+        estimates = [fit_mcd(X[rows], h_from_fraction(len(rows), 3, 0.5)) for rows in blocks]
+        pooled = select_and_pool(X, blocks, estimates)
         assert len(pooled.contributing_blocks) == 2
         rows = X[pooled.subset]
         c = consistency_factor(rows.shape[0], pooled.n_selected, 3)
@@ -158,9 +155,9 @@ class TestSelectAndPool:
 
     def test_estimate_count_must_match_plan(self):
         X = np.random.default_rng(0).standard_normal((100, 2))
-        plan = split_blocks(100, 2, np.random.default_rng(0))
+        blocks = split_blocks(100, 2, np.random.default_rng(0))
         with pytest.raises(DataError):
-            select_and_pool(X, plan, [])
+            select_and_pool(X, blocks, [])
 
 
 class TestBlockwiseMcd:
@@ -278,8 +275,8 @@ class TestCanonicalOrderOnce:
         # public fit, gives the same determinants.
         Z = standardize(X, res.standardizer)
         Zc = Z[np.lexsort(Z.T[::-1])]
-        plan = split_blocks(1200, 4, np.random.default_rng(np.random.SeedSequence(11)))
-        for b, rows in enumerate(plan.assignments):
+        blocks = split_blocks(1200, 4, np.random.default_rng(np.random.SeedSequence(11)))
+        for b, rows in enumerate(blocks):
             shuffled = np.random.default_rng(b).permutation(rows)
             est = fit_mcd(Zc[shuffled], h_from_fraction(rows.shape[0], 3, 0.5))
             assert est.det_uncorrected == res.diagnostics.block_dets[b]
@@ -288,12 +285,9 @@ class TestCanonicalOrderOnce:
 class TestPoolingComputedOnce:
     def test_pooled_kl_deviations_match_median_pool(self):
         X, _, _ = contaminated(6, n=320, p=3)
-        plan = split_blocks(320, 4, np.random.default_rng(8))
-        estimates = [
-            fit_mcd(X[plan.assignments[b]], h_from_fraction(plan.sizes[b], 3, 0.5))
-            for b in range(4)
-        ]
-        pooled = select_and_pool(X, plan, estimates)
+        blocks = split_blocks(320, 4, np.random.default_rng(8))
+        estimates = [fit_mcd(X[rows], h_from_fraction(len(rows), 3, 0.5)) for rows in blocks]
+        pooled = select_and_pool(X, blocks, estimates)
         mu_med, sigma_med = median_pool(estimates)
         expected = tuple(deviation(sigma_med, mu_med, e.sigma, e.mu) for e in estimates)
         assert pooled.kl_deviations == expected
@@ -302,13 +296,10 @@ class TestPoolingComputedOnce:
         from unittest import mock
 
         X, _, _ = contaminated(6, n=320, p=3)
-        plan = split_blocks(320, 4, np.random.default_rng(8))
-        estimates = [
-            fit_mcd(X[plan.assignments[b]], h_from_fraction(plan.sizes[b], 3, 0.5))
-            for b in range(4)
-        ]
+        blocks = split_blocks(320, 4, np.random.default_rng(8))
+        estimates = [fit_mcd(X[rows], h_from_fraction(len(rows), 3, 0.5)) for rows in blocks]
         with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as spy:
-            select_and_pool(X, plan, estimates)
+            select_and_pool(X, blocks, estimates)
         assert spy.call_count == 1
 
     def test_blockwise_mcd_pools_once(self):
@@ -352,21 +343,21 @@ class TestThreadedPath:
     def test_thread_counts_and_serial_path_agree(self, monkeypatch):
         from unittest import mock
 
-        from robustqda import block_mcd, mcd
+        from robustqda import mcd
 
         X, _, _ = contaminated(13, n=800, p=3)
         y = np.where(np.arange(800) % 3 == 0, 2, 1)
-        assert 800 // 4 < block_mcd._THREADED_BLOCK_ROWS
-        with mock.patch.object(block_mcd, "ordered_map") as pool:
+        assert 800 // 4 < mcd._WORKER_BLOCK_ROWS
+        with mock.patch.object(mcd, "ordered_map") as pool:
             serial = self._fits(X, y)
         assert pool.call_count == 0
-        monkeypatch.setattr(block_mcd, "_THREADED_BLOCK_ROWS", 0)
+        monkeypatch.setattr(mcd, "_WORKER_BLOCK_ROWS", 0)
         # Two candidates of the 200-row blocks per stack: four stacks, so
         # that two and four workers each get some.
         monkeypatch.setattr(mcd, "_STACK_ROWS", 400)
         for workers in ("1", "2", "4"):
             monkeypatch.setenv("ROBUST_QDA_THREADS", workers)
-            with mock.patch.object(block_mcd, "ordered_map", wraps=block_mcd.ordered_map) as pool:
+            with mock.patch.object(mcd, "ordered_map", wraps=mcd.ordered_map) as pool:
                 threaded = self._fits(X, y)
             assert pool.call_count == 3  # one blockwise_mcd call, two classes
             self._assert_same(serial, threaded)
@@ -376,7 +367,7 @@ class TestThreadedPath:
         in-process: both starts of every block end in ``DegenerateStart``,
         which the workers send back.  ``blockwise_mcd`` stops a constant
         column at ``ZeroScale`` before any block fit, so the blocks go to
-        the pool through ``mcd._fit_blocks``."""
+        the pool through ``mcd._fit_blocks``, with its threshold at 0."""
         from unittest import mock
 
         from robustqda import _threads, mcd
@@ -384,16 +375,41 @@ class TestThreadedPath:
 
         Z = np.full((240, 3), 2.0)
         blocks = tuple(np.arange(b, 240, 4) for b in range(4))
+        monkeypatch.setattr(mcd, "_WORKER_BLOCK_ROWS", 0)
         monkeypatch.setattr(mcd, "_STACK_ROWS", 120)  # two candidates per stack: four stacks
         seen = []
         for cap in ("1", "2", "3"):
             monkeypatch.setenv("ROBUST_QDA_THREADS", cap)
             with mock.patch.object(_threads.os, "fork", wraps=os.fork) as fork:
                 with pytest.raises(AllStartsDegenerate) as info:
-                    mcd._fit_blocks(Z, blocks, (40,) * 4, map_stacks=_threads.ordered_map)
+                    mcd._fit_blocks(Z, blocks, (40,) * 4)
             seen.append((fork.call_count, str(info.value)))
         message = "both initial scatter estimates are degenerate"
         assert seen == [(0, message), (2, message), (3, message)]
+
+    def test_fit_mcd_takes_the_pool_by_the_same_rule(self, monkeypatch):
+        """A block fitted alone forks like the blocks of ``blockwise_mcd``:
+        with the threshold at 0 and each of its two candidates a stack of
+        its own, two workers at cap 2, and the same bits as at cap 1."""
+        from unittest import mock
+
+        from robustqda import _threads, mcd
+
+        X, _, _ = contaminated(15, n=200, p=3)
+        monkeypatch.setattr(mcd, "_WORKER_BLOCK_ROWS", 0)
+        monkeypatch.setattr(mcd, "_STACK_ROWS", 120)
+        fits = []
+        for cap in ("1", "2"):
+            monkeypatch.setenv("ROBUST_QDA_THREADS", cap)
+            with mock.patch.object(_threads.os, "fork", wraps=os.fork) as fork:
+                fits.append(fit_mcd(X, 101))
+            assert fork.call_count == (0 if cap == "1" else 2)
+        serial, pooled = fits
+        for name in ("mu", "sigma", "chol", "inv_chol"):
+            assert np.array_equal(getattr(serial.loc_scat, name), getattr(pooled.loc_scat, name))
+        assert serial.loc_scat.log_det == pooled.loc_scat.log_det
+        assert serial.det_uncorrected == pooled.det_uncorrected
+        assert np.array_equal(serial.subset, pooled.subset)
 
     def test_serial_path_still_validates_thread_env(self, monkeypatch):
         from robustqda.errors import ConfigError
@@ -403,6 +419,8 @@ class TestThreadedPath:
             monkeypatch.setenv("ROBUST_QDA_THREADS", bad)
             with pytest.raises(ConfigError):
                 blockwise_mcd(X, blocks=4, rng=0)
+            with pytest.raises(ConfigError):
+                fit_mcd(X, 201)
 
 
 class TestAutoBlocksIgnoreTheMachine:

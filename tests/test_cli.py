@@ -205,6 +205,20 @@ class TestTrainCommand:
         assert label_names == ("run", "walk")
         assert "class run:" in capsys.readouterr().err
 
+    def test_carriage_return_in_a_label_reaches_the_model(self, tmp_path):
+        data = tmp_path / "cr.csv"
+        rng = np.random.default_rng(5)
+        X = np.vstack([rng.standard_normal((60, 2)), rng.standard_normal((60, 2)) + 8])
+        write_dataset(data, X, y=np.array(["a\rb"] * 60 + ["c"] * 60, dtype=object))
+        model_path = tmp_path / "m.json"
+        rc = main(
+            ["train", "--data", str(data), "--label-col", "label", "--mode", "classical",
+             "--out", str(model_path)]
+        )
+        assert rc == 0
+        _, label_names = load_model(model_path)
+        assert label_names == ("a\rb", "c")
+
     def test_quoted_names_predict_as_csv_cells(self, tmp_path):
         rng = np.random.default_rng(6)
         X = np.vstack([rng.standard_normal((60, 2)), rng.standard_normal((60, 2)) + 8])

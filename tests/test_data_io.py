@@ -157,6 +157,15 @@ class TestWriteDataset:
         assert ds.labels_raw == tuple(y)
         assert np.array_equal(ds.X, X)
 
+    def test_carriage_return_in_a_quoted_label_round_trips(self, tmp_path):
+        X = np.random.default_rng(2).standard_normal((3, 2))
+        path = tmp_path / "cr.csv"
+        write_dataset(path, X, y=np.array(["a\rb", "c", "a\rb"], dtype=object))
+        assert path.read_bytes().endswith(b',"a\rb"\n')
+        ds = read_dataset(path, label_col="label")
+        assert ds.labels_raw == ("a\rb", "c", "a\rb")
+        assert np.array_equal(ds.X, X)
+
 
 class TestWritePredictions:
     def test_format_and_names(self):
@@ -390,6 +399,28 @@ class TestReaderMatchesPerCellReference:
     def test_declined_input_parses_or_fails_as_before(self, text, label_col):
         new, ref = read_both(text, label_col)
         assert new == ref
+
+    @pytest.mark.parametrize(
+        "text,label_col",
+        [
+            ("a,label,b\n1.5,x,-0.0\n2e-300,y,3\n", "label"),
+            ('"a",b,label\n1,2,"x,y"\n3,4,"z"\n', "label"),
+            ('a,b\n"1.5",2\n3,"4"', None),
+        ],
+    )
+    def test_path_sources_with_lf_crlf_and_cr_line_ends_read_alike(self, tmp_path, text, label_col):
+        """Every copy reads as the reference reads it, which takes a path
+        with universal newlines."""
+        reads = []
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.replace("\n", newline).encode())
+            ds = read_dataset(path, label_col=label_col)
+            ref = reference_read(path, label_col=label_col)
+            assert ds.X.tobytes() == ref[0].tobytes()
+            assert (ds.feature_names, ds.labels_raw) == ref[1:]
+            reads.append((ds.X.tobytes(), ds.feature_names, ds.labels_raw))
+        assert reads[0] == reads[1] == reads[2]
 
     def test_path_source_with_crlf(self, tmp_path):
         path = tmp_path / "crlf.csv"

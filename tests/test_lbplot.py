@@ -51,7 +51,6 @@ def test_points_match_classifier(demo_model):
         assert spec.predicted[i] == int(np.argmax(scores[i]) + 1)
         assert spec.overall_outlier[i] == (min_rd[i] > model.outlier_cutoff)
     assert spec.rd_cutoff == pytest.approx(math.sqrt(chi2_quantile(2, 0.99)), abs=1e-12)
-    assert spec.lb_cutoff == LB_CUTOFF
 
 
 def test_lb_zero_for_points_predicted_as_given(demo_model):
@@ -122,9 +121,9 @@ class TestSvg:
         left, right, top, bottom = 70.0, 24.0, 26.0, 58.0
         plot_w, plot_h = 800 - left - right, 600 - top - bottom
         x_hi = 1.08 * max([spec.rd_cutoff] + spec.rd_own.tolist())
-        y_hi = 1.08 * max([spec.lb_cutoff] + spec.lb.tolist())
+        y_hi = 1.08 * max([LB_CUTOFF] + spec.lb.tolist())
         x_cut = left + plot_w * spec.rd_cutoff / x_hi
-        y_cut = top + plot_h * (1.0 - spec.lb_cutoff / y_hi)
+        y_cut = top + plot_h * (1.0 - LB_CUTOFF / y_hi)
         assert f'<line x1="{x_cut:.2f}" y1="{top:.2f}" x2="{x_cut:.2f}"' in svg
         assert f'y2="{y_cut:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>' in svg
 
@@ -273,7 +272,7 @@ def spec_from_points(points, given, rd_cutoff):
         np.array([pt[j] for pt in points], dtype=dtype) for j, dtype in enumerate(dtypes)
     )
     return LbPlotSpec(given_class=given, row=row, rd_own=rd_own, lb=lb, predicted=predicted,
-                      overall_outlier=outlier, rd_cutoff=rd_cutoff, lb_cutoff=LB_CUTOFF)
+                      overall_outlier=outlier, rd_cutoff=rd_cutoff)
 
 
 def random_points(n, seed):
@@ -305,7 +304,7 @@ def assert_matches_reference(model, X, y, given):
     buf = io.StringIO()
     write_lb_csv(spec, buf)
     assert buf.getvalue() == reference_lb_csv(points)
-    assert render_lb_svg(spec) == reference_lb_svg(points, given, spec.rd_cutoff, spec.lb_cutoff)
+    assert render_lb_svg(spec) == reference_lb_svg(points, given, spec.rd_cutoff, LB_CUTOFF)
     return spec
 
 
@@ -336,7 +335,7 @@ class TestMatchesPerRowReference:
     def test_tied_scores_take_the_first_class(self, demo_model):
         X, y, model = demo_model
         cm = model.classes[0]
-        twin = replace(model, classes=(cm, replace(cm, label=2)))
+        twin = replace(model, classes=(cm, cm))
         spec = assert_matches_reference(twin, X, y, 2)
         assert np.all(spec.predicted == 1)
         assert np.all(spec.lb == 0.0)

@@ -717,19 +717,20 @@ class TestStackedFit:
         X = np.round(rng.standard_normal((n, 3)) * 2.0) / 2.0
         X[: n // 8] = X[n // 8 : 2 * (n // 8)]
         X[: n // 10] += 4.0
-        plan = split_blocks(n, q, np.random.default_rng(seed))
-        hs = [h_from_fraction(size, 3, 0.5) for size in plan.sizes]
-        return X[np.lexsort(X.T[::-1])], plan, hs
+        blocks = split_blocks(n, q, np.random.default_rng(seed))
+        hs = [h_from_fraction(len(rows), 3, 0.5) for rows in blocks]
+        return X[np.lexsort(X.T[::-1])], blocks, hs
 
     @pytest.mark.parametrize("n, q", [(1203, 4), (640, 1), (2000, 7)])
     def test_stacked_candidate_equals_candidate_alone(self, n, q):
         from robustqda import mcd
 
-        Zc, plan, hs = self._tied_blocks(n, q, seed=n)
-        assert len(set(plan.sizes)) == (2 if n % q else 1)
-        for m in set(plan.sizes):
-            group = [b for b in range(q) if plan.sizes[b] == m]
-            Zk = np.stack([Zc[plan.assignments[b]] for b in group for _ in range(2)])
+        Zc, blocks, hs = self._tied_blocks(n, q, seed=n)
+        sizes = [len(rows) for rows in blocks]
+        assert len(set(sizes)) == (2 if n % q else 1)
+        for m in set(sizes):
+            group = [b for b in range(q) if sizes[b] == m]
+            Zk = np.stack([Zc[blocks[b]] for b in group for _ in range(2)])
             kinds = np.tile([0, 1], len(group))
             h = hs[group[0]]
             stacked = mcd._fit_stack(Zk, kinds, h)
@@ -739,17 +740,18 @@ class TestStackedFit:
     def test_block_fits_do_not_depend_on_the_stack_budget(self, monkeypatch):
         from robustqda import mcd
 
-        Zc, plan, hs = self._tied_blocks(1203, 4, seed=5)
-        default = mcd._fit_blocks(Zc, plan.assignments, hs)
-        assert len(mcd._plan_stacks(plan.sizes)) == 2  # one stack per block size
-        m = max(plan.sizes)
+        Zc, blocks, hs = self._tied_blocks(1203, 4, seed=5)
+        sizes = [len(rows) for rows in blocks]
+        default = mcd._fit_blocks(Zc, blocks, hs)
+        assert len(mcd._plan_stacks(sizes)) == 2  # one stack per block size
+        m = max(sizes)
         for budget, stacks in ((3 * m, 3), (1, 8)):
             monkeypatch.setattr(mcd, "_STACK_ROWS", budget)
-            plan_stacks = mcd._plan_stacks(plan.sizes)
+            plan_stacks = mcd._plan_stacks(sizes)
             assert len(plan_stacks) == stacks
             # some block has its two starts in different stacks
             assert any(stack[-1][1] == 0 for stack in plan_stacks)
-            for a, b in zip(default, mcd._fit_blocks(Zc, plan.assignments, hs)):
+            for a, b in zip(default, mcd._fit_blocks(Zc, blocks, hs)):
                 self._assert_same(a, b)
 
     def test_degenerate_candidates_beside_healthy_ones(self):

@@ -140,7 +140,7 @@ class TestTiesAndBias:
         from dataclasses import replace
 
         cm = model.classes[0]
-        twin = replace(model, classes=(cm, replace(cm, label=2)))
+        twin = replace(model, classes=(cm, cm))
         labels, scores, _, _ = classify_rows(twin, np.zeros((5, 2)))
         assert np.array_equal(scores[:, 0], scores[:, 1])
         assert np.all(labels == 1)

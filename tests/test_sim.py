@@ -534,8 +534,8 @@ class TestReportFiles:
             row_keys=((1, 1), (1, 0), (2, 2)),
             rates=np.array([odd[:3], odd[3:], [0.25, 0.5, 0.25]]),
             row_counts=np.array([40.0, 2.5, 1e9 + 0.5]),
-            n_classes=2,
         )
+        assert conf.n_classes == 2
         assert _confusion_csv(conf) == (
             "origin,given,pred_1,pred_2,pred_0,rows\n"
             "1,1,0.333333333,-0,1e-300,40\n"

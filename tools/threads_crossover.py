@@ -10,8 +10,9 @@ repeats the call until it has fitted about ``SAMPLE_ROWS`` rows, so
 that small blocks are not timed from a single call of a few tens of
 milliseconds.  BLAS is pinned to one thread, as the benchmark and the
 command-line interface pin it, so the package's own pool is the only
-parallelism.  The crossover constant ``block_mcd._THREADED_BLOCK_ROWS``
-is set from this sweep.
+parallelism.  The crossover constant ``mcd._WORKER_BLOCK_ROWS``, which
+``mcd._fit_blocks`` reads, is set from this sweep; the tool sets it to 0
+to force the pool.
 
     PYTHONPATH=src python tools/threads_crossover.py [--repeats 5]
 """
@@ -67,7 +68,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    block_mcd._THREADED_BLOCK_ROWS = 0
+    mcd._WORKER_BLOCK_ROWS = 0
     rows = []
     for size in BLOCK_ROWS:
         blocks = block_count(size)
