@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 # A command's parallelism comes from its own forked workers, and BLAS
 # threads started in every worker would oversubscribe the cores, so BLAS
@@ -34,7 +33,7 @@ from . import block_mcd, lbplot, sim
 from ._threads import process_map, worker_count
 from .data_io import encode_labels, encode_with_names, read_dataset, read_rows, write_predictions_csv
 from .errors import ConfigError, DataError, DimensionMismatch, NumericError, WorkerDied
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 from .model_io import load_model, save_model
 from .presets import preset_names
 from .qda import classify_rows, fit_qda
@@ -275,11 +274,7 @@ def cmd_simulate(args) -> int:
     elif args.scale is not None:
         raise ConfigError("--scale sizes a preset's classes; a scenario file gives its own sizes")
     else:
-        try:
-            text = Path(args.scenario).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"scenario file is not UTF-8 text: {exc}") from None
-        scenario = sim.parse_scenario(text)
+        scenario = sim.parse_scenario(read_text(args.scenario, "scenario file"))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     methods = ("robust", "classical") if args.methods == "both" else (args.methods,)

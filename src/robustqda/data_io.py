@@ -1,12 +1,13 @@
 """CSV ingestion and emission for the command-line tools.
 
 The dialect is deliberately plain: comma separators, a mandatory header
-row, one observation per line and no blank lines.  LF and CRLF line
-endings are read, and CR ones from a path; cells may be quoted, keeping
-any line break as written.  Feature cells must parse as finite decimals.
-A body without quotes is parsed by one ``np.loadtxt`` call; the
-cell-by-cell parse runs only for inputs that call declines, to read
-quoted cells and to name the offending row and column in errors.  Labels may be integers (validated as 1..G at fit
+row, one observation per line and no blank lines.  LF, CRLF and CR
+each end a row, as the csv module reads them, whatever the source;
+cells may be quoted, keeping any line break as written.  Feature cells
+must parse as finite decimals.  A body without quotes is parsed by one
+``np.loadtxt`` call; the cell-by-cell parse runs only for inputs that
+call declines, to read quoted cells and to name the offending row and
+column in errors.  Labels may be integers (validated as 1..G at fit
 time) or arbitrary strings, in which case the distinct names are mapped
 to 1..G in sorted order and the mapping travels with the model file.
 """
@@ -14,17 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import csv_text, write_text
-
-# A quoted cell as the csv module reads one: a quote that opens a line or
-# follows a comma, up to the next quote that is not doubled or the end.
-_QUOTED_CELL = re.compile(r'("(?<![^,\r\n]")[^"]*(?:""[^"]*)*(?:"|\Z))')
+from .fileio import csv_text, read_text, write_text
 
 __all__ = [
     "Dataset",
@@ -69,9 +65,10 @@ def read_dataset(source, label_col: str | None = None) -> Dataset:
     columns are features, kept in header order.  Raises DataError for a
     missing header, ragged rows, or any feature cell that is not a finite
     number, citing the data row (1-based) and column name, for text the
-    csv module rejects (a bare carriage return, a cell over its field
-    limit), citing the row and the module's message, and for bytes that
-    are not UTF-8.
+    csv module rejects (a cell over its field limit), citing the row and
+    the module's message, and, for a path, for bytes that are not UTF-8.
+    A path's leading byte-order mark is dropped; an open file is read as
+    its caller decoded it.
     """
     rows = read_rows(source, label_col)
     X, labels = rows.parse(*rows.split(1))
@@ -134,7 +131,7 @@ class CsvRows:
         if parsed is None:
             rows = []
             try:
-                rows.extend(csv.reader(io.StringIO(text)))
+                rows.extend(csv.reader(io.StringIO(text, newline="")))
             except csv.Error as exc:
                 raise DataError(f"row {part.first_row + len(rows)}: {exc}") from None
             parsed = _parse_cells(rows, header, feature_idx, label_idx, part.first_row)
@@ -144,35 +141,23 @@ class CsvRows:
 def read_rows(source, label_col: str | None = None) -> CsvRows:
     """Read a CSV's text and check its header, as :func:`read_dataset`
     does, leaving the body unparsed."""
-    try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, encoding="utf-8", newline="") as fh:
-                text = fh.read()
-            if "\r" in text:  # universal newlines, except in quoted cells
-                pieces = _QUOTED_CELL.split(text)
-                pieces[::2] = [piece.replace("\r\n", "\n").replace("\r", "\n") for piece in pieces[::2]]
-                text = "".join(pieces)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"CSV is not UTF-8 text: {exc}") from None
-    # A quoted cell may hold commas or line breaks, so with any quote in the
-    # file the csv module reads the header, and the body starts after the
-    # lines it took; otherwise the header is the first line.
+    text = read_text(source, "CSV")
+    # Without quotes every line end ends a row, so CR and CRLF map to LF
+    # exactly.  A quoted cell may hold commas or line breaks, so with any
+    # quote the csv module reads the header, and the body starts after it.
     quoted = '"' in text
+    if not quoted and "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     head, _, body = text.partition("\n")
-    rows = csv.reader(io.StringIO(text if quoted else head))
+    buf = io.StringIO(text if quoted else head, newline="")
     try:
-        first = next(rows, None)
+        first = next(csv.reader(buf), None)
     except csv.Error as exc:
         raise DataError(f"header row: {exc}") from None
     if first is None:
         raise DataError("empty CSV: expected a header row")
     if quoted:
-        start = 0
-        for _ in range(rows.line_num):
-            start = text.find("\n", start) + 1 or len(text)
-        body = text[start:]
+        body = text[buf.tell():]
     header = [name.strip() for name in first]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")

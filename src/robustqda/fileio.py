@@ -1,9 +1,25 @@
-"""Small file helpers shared by the CLI and the report writers."""
+"""Small file helpers: the one decoder of input files, and the writers
+shared by the CLI and the report writers."""
 from __future__ import annotations
 
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import DataError
+
+
+def read_text(source, what: str) -> str:
+    """``source.read()`` of an open file, which its caller decoded, or
+    the file at a path as UTF-8 without a leading byte-order mark and
+    with line ends as written; DataError names ``what`` if it is not."""
+    if hasattr(source, "read"):
+        return source.read()
+    try:
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} is not UTF-8 text: {exc}") from None
 
 
 def write_text_atomic(path, text: str) -> Path:

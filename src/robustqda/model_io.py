@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LocationScatter, check_block_count, check_fraction, check_seed, chi2_quantile
 from .errors import DataError, DomainError
-from .fileio import write_text_atomic
+from .fileio import read_text, write_text_atomic
 from .qda import ClassModel, QdaModel, _check_mode
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_from_json", "model_to_json", "save_model"]
@@ -197,8 +197,4 @@ def save_model(path, model: QdaModel, label_names=None) -> Path:
 
 
 def load_model(path) -> tuple[QdaModel, tuple | None]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"model file is not UTF-8 text: {exc}") from None
-    return model_from_json(text)
+    return model_from_json(read_text(path, "model file"))

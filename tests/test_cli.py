@@ -479,6 +479,16 @@ class TestSimulateCommand:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_scenario_file_with_a_byte_order_mark_gives_the_same_study(self, tmp_path):
+        path = self.scenario_file(tmp_path)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        argv = ["simulate", "--reps", "1", "--methods", "classical"]
+        assert main(argv + ["--scenario", str(path), "--out", str(tmp_path / "r1")]) == 0
+        assert main(argv + ["--scenario", str(marked), "--out", str(tmp_path / "r2")]) == 0
+        for name in ("report.txt", "metrics_classical.csv"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
     def test_seed_override_changes_report(self, tmp_path):
         path = self.scenario_file(tmp_path)
         out1 = tmp_path / "r1"

@@ -35,15 +35,22 @@ def test_compare_names_every_file_that_does_not_match(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [f"3 identical, 0 differ, 0 only in {a}, 0 only in {a}"]
 
 
-def _reports(root, ties_shuffled_7=None, class_20800_auto=None):
-    """A corpus's three checked reports, holding the lines ``check`` wants
-    unless a report's text is given."""
+def _reports(root, ties_shuffled_7=None, class_20800_auto=None, class_bom_auto=None):
+    """A corpus's checked reports and models, holding the lines and bytes
+    ``check`` wants unless a report's text is given."""
     ties = "method = blockwise\nblock_sizes = 1430 1430 1430 1430 1429 1429 1429\n"
     (root / "mcd").mkdir(parents=True)
     (root / "mcd" / "ties_7.txt").write_text(ties)
     (root / "mcd" / "ties_shuffled_7.txt").write_text(ties_shuffled_7 or ties)
     (root / "mcd" / "class_20800_auto.txt").write_text(
         class_20800_auto or "method = blockwise\nblock_sizes = 5200 5200 5200 5200\n")
+    report = "features = x1,x2,x3\n"
+    for name in ("class", "class_cr", "class_crlf"):
+        (root / "mcd" / f"{name}_auto.txt").write_text(report)
+    (root / "mcd" / "class_bom_auto.txt").write_text(class_bom_auto or report)
+    (root / "model").mkdir()
+    for name in ("quoted_robust", "quoted_cr_robust"):
+        (root / "model" / f"{name}.json").write_text("{}\n")
     return root
 
 
@@ -59,3 +66,5 @@ def test_check_names_the_file_that_breaks_an_invariant(tmp_path):
     blocks = _reports(tmp_path / "b", class_20800_auto="block_sizes = 5200 5200 5200 5200 5200\n")
     assert corpus.check(blocks) == [
         "mcd/class_20800_auto.txt has no line 'block_sizes = 5200 5200 5200 5200'"]
+    marked = _reports(tmp_path / "c", class_bom_auto="features = \ufeffx1,x2,x3\n")
+    assert corpus.check(marked) == ["mcd/class_auto.txt and mcd/class_bom_auto.txt differ"]

@@ -70,6 +70,15 @@ def test_save_and_load_file(trained, tmp_path):
     assert model_to_json(loaded, names) == path.read_text()
 
 
+def test_model_file_with_a_byte_order_mark_loads(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xef\xbb\xbf" + model_to_json(model, ("low", "high")).encode())
+    loaded, names = load_model(path)
+    assert names == ("low", "high")
+    assert model_to_json(loaded, names) == model_to_json(model, names)
+
+
 def test_document_shape(trained):
     model, _ = trained
     doc = json.loads(model_to_json(model))

@@ -20,6 +20,11 @@ corpus's own invariants, and ``write`` exits 1 naming each file that
 breaks one:
 - ``mcd/ties_7.txt`` and ``mcd/ties_shuffled_7.txt`` are the same bytes,
   since the fit must not depend on row order;
+- ``mcd/class_cr_auto.txt``, ``mcd/class_crlf_auto.txt`` and
+  ``mcd/class_bom_auto.txt`` are the bytes of ``mcd/class_auto.txt``, and
+  ``model/quoted_cr_robust.json`` those of ``model/quoted_robust.json``,
+  since CR and CRLF line ends read as LF ones and a leading byte-order
+  mark is not part of the text;
 - ``mcd/class_20800_auto.txt`` holds the line
   ``block_sizes = 5200 5200 5200 5200``, since ``--blocks auto`` takes
   one block per full 5000 rows;
@@ -38,7 +43,8 @@ if any file does not match.
 The commands are the corpus that "same bytes" claims in ``CHANGES.md``
 were checked on:
 - ``mcd`` at ``--blocks`` auto, 1 and 4, and 4 with ``--h-frac 0.75
-  --seed 9``, on a 10,400-row class; at auto on a 20,800-row class (four
+  --seed 9``, on a 10,400-row class; at auto on its CR, CRLF and
+  byte-order-marked copies; at auto on a 20,800-row class (four
   5200-row blocks, two stacks on forked workers); at 7 on 10,007 tied
   half-integer rows, on a row-shuffled copy and with ``--h-frac 0.75
   --seed 3``;
@@ -46,7 +52,8 @@ were checked on:
   auto on two 20,800-row classes, robust and classical on named
   three-class quarter-step data with a duplicated far row, on the
   two-class demo and on three classes whose names are quoted cells
-  holding a comma and a doubled quote;
+  holding a comma and a doubled quote, robust and classical, and robust
+  on that set's CR copy;
 - ``predict`` on 160,000 rows, on the named set and on the quoted-name
   set;
 - ``lbplot --csv --svg`` for every class of the first nine models, and
@@ -79,6 +86,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = "SHA256SUMS"
 
+# Byte copies of an LF input that must read as the input itself.
+_BYTE_COPIES = {
+    "cr": lambda lf: lf.replace(b"\n", b"\r"),
+    "crlf": lambda lf: lf.replace(b"\n", b"\r\n"),
+    "bom": lambda lf: b"\xef\xbb\xbf" + lf,
+}
+
+# Pairs of outputs that must be the same bytes.
+_SAME = (
+    ("mcd/ties_7.txt", "mcd/ties_shuffled_7.txt"),
+    *(("mcd/class_auto.txt", f"mcd/class_{copy}_auto.txt") for copy in _BYTE_COPIES),
+    ("model/quoted_robust.json", "model/quoted_cr_robust.json"),
+)
+
 
 def _models():
     """(model, training data, ``train`` flags, class names) of every
@@ -102,6 +123,8 @@ def _commands() -> list:
     for flags, tag in (("--blocks auto", "auto"), ("--blocks 1", "1"), ("--blocks 4", "4"),
                        ("--blocks 4 --h-frac 0.75 --seed 9", "4_h75_s9")):
         runs.append(f"mcd --data in/class.csv {flags} --out mcd/class_{tag}.txt")
+    for copy in _BYTE_COPIES:
+        runs.append(f"mcd --data in/class_{copy}.csv --blocks auto --out mcd/class_{copy}_auto.txt")
     runs.append("mcd --data in/class_20800.csv --blocks auto --out mcd/class_20800_auto.txt")
     runs += [
         "mcd --data in/ties.csv --blocks 7 --out mcd/ties_7.txt",
@@ -110,6 +133,7 @@ def _commands() -> list:
     ]
     for name, data, flags, _ in _models():
         runs.append(f"train --data in/{data}.csv --label-col label {flags} --out model/{name}.json")
+    runs.append("train --data in/quoted_cr.csv --label-col label --out model/quoted_cr_robust.json")
     runs += [
         "predict --model model/two_auto.json --data in/features_160k.csv --out predict/two_auto_160k.csv",
         "predict --model model/named_robust.json --data in/named_features.csv --out predict/named_robust.csv",
@@ -163,6 +187,9 @@ def _write_inputs(folder: Path) -> None:
     X, y = two_classes(10_400)
     write_csv(folder / "two.csv", X, y)
     write_csv(folder / "class.csv", X[y == 1])
+    lf = (folder / "class.csv").read_bytes()
+    for copy, data in _BYTE_COPIES.items():
+        (folder / f"class_{copy}.csv").write_bytes(data(lf))
     X, y = two_classes(20_800)
     write_csv(folder / "two_20800.csv", X, y)
     write_csv(folder / "class_20800.csv", X[y == 1])
@@ -188,6 +215,7 @@ def _write_inputs(folder: Path) -> None:
     X[::40] += 15.0
     with open(folder / "quoted.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([("x1", "x2", "label"), *zip(*X.T.tolist(), names)])
+    (folder / "quoted_cr.csv").write_bytes(_BYTE_COPIES["cr"]((folder / "quoted.csv").read_bytes()))
     write_csv(folder / "quoted_features.csv", X)
 
     X, y, _ = two_class_demo(0)
@@ -212,9 +240,8 @@ def _hashes(folder: Path) -> dict:
 def check(folder: Path) -> list:
     """One message for each of the corpus's invariants that ``folder``
     breaks, naming the file; empty if it keeps them all."""
-    problems = []
-    if (folder / "mcd/ties_7.txt").read_bytes() != (folder / "mcd/ties_shuffled_7.txt").read_bytes():
-        problems.append("mcd/ties_7.txt and mcd/ties_shuffled_7.txt differ")
+    problems = [f"{a} and {b} differ" for a, b in _SAME
+                if (folder / a).read_bytes() != (folder / b).read_bytes()]
     for name, line in (("mcd/class_20800_auto.txt", "block_sizes = 5200 5200 5200 5200"),
                        ("mcd/ties_7.txt", "block_sizes = 1430 1430 1430 1430 1429 1429 1429")):
         if line not in (folder / name).read_text().splitlines():
