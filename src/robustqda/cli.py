@@ -43,8 +43,8 @@ __all__ = ["build_parser", "main", "run"]
 # Fewest rows a ``predict`` worker process is given: a file of n rows is
 # cut into min(cap, n // MIN_ROWS_PER_WORKER) ranges, so below twice this
 # it is scored in-process.  On 2 cores two workers lost to one at 100k
-# rows and won from 150k up (``BENCH_predict_workers.json``, from
-# ``tools/predict_workers.py``): below that, starting the workers and
+# rows and won from 150k up (``BENCH_predict_workers.json``; re-measured
+# by ``tools/workers_crossover.py``): below that, starting the workers and
 # sending their text back cost more than half the parse and format.
 MIN_ROWS_PER_WORKER = 75_000
 

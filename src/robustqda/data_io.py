@@ -4,12 +4,13 @@ The dialect is deliberately plain: comma separators, a mandatory header
 row, one observation per line and no blank lines.  LF, CRLF and CR
 each end a row, as the csv module reads them, whatever the source;
 cells may be quoted, keeping any line break as written.  Feature cells
-must parse as finite decimals.  A body without quotes is parsed by one
-``np.loadtxt`` call; the cell-by-cell parse runs only for inputs that
-call declines, to read quoted cells and to name the offending row and
-column in errors.  Labels may be integers (validated as 1..G at fit
-time) or arbitrary strings, in which case the distinct names are mapped
-to 1..G in sorted order and the mapping travels with the model file.
+must parse as finite decimals.  The csv module reads the header, quoted
+or not.  A body without quotes is parsed by one ``np.loadtxt`` call; the
+cell-by-cell parse runs only for bodies that call declines, to read
+quoted cells and to name the offending row and column in errors.
+Labels may be integers (validated as 1..G at fit time) or arbitrary
+strings, in which case the distinct names are mapped to 1..G in sorted
+order and the mapping travels with the model file.
 """
 from __future__ import annotations
 
@@ -142,22 +143,26 @@ def read_rows(source, label_col: str | None = None) -> CsvRows:
     """Read a CSV's text and check its header, as :func:`read_dataset`
     does, leaving the body unparsed."""
     text = read_text(source, "CSV")
+    # The csv module reads the header record from a prefix of the text,
+    # doubled until the record ends inside it; the body starts after it.
+    size = 4096
+    while True:
+        buf = io.StringIO(text[:size], newline="")
+        try:
+            first = next(csv.reader(buf), None)
+        except csv.Error as exc:
+            raise DataError(f"header row: {exc}") from None
+        if buf.tell() < size or size >= len(text):
+            break
+        size *= 2
+    body = text[buf.tell():]
     # Without quotes every line end ends a row, so CR and CRLF map to LF
-    # exactly.  A quoted cell may hold commas or line breaks, so with any
-    # quote the csv module reads the header, and the body starts after it.
-    quoted = '"' in text
-    if not quoted and "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    head, _, body = text.partition("\n")
-    buf = io.StringIO(text if quoted else head, newline="")
-    try:
-        first = next(csv.reader(buf), None)
-    except csv.Error as exc:
-        raise DataError(f"header row: {exc}") from None
-    if first is None:
+    # exactly; a quoted cell may hold commas or line breaks.
+    quoted = '"' in body
+    if not quoted and "\r" in body:
+        body = body.replace("\r\n", "\n").replace("\r", "\n")
+    if not (first or quoted):  # no text, or a blank first line of a quote-free text
         raise DataError("empty CSV: expected a header row")
-    if quoted:
-        body = text[buf.tell():]
     header = [name.strip() for name in first]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")

@@ -45,7 +45,7 @@ def _reports(root, ties_shuffled_7=None, class_20800_auto=None, class_bom_auto=N
     (root / "mcd" / "class_20800_auto.txt").write_text(
         class_20800_auto or "method = blockwise\nblock_sizes = 5200 5200 5200 5200\n")
     report = "features = x1,x2,x3\n"
-    for name in ("class", "class_cr", "class_crlf"):
+    for name in ("class", "class_cr", "class_crlf", "class_quoted_header"):
         (root / "mcd" / f"{name}_auto.txt").write_text(report)
     (root / "mcd" / "class_bom_auto.txt").write_text(class_bom_auto or report)
     (root / "model").mkdir()

@@ -567,6 +567,39 @@ class TestRowRanges:
         (whole,) = rows.split(4)
         assert rows.parse(whole)[0].tolist() == [[1, 2], [3, 4], [5, 6]]
 
+    @classmethod
+    def quoted_header_text(cls, n: int, seed: int) -> str:
+        """``text(n, seed)`` with every header cell quoted, as R's
+        ``write.csv`` writes a numeric frame."""
+        return '"a","b","c"' + cls.text(n, seed)[len("a,b,c"):]
+
+    def test_quoted_header_alone_leaves_the_body_quote_free(self):
+        rows = data_io.read_rows(io.StringIO(self.quoted_header_text(30, 6)))
+        assert rows.feature_names == ("a", "b", "c")
+        assert rows.quoted is False
+        assert len(rows.split(3)) == 3
+
+    def test_quoted_header_body_takes_the_numpy_path(self):
+        plain = read_dataset(io.StringIO(self.text(200, 7)))
+        with per_cell_path_unused():
+            quoted = read_dataset(io.StringIO(self.quoted_header_text(200, 7)))
+        assert quoted.X.tobytes() == plain.X.tobytes()
+        assert quoted.feature_names == plain.feature_names
+
+    def test_quoted_header_read_holds_no_more_than_two_copies(self, tmp_path):
+        """The header is read from a prefix, so the text is not copied
+        whole into a ``StringIO``: the text and its body are alive at the
+        peak."""
+        path = tmp_path / "quoted_header.csv"
+        path.write_text(self.quoted_header_text(20_000, 8), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            data_io.read_rows(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
     def test_final_line_without_a_break(self):
         rows = data_io.read_rows(io.StringIO("a\n1\n2\n3"))
         assert rows.line_count == 3

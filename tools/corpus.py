@@ -20,11 +20,13 @@ corpus's own invariants, and ``write`` exits 1 naming each file that
 breaks one:
 - ``mcd/ties_7.txt`` and ``mcd/ties_shuffled_7.txt`` are the same bytes,
   since the fit must not depend on row order;
-- ``mcd/class_cr_auto.txt``, ``mcd/class_crlf_auto.txt`` and
-  ``mcd/class_bom_auto.txt`` are the bytes of ``mcd/class_auto.txt``, and
+- ``mcd/class_cr_auto.txt``, ``mcd/class_crlf_auto.txt``,
+  ``mcd/class_bom_auto.txt`` and ``mcd/class_quoted_header_auto.txt``
+  are the bytes of ``mcd/class_auto.txt``, and
   ``model/quoted_cr_robust.json`` those of ``model/quoted_robust.json``,
-  since CR and CRLF line ends read as LF ones and a leading byte-order
-  mark is not part of the text;
+  since CR and CRLF line ends read as LF ones, a leading byte-order
+  mark is not part of the text, and a quoted header cell reads as the
+  name it quotes;
 - ``mcd/class_20800_auto.txt`` holds the line
   ``block_sizes = 5200 5200 5200 5200``, since ``--blocks auto`` takes
   one block per full 5000 rows;
@@ -43,11 +45,11 @@ if any file does not match.
 The commands are the corpus that "same bytes" claims in ``CHANGES.md``
 were checked on:
 - ``mcd`` at ``--blocks`` auto, 1 and 4, and 4 with ``--h-frac 0.75
-  --seed 9``, on a 10,400-row class; at auto on its CR, CRLF and
-  byte-order-marked copies; at auto on a 20,800-row class (four
-  5200-row blocks, two stacks on forked workers); at 7 on 10,007 tied
-  half-integer rows, on a row-shuffled copy and with ``--h-frac 0.75
-  --seed 3``;
+  --seed 9``, on a 10,400-row class; at auto on its CR, CRLF,
+  byte-order-marked and quoted-header copies; at auto on a 20,800-row
+  class (four 5200-row blocks, two stacks on forked workers); at 7 on
+  10,007 tied half-integer rows, on a row-shuffled copy and with
+  ``--h-frac 0.75 --seed 3``;
 - ``train`` at auto, 1, 4 and classical on two 10,400-row classes, at
   auto on two 20,800-row classes, robust and classical on named
   three-class quarter-step data with a duplicated far row, on the
@@ -91,6 +93,8 @@ _BYTE_COPIES = {
     "cr": lambda lf: lf.replace(b"\n", b"\r"),
     "crlf": lambda lf: lf.replace(b"\n", b"\r\n"),
     "bom": lambda lf: b"\xef\xbb\xbf" + lf,
+    "quoted_header": lambda lf: b",".join(b'"%s"' % name for name in lf[:lf.index(b"\n")].split(b","))
+                                + lf[lf.index(b"\n"):],
 }
 
 # Pairs of outputs that must be the same bytes.
