@@ -47,9 +47,7 @@ class PooledRaw:
 
     loc_scat: LocationScatter
     subset: np.ndarray = field(repr=False)
-    c_alpha: float
     contributing_blocks: tuple
-    n_selected: int
     kl_deviations: tuple
 
     def __post_init__(self):
@@ -181,9 +179,7 @@ def select_and_pool(Z, blocks, estimates) -> PooledRaw:
     return PooledRaw(
         loc_scat=loc_scat,
         subset=pooled_rows,
-        c_alpha=c_alpha,
         contributing_blocks=tuple(int(b) + 1 for b in chosen),
-        n_selected=n_selected,
         kl_deviations=tuple(float(d) for d in deviations),
     )
 

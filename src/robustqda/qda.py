@@ -109,14 +109,6 @@ def _fit_classical(Xg: np.ndarray) -> LocationScatter:
     return LocationScatter.from_sigma(*_mean_cov(Xg))
 
 
-def _own_class_inlier_counts(X, y, estimates, cutoff: float, G: int) -> np.ndarray:
-    kept = np.empty(G, dtype=np.int64)
-    for g in range(G):
-        rows = X[y == g + 1]
-        kept[g] = int(np.count_nonzero(estimates[g].distances(rows) <= cutoff))
-    return kept
-
-
 def _trimmed_priors(kept: np.ndarray) -> np.ndarray:
     if np.any(kept == 0):
         bad = int(np.argwhere(kept == 0)[0, 0]) + 1
@@ -165,6 +157,7 @@ def fit_qda(
     fits: list[LocationScatter] = []
     resolved_blocks: list[int] = []
     counts = np.zeros(G, dtype=np.int64)
+    inliers = np.zeros(G, dtype=np.int64)
     for g in range(1, G + 1):
         Xg = X[y == g]
         counts[g - 1] = Xg.shape[0]
@@ -180,8 +173,8 @@ def fit_qda(
                 resolved_blocks.append(1)
         except RobustQdaError as exc:
             raise type(exc)(f"class {g}: {exc}") from exc
+        inliers[g - 1] = np.count_nonzero(fits[-1].distances(Xg) <= cutoff)
 
-    inliers = _own_class_inlier_counts(X, y, fits, cutoff, G)
     priors = _trimmed_priors(inliers) if mode == "robust" else counts / counts.sum()
 
     classes = tuple(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import block_mcd
 from ._threads import process_map
-from .core import LocationScatter, check_seed, distinct, mvn_sample
+from .core import LocationScatter, check_seed, distinct, mvn_sample, substream
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
 from .presets import PRESET_EPS, preset_names
@@ -158,23 +158,21 @@ class Scenario:
         return sum(c.n for c in self.classes)
 
 
-def generate(scenario: Scenario, rng: np.random.Generator | None = None):
-    """Draw one contaminated dataset.
+def generate(scenario: Scenario, rng: np.random.Generator):
+    """Draw one contaminated dataset from ``rng``.
 
     Per class: sample ``n_g`` rows from the class Gaussian; relabel
     ``floor(eps_label * n_g)`` of them, spread as evenly as possible over
     the other labels; then replace ``floor(eps_meas * n_g)`` rows that are
     still clean with draws from the contamination spec (these keep the
     class label).  Returns ``(X, y, tags)`` with rows grouped by origin
-    class.
+    class.  The study draws replication r from
+    ``core.substream(scenario.seed, r, 0)``.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
     G = scenario.n_classes
-    xs, ys, origins, kinds = [], [], [], []
+    xs, ys, kinds = [], [], []
     for g, cls in enumerate(scenario.classes, start=1):
-        ls = cls.loc_scat()
-        Xg = mvn_sample(rng, ls, cls.n)
+        Xg = mvn_sample(rng, cls.loc_scat(), cls.n)
         yg = np.full(cls.n, g, dtype=np.int64)
         kind = np.full(cls.n, KIND_CLEAN, dtype=np.int8)
 
@@ -182,12 +180,8 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None):
         if m_label > 0:
             chosen = rng.choice(cls.n, size=m_label, replace=False)
             others = [k for k in range(1, G + 1) if k != g]
-            base, extra = divmod(m_label, len(others))
-            start = 0
-            for j, other in enumerate(others):
-                take = base + (1 if j < extra else 0)
-                yg[chosen[start : start + take]] = other
-                start += take
+            for part, other in zip(np.array_split(chosen, len(others)), others):
+                yg[part] = other
             kind[chosen] = KIND_MISLABELED
 
         m_meas = int(math.floor(scenario.eps_meas * cls.n))
@@ -205,11 +199,11 @@ def generate(scenario: Scenario, rng: np.random.Generator | None = None):
 
         xs.append(Xg)
         ys.append(yg)
-        origins.append(np.full(cls.n, g, dtype=np.int64))
         kinds.append(kind)
     X = np.concatenate(xs, axis=0)
     y = np.concatenate(ys)
-    tags = Tags(origin=np.concatenate(origins), given=y.copy(), kind=np.concatenate(kinds))
+    origin = np.repeat(np.arange(1, G + 1, dtype=np.int64), [cls.n for cls in scenario.classes])
+    tags = Tags(origin=origin, given=y.copy(), kind=np.concatenate(kinds))
     return X, y, tags
 
 
@@ -348,10 +342,8 @@ def _run_rep(scenario: Scenario, methods: tuple, rep: int) -> dict:
     """Replication ``rep`` of the study: per method, a dict of its
     confusion, per-class kl, det and alpha (None without planted noise),
     and the seconds taken by the fit and the scoring."""
-    rep_ss = np.random.SeedSequence(scenario.seed, spawn_key=(rep,))
-    data_ss, fit_ss = rep_ss.spawn(2)
-    X, y, tags = generate(scenario, np.random.default_rng(data_ss))
-    fit_seed = int(fit_ss.generate_state(1)[0])
+    X, y, tags = generate(scenario, substream(scenario.seed, rep, 0))
+    fit_seed = int(np.random.SeedSequence(scenario.seed, spawn_key=(rep, 1)).generate_state(1)[0])
     G = scenario.n_classes
     true_sigmas = [np.array(cls.sigma) for cls in scenario.classes]
     has_noise = scenario.eps_label + scenario.eps_meas > 0.0
@@ -379,10 +371,11 @@ def run_study(scenario: Scenario, reps: int = 5, methods: tuple = ("robust", "cl
     """Run ``reps`` replications of the scenario for each method.
 
     Every fit uses ``_H_FRAC``, ``_BLOCKS`` and ``qda.OUTLIER_QUANTILE``.
-    Replication r draws its data from substream r of the scenario seed
-    and hands the fit another substream-derived seed, so the study is
-    reproducible end to end and replications are independent.  They run
-    on up to ``ROBUST_QDA_THREADS`` forked processes
+    Replication r draws its data from ``core.substream(seed, r, 0)`` and
+    seeds the fit with the first word of the seed sequence behind
+    ``core.substream(seed, r, 1)``, so the study is reproducible end to
+    end and replications are independent.  They run on up to
+    ``ROBUST_QDA_THREADS`` forked processes
     (:func:`~robustqda._threads.process_map`) and are averaged in
     replication order, so the report is the same for any worker count.
     """
@@ -436,11 +429,12 @@ _PRESET_CONTAMINATION = (
     Contamination(kind="shift", center=(14, 0, 0, 0, -6)),
 )
 
-def preset_scenario(name: str, *, scale: float = 0.01, seed: int = 0) -> Scenario:
-    """One of the built-in contamination setups, size-scaled.
+def preset_scenario(name: str, *, scale: float = 0.01) -> Scenario:
+    """One of the built-in contamination setups, size-scaled, with seed 0.
 
     ``scale=0.01`` turns the reference class sizes (250k/350k/400k) into a
-    desk-scale 2500/3500/4000 dataset.
+    desk-scale 2500/3500/4000 dataset.  Another seed is set with
+    ``dataclasses.replace``, as ``simulate --seed`` does.
     """
     if name not in PRESET_EPS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(preset_names())}")
@@ -458,7 +452,7 @@ def preset_scenario(name: str, *, scale: float = 0.01, seed: int = 0) -> Scenari
             _PRESET_N, _PRESET_MU, _PRESET_SIGMA_DIAG, _PRESET_CONTAMINATION
         )
     )
-    return Scenario(classes=classes, eps_label=eps_label, eps_meas=eps_meas, seed=seed, name=name)
+    return Scenario(classes=classes, eps_label=eps_label, eps_meas=eps_meas, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +576,9 @@ _DEMO_SWAPS = (4, 4)  # rows given the other class's label
 _DEMO_PLANTED = (5, 8)  # rows replaced by an outlier, keeping their label
 
 
-def two_class_demo(seed: int = 0):
-    """Bivariate two-class dataset with label swaps and planted outliers.
+def two_class_demo():
+    """Bivariate two-class dataset with label swaps and planted outliers,
+    drawn from ``core.substream(0)``.
 
     Returns ``(X, y, info)`` where ``info`` records the affected row
     indices: ``swapped_1``/``swapped_2`` (rows of class 1/2 that received
@@ -592,7 +587,7 @@ def two_class_demo(seed: int = 0):
     class 1 than class 2 but outside the 0.99 ellipsoid of both.
     """
     n1, n2 = _DEMO_N
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = substream(0)
     ls1 = LocationScatter.from_sigma([0.0, 0.0], [[1.0, 0.5], [0.5, 1.2]])
     ls2 = LocationScatter.from_sigma([3.8, 2.0], [[1.3, -0.4], [-0.4, 0.9]])
     X = np.vstack([mvn_sample(rng, ls1, n1), mvn_sample(rng, ls2, n2)])

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -33,7 +34,7 @@ BOTH_SEED = 0
 
 
 def study(name, seed):
-    return run_study(preset_scenario(name, scale=0.01, seed=seed), reps=5)
+    return run_study(replace(preset_scenario(name, scale=0.01), seed=seed), reps=5)
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +281,7 @@ def test_criterion_8_cli_byte_reproducibility(tmp_path):
     byte-identical files."""
     from robustqda.data_io import write_dataset
 
-    X, y, _ = two_class_demo(seed=0)
+    X, y, _ = two_class_demo()
     train_csv = tmp_path / "train.csv"
     write_dataset(train_csv, X, y=y)
     feats_csv = tmp_path / "feats.csv"
@@ -325,7 +326,7 @@ def test_criterion_9_label_bias_demo_counts():
     without being overall outliers (4 of them).  One miss either way is
     tolerated.
     """
-    X, y, _ = two_class_demo(seed=0)
+    X, y, _ = two_class_demo()
     model = fit_qda(X, y, blocks=1, seed=0)
     spec = lb_points(model, X, y, 2)
     lb, rd, overall = spec.lb, spec.rd_own, spec.overall_outlier

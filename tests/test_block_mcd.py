@@ -149,7 +149,8 @@ class TestSelectAndPool:
         pooled = select_and_pool(X, blocks, estimates)
         assert len(pooled.contributing_blocks) == 2
         rows = X[pooled.subset]
-        c = consistency_factor(rows.shape[0], pooled.n_selected, 3)
+        n_selected = sum(len(blocks[b - 1]) for b in pooled.contributing_blocks)
+        c = consistency_factor(rows.shape[0], n_selected, 3)
         assert np.allclose(pooled.loc_scat.mu, rows.mean(axis=0), atol=1e-10)
         assert np.allclose(pooled.loc_scat.sigma, c * np.cov(rows.T, ddof=1), atol=1e-10)
 

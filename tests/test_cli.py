@@ -398,7 +398,7 @@ class TestUnreadableInput:
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
     root = tmp_path_factory.mktemp("lb")
-    X, y, _ = two_class_demo(seed=0)
+    X, y, _ = two_class_demo()
     data = root / "demo.csv"
     write_dataset(data, X, y=y)
     model = root / "model.json"

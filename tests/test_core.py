@@ -1,10 +1,12 @@
 """Tests for the shared numeric foundations."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import robustqda
 from robustqda.core import (
     LocationScatter,
     as_data_matrix,
@@ -176,6 +178,19 @@ class TestSampling:
         c = substream(7, 4).standard_normal(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_substream_is_the_only_generator_constructor(self):
+        """Every random stream of the package comes from ``substream``: no
+        other module builds a generator of its own."""
+        package = Path(robustqda.__file__).resolve().parent
+        hits = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "core.py"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if "default_rng" in line
+        ]
+        assert hits == []
 
     def test_mvn_sample_moments(self):
         mu = np.array([1.0, -2.0, 0.5])

@@ -35,7 +35,7 @@ def test_compare_names_every_file_that_does_not_match(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [f"3 identical, 0 differ, 0 only in {a}, 0 only in {a}"]
 
 
-def _reports(root, ties_shuffled_7=None, class_20800_auto=None, class_bom_auto=None):
+def _reports(root, ties_shuffled_7=None, class_20800_auto=None, class_bom_auto=None, two_auto_1=None):
     """A corpus's checked reports and models, holding the lines and bytes
     ``check`` wants unless a report's text is given."""
     ties = "method = blockwise\nblock_sizes = 1430 1430 1430 1430 1429 1429 1429\n"
@@ -51,6 +51,14 @@ def _reports(root, ties_shuffled_7=None, class_20800_auto=None, class_bom_auto=N
     (root / "model").mkdir()
     for name in ("quoted_robust", "quoted_cr_robust"):
         (root / "model" / f"{name}.json").write_text("{}\n")
+    (root / "predict").mkdir()
+    first = "row,predicted,min_rd,score_1,score_2\n1,1,0.5,-1.5,-9\n"
+    (root / "predict" / "two_auto_160k.csv").write_text(first + "2,2,0.75,-8,-2.5\n")
+    (root / "predict" / "two_auto_1.csv").write_text(two_auto_1 or first)
+    for study in ("both", "both_from_file"):
+        (root / "simulate" / study).mkdir(parents=True)
+        for name in _corpus_tool()._STUDY_FILES:
+            (root / "simulate" / study / name).write_text(f"{name}\n")
     return root
 
 
@@ -68,3 +76,6 @@ def test_check_names_the_file_that_breaks_an_invariant(tmp_path):
         "mcd/class_20800_auto.txt has no line 'block_sizes = 5200 5200 5200 5200'"]
     marked = _reports(tmp_path / "c", class_bom_auto="features = \ufeffx1,x2,x3\n")
     assert corpus.check(marked) == ["mcd/class_auto.txt and mcd/class_bom_auto.txt differ"]
+    one_row = _reports(tmp_path / "d", two_auto_1="row,predicted,min_rd,score_1,score_2\n1,2,0.5,-1.5,-9\n")
+    assert corpus.check(one_row) == [
+        "predict/two_auto_1.csv is not the first two lines of predict/two_auto_160k.csv"]

@@ -27,7 +27,7 @@ from robustqda.sim import two_class_demo
 
 @pytest.fixture(scope="module")
 def demo_model():
-    X, y, info = two_class_demo(seed=0)
+    X, y, info = two_class_demo()
     model = fit_qda(X, y, blocks=1, seed=0)
     return X, y, model
 

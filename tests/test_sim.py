@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from robustqda import sim
+from robustqda.core import substream
 from robustqda.errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from robustqda.presets import preset_names
 from robustqda.qda import classify_rows, fit_qda
@@ -68,7 +69,7 @@ class TestScenarioValidation:
         with pytest.raises(DataError, match=message):
             small_scenario(seed=-1)
         with pytest.raises(DataError, match=message):
-            preset_scenario("clean", seed=-1)
+            replace(preset_scenario("clean"), seed=-1)
         with pytest.raises(DataError, match=message):
             replace(small_scenario(), seed=-1)
         text = format_scenario(small_scenario(seed=3)).replace("seed = 3", "seed = -1")
@@ -117,7 +118,7 @@ class TestScenarioValidation:
 class TestGenerate:
     def test_clean_counts_and_grouping(self):
         sc = small_scenario()
-        X, y, tags = generate(sc)
+        X, y, tags = generate(sc, substream(sc.seed))
         assert X.shape == (260, 2)
         assert np.array_equal(tags.origin, np.repeat([1, 2], [120, 140]))
         assert np.array_equal(tags.given, y)
@@ -133,7 +134,7 @@ class TestGenerate:
             eps_label=0.2,
             seed=1,
         )
-        X, y, tags = generate(sc)
+        X, y, tags = generate(sc, substream(sc.seed))
         for g in (1, 2, 3):
             block = tags.origin == g
             flipped = block & (tags.kind == 1)
@@ -146,7 +147,7 @@ class TestGenerate:
 
     def test_measurement_noise_replaces_clean_rows(self):
         sc = small_scenario(eps_label=0.1, eps_meas=0.25, seed=2)
-        X, y, tags = generate(sc)
+        X, y, tags = generate(sc, substream(sc.seed))
         for g, n_g in ((1, 120), (2, 140)):
             block = tags.origin == g
             replaced = block & (tags.kind == 2)
@@ -167,7 +168,7 @@ class TestGenerate:
             eps_meas=0.2,
             seed=3,
         )
-        X, y, tags = generate(sc)
+        X, y, tags = generate(sc, substream(sc.seed))
         replaced = tags.kind == 2
         assert np.array_equal(X[replaced], np.tile([7.0, -3.0], (int(replaced.sum()), 1)))
 
@@ -181,7 +182,7 @@ class TestGenerate:
 
     def test_mislabeled_row_tags(self):
         sc = small_scenario(eps_label=0.1, seed=5)
-        _, y, tags = generate(sc)
+        _, y, tags = generate(sc, substream(sc.seed))
         rows = np.flatnonzero(tags.kind == KIND_MISLABELED)
         assert rows.size > 0
         assert np.all(tags.given[rows] != tags.origin[rows])
@@ -283,8 +284,8 @@ def assert_confusion_matches_reference(pred, tags, G):
 class TestConfusionMatchesPerKeyReference:
     @pytest.mark.parametrize("name", ["clean", "label", "measurement", "both"])
     def test_presets(self, name):
-        sc = preset_scenario(name, scale=0.004, seed=6)
-        X, y, tags = generate(sc)
+        sc = replace(preset_scenario(name, scale=0.004), seed=6)
+        X, y, tags = generate(sc, substream(sc.seed))
         G = sc.n_classes
         model = fit_qda(X, y, mode="classical")
         labels, _, _, _ = classify_rows(model, X)
@@ -390,7 +391,7 @@ class TestPresets:
         assert preset_names() == ("both", "clean", "label", "measurement")
 
     def test_scaled_sizes_and_epsilons(self):
-        sc = preset_scenario("measurement", scale=0.01, seed=3)
+        sc = replace(preset_scenario("measurement", scale=0.01), seed=3)
         assert tuple(c.n for c in sc.classes) == (2500, 3500, 4000)
         assert (sc.eps_label, sc.eps_meas) == (0.0, 0.2)
         assert sc.seed == 3
@@ -410,8 +411,8 @@ class TestPresets:
     def test_clean_preset_priors_recovered(self):
         # empirical class shares are 0.25 / 0.35 / 0.40; robust trimming
         # must leave the priors within a percent of those targets
-        sc = preset_scenario("clean", scale=0.004, seed=0)
-        X, y, _ = generate(sc)
+        sc = replace(preset_scenario("clean", scale=0.004), seed=0)
+        X, y, _ = generate(sc, substream(sc.seed))
         model = fit_qda(X, y, blocks=1, seed=0)
         assert np.allclose(model.priors, [0.25, 0.35, 0.40], atol=0.01)
 
@@ -419,7 +420,7 @@ class TestPresets:
 class TestScenarioFormat:
     def test_round_trip_presets(self):
         for name in preset_names():
-            sc = preset_scenario(name, scale=0.01, seed=5)
+            sc = replace(preset_scenario(name, scale=0.01), seed=5)
             back = parse_scenario(format_scenario(sc))
             assert back == sc
 
@@ -464,7 +465,7 @@ class TestScenarioFormat:
 
 class TestTwoClassDemo:
     def test_shapes_and_counts(self):
-        X, y, info = two_class_demo(seed=0)
+        X, y, info = two_class_demo()
         assert X.shape == (180, 2)
         assert int((y == 1).sum()) == 80  # 80 - 4 swapped out + 4 swapped in
         assert len(info["swapped_1"]) == 4
@@ -473,25 +474,25 @@ class TestTwoClassDemo:
         assert len(info["planted_2"]) == 8
 
     def test_roles_do_not_overlap(self):
-        _, _, info = two_class_demo(seed=0)
+        _, _, info = two_class_demo()
         assert not set(info["swapped_1"]) & set(info["planted_1"])
         assert not set(info["swapped_2"]) & set(info["planted_2"])
         assert np.all(info["planted_1"] < 80)
         assert np.all(info["planted_2"] >= 80)
 
     def test_swaps_change_labels(self):
-        _, y, info = two_class_demo(seed=0)
+        _, y, info = two_class_demo()
         assert np.all(y[info["swapped_1"]] == 2)
         assert np.all(y[info["swapped_2"]] == 1)
 
     def test_planted_rows_sit_at_their_clusters(self):
-        X, _, info = two_class_demo(seed=0)
+        X, _, info = two_class_demo()
         assert np.all(np.linalg.norm(X[info["planted_1"]] - [-4.0, -6.0], axis=1) < 1.5)
         assert np.all(np.linalg.norm(X[info["planted_2"]] - [-4.0, 1.5], axis=1) < 1.5)
 
     def test_deterministic(self):
-        X1, y1, _ = two_class_demo(seed=0)
-        X2, y2, _ = two_class_demo(seed=0)
+        X1, y1, _ = two_class_demo()
+        X2, y2, _ = two_class_demo()
         assert np.array_equal(X1, X2)
         assert np.array_equal(y1, y2)
 

@@ -27,6 +27,11 @@ breaks one:
   since CR and CRLF line ends read as LF ones, a leading byte-order
   mark is not part of the text, and a quoted header cell reads as the
   name it quotes;
+- ``simulate/both_from_file`` holds the bytes of ``simulate/both``,
+  since a study read back from its own ``scenario.txt`` is the study;
+- ``predict/two_auto_1.csv`` is the first two lines of
+  ``predict/two_auto_160k.csv``, since a one-row input scores as the
+  first row of a larger one;
 - ``mcd/class_20800_auto.txt`` holds the line
   ``block_sizes = 5200 5200 5200 5200``, since ``--blocks auto`` takes
   one block per full 5000 rows;
@@ -56,15 +61,16 @@ were checked on:
   two-class demo and on three classes whose names are quoted cells
   holding a comma and a doubled quote, robust and classical, and robust
   on that set's CR copy;
-- ``predict`` on 160,000 rows, on the named set and on the quoted-name
-  set;
+- ``predict`` on 160,000 rows and on the first of them alone, on the
+  named set and on the quoted-name set;
 - ``lbplot --csv --svg`` for every class of the first nine models, and
   for class 1 of the quoted-name ones (by number, since a command is
   split on whitespace);
 - the ``fit-diagnose`` inputs (``bench.inputs.label_preset`` at scale
   0.01, generator seeds 1 and 7, two sets each): ``train --blocks auto``
   and ``lbplot`` of classes 1 to 3;
-- ``simulate`` of all four presets at ``--reps 3``, ``measurement
+- ``simulate`` of all four presets at ``--reps 3``, of the ``both``
+  study's own ``scenario.txt`` at ``--reps 3``, ``measurement
   --methods robust --reps 2 --seed 4``, and ``both --scale 0.06 --reps
   1``, whose one replication has the whole cap, so that its classes 2
   and 3 (5212- and 5850-row blocks) fit their stacks on forked workers
@@ -97,11 +103,16 @@ _BYTE_COPIES = {
                                 + lf[lf.index(b"\n"):],
 }
 
+# The files of one study report.
+_STUDY_FILES = ("scenario.txt", "confusion_robust.csv", "metrics_robust.csv", "confusion_classical.csv",
+                "metrics_classical.csv", "report.txt")
+
 # Pairs of outputs that must be the same bytes.
 _SAME = (
     ("mcd/ties_7.txt", "mcd/ties_shuffled_7.txt"),
     *(("mcd/class_auto.txt", f"mcd/class_{copy}_auto.txt") for copy in _BYTE_COPIES),
     ("model/quoted_robust.json", "model/quoted_cr_robust.json"),
+    *((f"simulate/both/{name}", f"simulate/both_from_file/{name}") for name in _STUDY_FILES),
 )
 
 
@@ -140,6 +151,7 @@ def _commands() -> list:
     runs.append("train --data in/quoted_cr.csv --label-col label --out model/quoted_cr_robust.json")
     runs += [
         "predict --model model/two_auto.json --data in/features_160k.csv --out predict/two_auto_160k.csv",
+        "predict --model model/two_auto.json --data in/features_1.csv --out predict/two_auto_1.csv",
         "predict --model model/named_robust.json --data in/named_features.csv --out predict/named_robust.csv",
         "predict --model model/named_classical.json --data in/named_features.csv"
         " --out predict/named_classical.csv",
@@ -161,6 +173,7 @@ def _commands() -> list:
                             f" --class {g} --csv lbplot/{name}_{g}.csv --svg lbplot/{name}_{g}.svg")
     for preset in ("both", "clean", "label", "measurement"):
         runs.append(f"simulate --scenario {preset} --reps 3 --out simulate/{preset}")
+    runs.append("simulate --scenario simulate/both/scenario.txt --reps 3 --out simulate/both_from_file")
     runs.append("simulate --scenario measurement --methods robust --reps 2 --seed 4"
                 " --out simulate/measurement_robust_s4")
     runs.append("simulate --scenario both --scale 0.06 --reps 1 --out simulate/both_scale_0.06")
@@ -199,6 +212,8 @@ def _write_inputs(folder: Path) -> None:
     write_csv(folder / "class_20800.csv", X[y == 1])
     write_csv(folder / "features_160k.csv",
               rng.standard_normal((160_000, 3)) + 4.0 * rng.integers(0, 2, (160_000, 1)))
+    with open(folder / "features_160k.csv", "rb") as fh:
+        (folder / "features_1.csv").write_bytes(fh.readline() + fh.readline())
 
     ties = np.round(rng.standard_normal((10_007, 3)) * 2.0) / 2.0
     ties[::9] += 6.0
@@ -222,7 +237,7 @@ def _write_inputs(folder: Path) -> None:
     (folder / "quoted_cr.csv").write_bytes(_BYTE_COPIES["cr"]((folder / "quoted.csv").read_bytes()))
     write_csv(folder / "quoted_features.csv", X)
 
-    X, y, _ = two_class_demo(0)
+    X, y, _ = two_class_demo()
     write_csv(folder / "demo.csv", X, y)
     for seed in (1, 7):
         stream = np.random.default_rng(seed)
@@ -250,6 +265,10 @@ def check(folder: Path) -> list:
                        ("mcd/ties_7.txt", "block_sizes = 1430 1430 1430 1430 1429 1429 1429")):
         if line not in (folder / name).read_text().splitlines():
             problems.append(f"{name} has no line {line!r}")
+    with open(folder / "predict/two_auto_160k.csv", "rb") as fh:
+        head = fh.readline() + fh.readline()
+    if (folder / "predict/two_auto_1.csv").read_bytes() != head:
+        problems.append("predict/two_auto_1.csv is not the first two lines of predict/two_auto_160k.csv")
     return problems
 
 
