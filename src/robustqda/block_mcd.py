@@ -89,9 +89,9 @@ class BlockwiseResult:
 def default_block_count(n: int, p: int) -> int:
     """The q that ``blocks="auto"`` resolves to: one block per full
     ``mcd._WORKER_BLOCK_ROWS`` rows, capped so blocks keep at least ``20 p``
-    rows and the hard minimum size.  Reads n and p only, never the machine."""
-    cap = min(n // (20 * p), n // max(2 * (p + 1), _MIN_BLOCK_ROWS))
-    return max(1, min(n // _WORKER_BLOCK_ROWS, cap))
+    rows, which is never below the hard minimum ``max(2 (p + 1), 20)``.
+    Reads n and p only, never the machine."""
+    return max(1, min(n // _WORKER_BLOCK_ROWS, n // (20 * p)))
 
 
 def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_size: int = _MIN_BLOCK_ROWS) -> tuple:
@@ -115,18 +115,17 @@ def split_blocks(n: int, q: int, rng: np.random.Generator | None, *, min_block_s
     return tuple(np.sort(rows).astype(np.intp) for rows in np.array_split(rng.permutation(n), q))
 
 
-def median_pool(estimates) -> tuple[np.ndarray, np.ndarray]:
-    """Entry-wise median of per-block locations and scatters.
+def median_pool(fits) -> tuple[np.ndarray, np.ndarray]:
+    """Entry-wise median of the locations and scatters of the per-block
+    :class:`LocationScatter` fits.
 
     The pooled scatter is symmetric by construction but not necessarily
     positive definite; it only serves as a reference point for the KL
     screening below.
     """
-    if len(estimates) < 1:
+    if len(fits) < 1:
         raise DataError("median_pool needs at least one estimate")
-    mus = np.stack([e.mu for e in estimates])
-    sigmas = np.stack([e.sigma for e in estimates])
-    return median(mus, 0), median(sigmas, 0)
+    return median(np.stack([f.mu for f in fits]), 0), median(np.stack([f.sigma for f in fits]), 0)
 
 
 def _kl_core(sigma_a: np.ndarray, mu_a: np.ndarray, fits) -> list[float]:
@@ -164,8 +163,9 @@ def select_and_pool(Z, blocks, estimates) -> PooledRaw:
     q = len(blocks)
     if len(estimates) != q:
         raise DataError(f"expected {q} block estimates, got {len(estimates)}")
-    mu_med, sigma_med = median_pool(estimates)
-    deviations = np.array(_kl_core(sigma_med, mu_med, [e.loc_scat for e in estimates]))
+    fits = [e.loc_scat for e in estimates]
+    mu_med, sigma_med = median_pool(fits)
+    deviations = np.array(_kl_core(sigma_med, mu_med, fits))
     keep = max(1, q // 2)
     chosen = np.sort(np.argsort(deviations, kind="stable")[:keep])
     pooled_rows = np.sort(

@@ -61,14 +61,6 @@ def _blocks_arg(value: str):
     return q
 
 
-def _fraction_arg(value: str) -> float:
-    try:
-        f = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    return f
-
-
 _H_FRAC_HELP = "subset fraction in [0.5, 1) (default 0.5)"
 
 
@@ -81,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mcd = sub.add_parser("mcd", help="fit the blockwise MCD location/scatter estimate on a CSV")
     p_mcd.add_argument("--data", required=True, help="input CSV (all columns are features)")
-    p_mcd.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F", help=_H_FRAC_HELP)
+    p_mcd.add_argument("--h-frac", type=float, default=0.5, metavar="F", help=_H_FRAC_HELP)
     p_mcd.add_argument("--blocks", type=_blocks_arg, default="auto", metavar="Q",
                        help="block count, or 'auto' to size blocks from the data (default)")
     p_mcd.add_argument("--seed", type=int, default=0, help="shuffle seed (default 0)")
@@ -92,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="training CSV")
     p_train.add_argument("--label-col", required=True, help="name of the label column")
     p_train.add_argument("--mode", choices=("robust", "classical"), default="robust")
-    p_train.add_argument("--h-frac", type=_fraction_arg, default=0.5, metavar="F", help=_H_FRAC_HELP)
+    p_train.add_argument("--h-frac", type=float, default=0.5, metavar="F", help=_H_FRAC_HELP)
     p_train.add_argument("--blocks", type=_blocks_arg, default="auto", metavar="Q")
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True, help="model file to write")
@@ -117,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a contamination study")
     p_sim.add_argument("--scenario", required=True,
                        help=f"scenario file, or one of the presets: {', '.join(preset_names())}")
-    p_sim.add_argument("--scale", type=_fraction_arg, default=None,
+    p_sim.add_argument("--scale", type=float, default=None,
                        help="class-size multiplier for presets (default 0.01)")
     p_sim.add_argument("--reps", type=int, default=5, help="replications (default 5)")
     p_sim.add_argument("--methods", choices=("both", "robust", "classical"), default="both")

@@ -158,9 +158,8 @@ def _factor_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     failed)``: ``failed`` maps the index of each slice that does not
     factor, or has a pivot at or below ``p * machine_epsilon *
     max(diagonal)``, to its ``NotPositiveDefinite``, and those slices'
-    entries of ``L`` and ``log_det`` are meaningless.  An
-    ill-conditioned but factorizable slice goes through with a logged
-    condition estimate.
+    entries of ``L`` and ``log_det`` are meaningless.  An ill-conditioned
+    slice goes through; :meth:`LocationScatter.from_sigma` logs it.
     """
     K, p, _ = S.shape
     failed = {}
@@ -175,21 +174,13 @@ def _factor_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
                 failed[k] = NotPositiveDefinite(f"sigma is not positive definite: {exc}")
                 L[k] = np.eye(p)
     diag = np.diagonal(L, axis1=1, axis2=2)
-    pivots = diag ** 2
-    smallest = pivots.min(axis=1)
+    smallest = (diag ** 2).min(axis=1)
     threshold = p * _EPS * np.diagonal(S, axis1=1, axis2=2).max(axis=1)
-    singular = smallest <= threshold
-    for k in np.flatnonzero(singular):
+    for k in np.flatnonzero(smallest <= threshold):
         failed.setdefault(int(k), NotPositiveDefinite(
             f"sigma is numerically singular (pivot {smallest[k]:.3e} "
             f"below threshold {threshold[k]:.3e})"
         ))
-    # The pivots of a slice that passed are positive.
-    cond_estimate = pivots.max(axis=1) / np.where(singular, 1.0, smallest)
-    for k in np.flatnonzero(cond_estimate > _COND_WARN):
-        if k not in failed:
-            _warn(__name__, "sigma is ill-conditioned (pivot-ratio estimate %.3e); proceeding",
-                 cond_estimate[k])
     return L, 2.0 * np.log(diag).sum(axis=1), failed
 
 
@@ -246,6 +237,10 @@ class LocationScatter:
         L, log_det, failed = _factor_stack(sigma[None])
         if failed:
             raise failed[0]
+        pivots = np.diagonal(L[0]) ** 2  # positive, as sigma factored
+        cond_estimate = pivots.max() / pivots.min()
+        if cond_estimate > _COND_WARN:
+            _warn(__name__, "sigma is ill-conditioned (pivot-ratio estimate %.3e); proceeding", cond_estimate)
         if sigma.shape[0] != mu.shape[0]:
             raise DimensionMismatch(
                 f"mu has length {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[0]}"

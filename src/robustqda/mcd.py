@@ -14,9 +14,10 @@ that share a block size are fitted together as a stack ``(K, m, p)`` in
 row layout: the starts, every concentration step and every polish sweep
 run as one numpy pass over the candidates still active, while each
 candidate keeps its own convergence, warnings and failures.  One record,
-:class:`_Fits`, holds the stack's fits, h-subsets, determinants and
-errors.  A candidate whose start is degenerate goes through the start's
-passes like the others and ends with its ``DegenerateStart``.  Stacked
+:class:`_Fits`, holds the stack's fits, h-subsets, log-determinants
+(which every comparison of two subsets compares) and errors.  A
+candidate whose start is degenerate goes through the start's passes
+like the others and ends with its ``DegenerateStart``.  Stacked
 ``matmul`` and ``linalg`` calls make one BLAS or LAPACK call per slice,
 and means and cross-products reduce along the row axis, so a candidate
 gets the same bits in any stack as alone.  Only the exchange search's
@@ -62,7 +63,6 @@ from .errors import (
     DataError,
     DegenerateStart,
     DomainError,
-    NumericError,
     TooFewInliers,
     TooFewObservations,
 )
@@ -107,15 +107,11 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class RawEstimate:
-    """Raw MCD output: consistency-scaled estimate plus its h-subset.
-
-    ``det_uncorrected`` is the determinant of the plain h-subset covariance
-    (no consistency factor); concentration steps never increase it.
-    """
+    """Raw MCD output: consistency-scaled estimate plus its h-subset and
+    the consistency factor ``c_alpha`` it was scaled by."""
 
     loc_scat: LocationScatter
     subset: np.ndarray = field(repr=False)
-    det_uncorrected: float
     c_alpha: float
 
     def __post_init__(self):
@@ -127,12 +123,10 @@ class RawEstimate:
         return self.subset.shape[0]
 
     @property
-    def mu(self) -> np.ndarray:
-        return self.loc_scat.mu
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.loc_scat.sigma
+    def det_uncorrected(self) -> float:
+        """Determinant of the plain h-subset covariance (no consistency
+        factor); concentration steps never increase it."""
+        return math.exp(self.loc_scat.log_det - self.loc_scat.p * math.log(self.c_alpha))
 
 
 def h_from_fraction(n: int, p: int, frac: float) -> int:
@@ -181,15 +175,16 @@ def raw_from_subset(Z, subset) -> RawEstimate:
     fits = _refit(Z[None], np.zeros(1, dtype=np.intp), np.sort(subset)[None], c_alpha)
     if fits.error[0] is not None:
         raise fits.error[0]
-    return RawEstimate(_loc_scat(fits, 0), fits.subset[0], float(fits.det[0]), c_alpha)
+    return RawEstimate(_loc_scat(fits, 0), fits.subset[0], c_alpha)
 
 
 @dataclass
 class _Fits:
     """Location/scatter fits of a stack of candidates, one per row of each
-    array: the fit, its h-subset (indices into the candidate's rows) with
-    the subset's uncorrected determinant (both None at the starts), and
-    ``error[k]``, the exception that ended fit ``k``, or None."""
+    array: the fit with its log-determinant, its h-subset (None at the
+    starts), and ``error[k]``, the exception that ended fit ``k``, or
+    None.  The candidates share one consistency factor, so their
+    log-determinants order them as their uncorrected determinants do."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -197,7 +192,6 @@ class _Fits:
     inv_chol: np.ndarray
     log_det: np.ndarray
     subset: np.ndarray | None
-    det: np.ndarray | None
     error: list
 
     def live(self) -> np.ndarray:
@@ -206,7 +200,7 @@ class _Fits:
 
     def take(self, idx: np.ndarray, fits: _Fits, sel: np.ndarray) -> None:
         """Take fits ``sel`` of ``fits`` as the fits ``idx``."""
-        for name in ("mu", "sigma", "chol", "inv_chol", "log_det", "subset", "det"):
+        for name in ("mu", "sigma", "chol", "inv_chol", "log_det", "subset"):
             getattr(self, name)[idx] = getattr(fits, name)[sel]
 
 
@@ -217,7 +211,7 @@ def _factor(mu: np.ndarray, sigma: np.ndarray) -> _Fits:
     chol, log_det, failed = _factor_stack(sigma)
     inv_chol, inv_failed = _inverse_factors(chol)
     error = [failed.get(k, inv_failed.get(k)) for k in range(len(log_det))]
-    return _Fits(mu, sigma, chol, inv_chol, log_det, None, None, error)
+    return _Fits(mu, sigma, chol, inv_chol, log_det, None, error)
 
 
 def _refit(Z: np.ndarray, cand: np.ndarray, rows: np.ndarray, c_alpha: float) -> _Fits:
@@ -234,7 +228,6 @@ def _refit(Z: np.ndarray, cand: np.ndarray, rows: np.ndarray, c_alpha: float) ->
     dev = X - mu[:, None, :]
     fits = _factor(mu, c_alpha * ((dev.transpose(0, 2, 1) @ dev) / (rows.shape[1] - 1)))
     fits.subset = rows
-    fits.det = np.array([math.exp(v) for v in (fits.log_det - p * math.log(c_alpha)).tolist()])
     return fits
 
 
@@ -375,12 +368,14 @@ def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float) -> None:
     The first pass refits on the ``h`` rows closest to the start; each
     later pass re-selects, and a candidate whose subset reproduces itself
     has converged (a refit would reproduce its fit).  A candidate whose
-    refit fails or whose determinant rises ends with that error; one still
-    moving after ``_MAX_CSTEPS`` passes keeps its last subset, with a
-    warning.
+    refit fails ends with that error.  A step never raises the
+    determinant in exact arithmetic, so a candidate whose log-determinant
+    rises by more than ``log1p(1e-9)`` has met rounding (nearly collinear
+    rows): it stops at its last subset, with a warning, as does one still
+    moving after ``_MAX_CSTEPS`` passes.
     """
     K, m, _ = Z.shape
-    st.subset, st.det = np.full((K, h), -1, dtype=np.intp), np.full(K, math.inf)
+    st.subset, st.log_det = np.full((K, h), -1, dtype=np.intp), np.full(K, math.inf)
     act = st.live()
     Za = Z if act.size == K else Z[act]
     for _ in range(_MAX_CSTEPS + 1):
@@ -393,11 +388,14 @@ def _concentrate(Z: np.ndarray, st: _Fits, h: int, c_alpha: float) -> None:
             break
         idx = act[moved]
         fits = _refit(Za, moved, picked[moved], c_alpha)
-        for j in np.flatnonzero(fits.det > st.det[idx] * (1.0 + 1e-9)):
-            fits.error[j] = fits.error[j] or NumericError("concentration step increased the determinant")
         for j, exc in enumerate(fits.error):
             st.error[idx[j]] = exc
         ok = fits.live()
+        rose = fits.log_det[ok] > st.log_det[idx[ok]] + math.log1p(1e-9)
+        for _ in np.flatnonzero(rose):
+            _warn(__name__, "concentration step raised the determinant (n=%d, h=%d); keeping the last subset",
+                  m, h)
+        ok = ok[~rose]
         st.take(idx[ok], fits, ok)
         act, Za = _keep(act, Za, moved[ok])
     for k in act:
@@ -549,7 +547,7 @@ def _polish(Z: np.ndarray, st: _Fits, c_alpha: float) -> None:
         for exc in filter(None, fits.error):
             _warn(__name__, "exchange polish stopped early: refit failed (%s)", exc)
         ok = fits.live()
-        better = ok[fits.det[ok] < st.det[idx[ok]]]
+        better = ok[fits.log_det[ok] < st.log_det[idx[ok]]]
         st.take(idx[better], fits, better)
         act, Za = _keep(act, Za, movers[better])
     for _ in act:
@@ -571,7 +569,7 @@ def _fit_stack(Z: np.ndarray, kinds: np.ndarray, h: int) -> list:
     _concentrate(Z, st, h, c_alpha)
     _polish(Z, st, c_alpha)
     return [
-        st.error[k] or RawEstimate(_loc_scat(st, k), st.subset[k], float(st.det[k]), c_alpha)
+        st.error[k] or RawEstimate(_loc_scat(st, k), st.subset[k], c_alpha)
         for k in range(len(kinds))
     ]
 
@@ -622,7 +620,7 @@ def _fit_blocks(Z: np.ndarray, blocks, hs) -> list[RawEstimate]:
                 continue
             if isinstance(fit, Exception):
                 raise fit
-            if won is None or fit.det_uncorrected < won.det_uncorrected:
+            if won is None or fit.loc_scat.log_det < won.loc_scat.log_det:
                 won = fit
         if won is None:
             raise AllStartsDegenerate("both initial scatter estimates are degenerate")

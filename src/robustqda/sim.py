@@ -165,9 +165,9 @@ def generate(scenario: Scenario, rng: np.random.Generator):
     ``floor(eps_label * n_g)`` of them, spread as evenly as possible over
     the other labels; then replace ``floor(eps_meas * n_g)`` rows that are
     still clean with draws from the contamination spec (these keep the
-    class label).  Returns ``(X, y, tags)`` with rows grouped by origin
-    class.  The study draws replication r from
-    ``core.substream(scenario.seed, r, 0)``.
+    class label).  Returns ``(X, tags)`` with rows grouped by origin
+    class; the labels are ``tags.given``.  The study draws replication r
+    from ``core.substream(scenario.seed, r, 0)``.
     """
     G = scenario.n_classes
     xs, ys, kinds = [], [], []
@@ -200,11 +200,9 @@ def generate(scenario: Scenario, rng: np.random.Generator):
         xs.append(Xg)
         ys.append(yg)
         kinds.append(kind)
-    X = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys)
     origin = np.repeat(np.arange(1, G + 1, dtype=np.int64), [cls.n for cls in scenario.classes])
-    tags = Tags(origin=origin, given=y.copy(), kind=np.concatenate(kinds))
-    return X, y, tags
+    tags = Tags(origin=origin, given=np.concatenate(ys), kind=np.concatenate(kinds))
+    return np.concatenate(xs, axis=0), tags
 
 
 @dataclass(frozen=True)
@@ -281,13 +279,12 @@ def average_confusions(confusions) -> ExtendedConfusion:
 
 def kl_metric(sigma_hat, sigma_true) -> float:
     """Gaussian KL divergence of N(0, sigma_hat) from N(0, sigma_true):
-    ``trace(hat inv(true)) - p - ln det(hat inv(true))``.  Zero iff equal."""
+    ``trace(hat inv(true)) - p - ln det(hat inv(true))``, the block
+    screening's ``block_mcd._kl_core`` at zero means.  Zero iff equal,
+    and +inf when ``sigma_hat`` has no positive determinant."""
     hat = np.asarray(sigma_hat, dtype=np.float64)
-    p = hat.shape[0]
-    ls_hat = LocationScatter.from_sigma(np.zeros(p), hat)
-    ls_true = LocationScatter.from_sigma(np.zeros(p), sigma_true)
-    trace = float(np.sum(hat * ls_true.precision))
-    return trace - p - (ls_hat.log_det - ls_true.log_det)
+    zeros = np.zeros(hat.shape[0])
+    return block_mcd._kl_core(hat, zeros, [LocationScatter.from_sigma(zeros, sigma_true)])[0]
 
 
 def alpha_metric(rd_own, tags: Tags, g: int, cutoff: float) -> float:
@@ -340,9 +337,10 @@ def _spread(values: np.ndarray) -> np.ndarray:
 
 def _run_rep(scenario: Scenario, methods: tuple, rep: int) -> dict:
     """Replication ``rep`` of the study: per method, a dict of its
-    confusion, per-class kl, det and alpha (None without planted noise),
-    and the seconds taken by the fit and the scoring."""
-    X, y, tags = generate(scenario, substream(scenario.seed, rep, 0))
+    confusion, per-class kl, det and alpha (None without planted noise;
+    NaN for a class that carries none of it), and the seconds taken by
+    the fit and the scoring."""
+    X, tags = generate(scenario, substream(scenario.seed, rep, 0))
     fit_seed = int(np.random.SeedSequence(scenario.seed, spawn_key=(rep, 1)).generate_state(1)[0])
     G = scenario.n_classes
     true_sigmas = [np.array(cls.sigma) for cls in scenario.classes]
@@ -350,13 +348,18 @@ def _run_rep(scenario: Scenario, methods: tuple, rep: int) -> dict:
     rows = {}
     for mode in methods:
         start = time.perf_counter()
-        model = fit_qda(X, y, mode=mode, h_frac=_H_FRAC, blocks=_BLOCKS, seed=fit_seed)
+        model = fit_qda(X, tags.given, mode=mode, h_frac=_H_FRAC, blocks=_BLOCKS, seed=fit_seed)
         labels, _, rd, _ = classify_rows(model, X)
         elapsed = time.perf_counter() - start
         alpha = None
         if has_noise:
-            rd_own = rd[np.arange(rd.shape[0]), y - 1]
-            alpha = [alpha_metric(rd_own, tags, g, model.outlier_cutoff) for g in range(1, G + 1)]
+            rd_own = rd[np.arange(rd.shape[0]), tags.given - 1]
+            alpha = []
+            for g in range(1, G + 1):
+                try:
+                    alpha.append(alpha_metric(rd_own, tags, g, model.outlier_cutoff))
+                except ZeroNoise:
+                    alpha.append(math.nan)
         rows[mode] = {
             "confusion": extended_confusion(labels, tags, G),
             "kl": [kl_metric(model.classes[g].loc_scat.sigma, true_sigmas[g]) for g in range(G)],
@@ -386,13 +389,12 @@ def run_study(scenario: Scenario, reps: int = 5, methods: tuple = ("robust", "cl
             raise ConfigError(f"unknown method {mode!r}")
     # Load here, before the workers fork, what every replication runs, so
     # that they inherit it instead of each loading it again: numpy.random
-    # (which brings hashlib and OpenSSL) and, for robust fits, the lazily
-    # loaded fit modules, whose bodies run at the first attribute read (see
-    # the package's __init__).
+    # (which brings hashlib and OpenSSL) and the lazily loaded fit modules,
+    # whose bodies run at the first attribute read (see the package's
+    # __init__): robust fits run them, and every KL reads block_mcd.
     import numpy.random  # noqa: F401
 
-    if "robust" in methods:
-        block_mcd.blockwise_mcd
+    block_mcd.blockwise_mcd
     per_rep = process_map(partial(_run_rep, scenario, methods), range(reps))
 
     reports = []
@@ -629,13 +631,20 @@ def _confusion_csv(conf: ExtendedConfusion) -> str:
     return csv_text(",".join(header), "%d,%d" + ",%.9g" * (G + 2), columns)
 
 
+def _class_alphas(report: MethodReport, G: int) -> list:
+    """Per class, its alpha mean and sd, or None for a class that carries
+    no planted noise."""
+    if report.alpha_mean is None:
+        return [None] * G
+    pairs = zip(report.alpha_mean.tolist(), report.alpha_sd.tolist())
+    return [None if math.isnan(mean) else (mean, sd) for mean, sd in pairs]
+
+
 def _metrics_csv(report: MethodReport, G: int) -> str:
     header = "class,kl_mean,kl_sd,det_mean,det_sd,alpha_mean,alpha_sd"
     columns = [np.arange(1, G + 1), report.kl_mean, report.kl_sd, report.det_mean, report.det_sd]
-    if report.alpha_mean is None:
-        return csv_text(header, "%d" + ",%.9g" * 4 + ",,", columns)
-    columns += [report.alpha_mean, report.alpha_sd]
-    return csv_text(header, "%d" + ",%.9g" * 6, columns)
+    alpha = np.array(["," if a is None else "%.9g,%.9g" % a for a in _class_alphas(report, G)])
+    return csv_text(header, "%d" + ",%.9g" * 4 + ",%s", [*columns, alpha])
 
 
 def _text_report(study: StudyReport) -> str:
@@ -658,13 +667,10 @@ def _text_report(study: StudyReport) -> str:
             out.append(f"    {origin:6d} {given:5d} |{cells}  {report.confusion.row_counts[r]:8.1f}")
         out.append("  per-class metrics (mean over reps, sd in parentheses)")
         out.append("    class        KL                det             alpha")
-        for g in range(G):
+        for g, a in enumerate(_class_alphas(report, G)):
             kl = f"{report.kl_mean[g]:.4g} ({report.kl_sd[g]:.2g})"
             det = f"{report.det_mean[g]:.5g} ({report.det_sd[g]:.2g})"
-            if report.alpha_mean is None:
-                alpha = "-"
-            else:
-                alpha = f"{report.alpha_mean[g]:.3f} ({report.alpha_sd[g]:.2g})"
+            alpha = "-" if a is None else f"{a[0]:.3f} ({a[1]:.2g})"
             out.append(f"    {g + 1:5d}  {kl:>16s}  {det:>16s}  {alpha:>14s}")
         out.append("")
     return "\n".join(out)

@@ -289,8 +289,8 @@ class TestPoolingComputedOnce:
         blocks = split_blocks(320, 4, np.random.default_rng(8))
         estimates = [fit_mcd(X[rows], h_from_fraction(len(rows), 3, 0.5)) for rows in blocks]
         pooled = select_and_pool(X, blocks, estimates)
-        mu_med, sigma_med = median_pool(estimates)
-        expected = tuple(deviation(sigma_med, mu_med, e.sigma, e.mu) for e in estimates)
+        mu_med, sigma_med = median_pool([e.loc_scat for e in estimates])
+        expected = tuple(deviation(sigma_med, mu_med, e.loc_scat.sigma, e.loc_scat.mu) for e in estimates)
         assert pooled.kl_deviations == expected
 
     def test_select_and_pool_takes_one_log_determinant(self):
@@ -313,6 +313,24 @@ class TestPoolingComputedOnce:
             res = blockwise_mcd(X, blocks=4, rng=1)
         assert spy.call_count == 1
         assert len(res.raw.kl_deviations) == 4
+
+
+class TestNearCollinearData:
+    """Two columns 1e-6 apart: a concentration step can raise the
+    determinant by rounding alone."""
+
+    def test_a_rising_step_stops_its_candidate_and_each_estimate_logs_once(self, caplog):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(4000)
+        X = np.column_stack([x, x + 1e-6 * rng.standard_normal(4000), rng.standard_normal(4000)])
+        X[:300] += 5.0
+        with caplog.at_level("WARNING", logger="robustqda"):
+            res = blockwise_mcd(X, blocks=4, rng=0)
+        messages = [(r.name, r.getMessage()) for r in caplog.records]
+        assert any(name == "robustqda.mcd" and "raised the determinant" in m for name, m in messages)
+        # Pooling, reweighting and mapping back each log at most once.
+        assert sum("sigma is ill-conditioned" in m for _, m in messages) <= 3
+        assert not res.weights[:300].any()
 
 
 class TestThreadedPath:

@@ -91,8 +91,8 @@ class TestRawFromSubset:
         est = raw_from_subset(Z, subset)
         rows = Z[subset]
         c = consistency_factor(10, 30, 3)
-        assert np.allclose(est.mu, rows.mean(axis=0), atol=1e-12)
-        assert np.allclose(est.sigma, c * np.cov(rows.T, ddof=1), atol=1e-12)
+        assert np.allclose(est.loc_scat.mu, rows.mean(axis=0), atol=1e-12)
+        assert np.allclose(est.loc_scat.sigma, c * np.cov(rows.T, ddof=1), atol=1e-12)
         assert est.det_uncorrected == pytest.approx(np.linalg.det(np.cov(rows.T, ddof=1)), rel=1e-10)
         assert est.c_alpha == pytest.approx(c, abs=1e-15)
 
@@ -187,8 +187,8 @@ class TestFitMcd:
         for _ in range(5):
             perm = rng.permutation(60)
             est = fit_mcd(X[perm], 30)
-            assert np.array_equal(est.mu, base.mu)
-            assert np.array_equal(est.sigma, base.sigma)
+            assert np.array_equal(est.loc_scat.mu, base.loc_scat.mu)
+            assert np.array_equal(est.loc_scat.sigma, base.loc_scat.sigma)
             assert np.array_equal(np.sort(perm[est.subset]), base.subset)
 
     def test_rejects_contamination(self):
@@ -197,7 +197,7 @@ class TestFitMcd:
         X[:60] = rng.standard_normal((60, 2)) * 0.3 + 25.0
         est = fit_mcd(X, h_from_fraction(200, 2, 0.5))
         assert np.all(est.subset >= 60)
-        assert np.linalg.norm(est.mu) < 1.0
+        assert np.linalg.norm(est.loc_scat.mu) < 1.0
 
     def test_argument_validation(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
@@ -224,8 +224,8 @@ class TestFitMcd:
             h = h_from_fraction(n, p, 0.5)
             trusted = _fit_blocks(Zc, (np.arange(n),), (h,))[0]
             for public in (fit_mcd(Zc, h), fit_mcd(Z, h)):
-                assert np.array_equal(public.mu, trusted.mu)
-                assert np.array_equal(public.sigma, trusted.sigma)
+                assert np.array_equal(public.loc_scat.mu, trusted.loc_scat.mu)
+                assert np.array_equal(public.loc_scat.sigma, trusted.loc_scat.sigma)
                 assert public.det_uncorrected == trusted.det_uncorrected
                 assert public.c_alpha == trusted.c_alpha
             assert np.array_equal(fit_mcd(Zc, h).subset, trusted.subset)
@@ -278,9 +278,8 @@ class TestReweight:
         Z = np.random.default_rng(21).standard_normal((40, 2))
         tight = raw_from_subset(Z, np.arange(10))
         shrunk = type(tight)(
-            loc_scat=tight.loc_scat.from_sigma(tight.mu + 100.0, tight.sigma * 1e-8),
+            loc_scat=tight.loc_scat.from_sigma(tight.loc_scat.mu + 100.0, tight.loc_scat.sigma * 1e-8),
             subset=tight.subset,
-            det_uncorrected=tight.det_uncorrected,
             c_alpha=tight.c_alpha,
         )
         with pytest.raises(TooFewInliers):
@@ -342,8 +341,8 @@ class TestTrustedConcentration:
                 assert np.array_equal(fixed[k].subset, current.subset)
                 assert fixed[k].det_uncorrected == current.det_uncorrected
                 assert fixed[k].c_alpha == current.c_alpha == consistency_factor(h, 80, 3)
-                assert np.array_equal(fixed[k].sigma, current.sigma)
-                assert np.array_equal(fixed[k].mu, current.mu)
+                assert np.array_equal(fixed[k].loc_scat.sigma, current.loc_scat.sigma)
+                assert np.array_equal(fixed[k].loc_scat.mu, current.loc_scat.mu)
 
 
 def concentrated(Z, kinds, h):
@@ -363,7 +362,7 @@ def whitened(Z, est):
 
     h = est.h
     outside = np.setdiff1d(np.arange(Z.shape[0]), est.subset)
-    W = (Z - est.mu) @ est.loc_scat.inv_chol.T
+    W = (Z - est.loc_scat.mu) @ est.loc_scat.inv_chol.T
     W *= math.sqrt(est.c_alpha / (h - 1))
     W_in, W_out = W[est.subset], W[outside]
     q_in = np.einsum("ij,ij->i", W_in, W_in)
@@ -420,8 +419,8 @@ class TestExactExchangeSearch:
         with mock.patch.object(mcd, "_best_exchange", _dense_best_exchange):
             dense_fit = fit_mcd(Z, h)
         assert np.array_equal(checked_fit.subset, dense_fit.subset)
-        assert np.array_equal(checked_fit.mu, dense_fit.mu)
-        assert np.array_equal(checked_fit.sigma, dense_fit.sigma)
+        assert np.array_equal(checked_fit.loc_scat.mu, dense_fit.loc_scat.mu)
+        assert np.array_equal(checked_fit.loc_scat.sigma, dense_fit.loc_scat.sigma)
         assert checked_fit.det_uncorrected == dense_fit.det_uncorrected
         return sweeps
 
@@ -649,7 +648,7 @@ class TestNonConvergenceIsLogged:
         def failing_refit(*args, **kwargs):
             fits = counted_refit(*args, **kwargs)
             if len(refits) > concentration_refits:  # the polish refits after the concentration
-                fits.error = [NotPositiveDefinite("refit made to fail")] * fits.det.size
+                fits.error = [NotPositiveDefinite("refit made to fail")] * fits.log_det.size
             return fits
 
         refits.clear()
@@ -660,7 +659,7 @@ class TestNonConvergenceIsLogged:
         assert len(refits) > concentration_refits
         assert np.array_equal(polished.subset, fixed.subset)
         assert polished.det_uncorrected == fixed.det_uncorrected
-        assert np.array_equal(polished.sigma, fixed.sigma)
+        assert np.array_equal(polished.loc_scat.sigma, fixed.loc_scat.sigma)
         assert any(
             "exchange polish stopped early" in r.message and "refit made to fail" in r.message
             for r in caplog.records
@@ -692,7 +691,7 @@ class TestNonConvergenceIsLogged:
             capped = mcd._fit_stack(Z[None], kinds, h)[0]
         assert any("did not converge within 1 sweeps" in r.message for r in caplog.records)
         assert np.array_equal(capped.subset, one_sweep.subset)
-        assert np.array_equal(capped.sigma, one_sweep.loc_scat.sigma)
+        assert np.array_equal(capped.loc_scat.sigma, one_sweep.loc_scat.sigma)
         assert capped.det_uncorrected == one_sweep.det_uncorrected
 
 

@@ -118,10 +118,10 @@ class TestScenarioValidation:
 class TestGenerate:
     def test_clean_counts_and_grouping(self):
         sc = small_scenario()
-        X, y, tags = generate(sc, substream(sc.seed))
+        X, tags = generate(sc, substream(sc.seed))
         assert X.shape == (260, 2)
         assert np.array_equal(tags.origin, np.repeat([1, 2], [120, 140]))
-        assert np.array_equal(tags.given, y)
+        assert np.array_equal(tags.given, tags.origin)
         assert np.all(tags.kind == 0)
 
     def test_label_noise_counts_and_even_split(self):
@@ -134,7 +134,7 @@ class TestGenerate:
             eps_label=0.2,
             seed=1,
         )
-        X, y, tags = generate(sc, substream(sc.seed))
+        X, tags = generate(sc, substream(sc.seed))
         for g in (1, 2, 3):
             block = tags.origin == g
             flipped = block & (tags.kind == 1)
@@ -147,7 +147,7 @@ class TestGenerate:
 
     def test_measurement_noise_replaces_clean_rows(self):
         sc = small_scenario(eps_label=0.1, eps_meas=0.25, seed=2)
-        X, y, tags = generate(sc, substream(sc.seed))
+        X, tags = generate(sc, substream(sc.seed))
         for g, n_g in ((1, 120), (2, 140)):
             block = tags.origin == g
             replaced = block & (tags.kind == 2)
@@ -168,25 +168,24 @@ class TestGenerate:
             eps_meas=0.2,
             seed=3,
         )
-        X, y, tags = generate(sc, substream(sc.seed))
+        X, tags = generate(sc, substream(sc.seed))
         replaced = tags.kind == 2
         assert np.array_equal(X[replaced], np.tile([7.0, -3.0], (int(replaced.sum()), 1)))
 
     def test_deterministic_given_seeded_rng(self):
         sc = small_scenario(eps_label=0.1, seed=4)
-        X1, y1, t1 = generate(sc, np.random.default_rng(99))
-        X2, y2, t2 = generate(sc, np.random.default_rng(99))
+        X1, t1 = generate(sc, np.random.default_rng(99))
+        X2, t2 = generate(sc, np.random.default_rng(99))
         assert np.array_equal(X1, X2)
-        assert np.array_equal(y1, y2)
         assert np.array_equal(t1.given, t2.given)
 
     def test_mislabeled_row_tags(self):
         sc = small_scenario(eps_label=0.1, seed=5)
-        _, y, tags = generate(sc, substream(sc.seed))
+        _, tags = generate(sc, substream(sc.seed))
         rows = np.flatnonzero(tags.kind == KIND_MISLABELED)
         assert rows.size > 0
         assert np.all(tags.given[rows] != tags.origin[rows])
-        assert np.array_equal(tags.given, y)
+        assert not tags.given.flags.writeable
 
 
 class TestExtendedConfusion:
@@ -285,9 +284,9 @@ class TestConfusionMatchesPerKeyReference:
     @pytest.mark.parametrize("name", ["clean", "label", "measurement", "both"])
     def test_presets(self, name):
         sc = replace(preset_scenario(name, scale=0.004), seed=6)
-        X, y, tags = generate(sc, substream(sc.seed))
+        X, tags = generate(sc, substream(sc.seed))
         G = sc.n_classes
-        model = fit_qda(X, y, mode="classical")
+        model = fit_qda(X, tags.given, mode="classical")
         labels, _, _, _ = classify_rows(model, X)
         assert_confusion_matches_reference(labels, tags, G)
         rng = np.random.default_rng(len(name))
@@ -326,6 +325,9 @@ class TestMetrics:
             B = rng.standard_normal((4, 4))
             T = B @ B.T + 0.5 * np.eye(4)
             assert kl_metric(S, T) >= -1e-10
+
+    def test_kl_of_an_estimate_without_positive_determinant_is_infinite(self):
+        assert kl_metric(np.diag([1.0, -1.0]), np.eye(2)) == math.inf
 
     def test_alpha_by_hand(self):
         tags = Tags(
@@ -378,6 +380,19 @@ class TestRunStudy:
         with pytest.raises(DataError):
             st.method("robust")
 
+    def test_class_without_planted_noise_reports_no_alpha(self, tmp_path):
+        # floor(0.0075 * 120) = 0 replaced rows in class 1, floor(0.0075 * 140) = 1 in class 2.
+        sc = small_scenario(eps_meas=0.0075, seed=10)
+        study = run_study(sc, reps=2)
+        write_study_report(study, tmp_path)
+        for rep in study.methods:
+            assert math.isnan(rep.alpha_mean[0]) and not math.isnan(rep.alpha_mean[1])
+            rows = (tmp_path / f"metrics_{rep.mode}.csv").read_text().splitlines()
+            assert rows[1].endswith(",,") and not rows[2].endswith(",")
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        class_rows = [line for line in report if line.startswith(("        1  ", "        2  "))]
+        assert [line.endswith(" -") for line in class_rows] == [True, False] * 2
+
     def test_argument_validation(self):
         sc = small_scenario()
         with pytest.raises(ConfigError):
@@ -412,8 +427,8 @@ class TestPresets:
         # empirical class shares are 0.25 / 0.35 / 0.40; robust trimming
         # must leave the priors within a percent of those targets
         sc = replace(preset_scenario("clean", scale=0.004), seed=0)
-        X, y, _ = generate(sc, substream(sc.seed))
-        model = fit_qda(X, y, blocks=1, seed=0)
+        X, tags = generate(sc, substream(sc.seed))
+        model = fit_qda(X, tags.given, blocks=1, seed=0)
         assert np.allclose(model.priors, [0.25, 0.35, 0.40], atol=0.01)
 
 

@@ -54,7 +54,9 @@ were checked on:
   byte-order-marked and quoted-header copies; at auto on a 20,800-row
   class (four 5200-row blocks, two stacks on forked workers); at 7 on
   10,007 tied half-integer rows, on a row-shuffled copy and with
-  ``--h-frac 0.75 --seed 3``;
+  ``--h-frac 0.75 --seed 3``; at 4 on 4000 rows whose first two
+  columns differ by 1e-6 noise, where concentration steps meet
+  rounding;
 - ``train`` at auto, 1, 4 and classical on two 10,400-row classes, at
   auto on two 20,800-row classes, robust and classical on named
   three-class quarter-step data with a duplicated far row, on the
@@ -74,7 +76,9 @@ were checked on:
   --methods robust --reps 2 --seed 4``, and ``both --scale 0.06 --reps
   1``, whose one replication has the whole cap, so that its classes 2
   and 3 (5212- and 5850-row blocks) fit their stacks on forked workers
-  at caps 2 and 3;
+  at caps 2 and 3, and, at ``--reps 2``, of a scenario file holding the
+  ``both`` preset with no label noise and ``eps_meas = 0.0003``, whose
+  class 1 gets no planted noise;
 - the stderr of the oversized-cell error and of ``lbplot --class 3`` on
   a two-class model.
 """
@@ -145,6 +149,7 @@ def _commands() -> list:
         "mcd --data in/ties.csv --blocks 7 --out mcd/ties_7.txt",
         "mcd --data in/ties_shuffled.csv --blocks 7 --out mcd/ties_shuffled_7.txt",
         "mcd --data in/ties.csv --blocks 7 --h-frac 0.75 --seed 3 --out mcd/ties_7_h75_s3.txt",
+        "mcd --data in/collinear.csv --blocks 4 --out mcd/collinear_4.txt",
     ]
     for name, data, flags, _ in _models():
         runs.append(f"train --data in/{data}.csv --label-col label {flags} --out model/{name}.json")
@@ -177,6 +182,7 @@ def _commands() -> list:
     runs.append("simulate --scenario measurement --methods robust --reps 2 --seed 4"
                 " --out simulate/measurement_robust_s4")
     runs.append("simulate --scenario both --scale 0.06 --reps 1 --out simulate/both_scale_0.06")
+    runs.append("simulate --scenario in/one_clean_class.txt --reps 2 --out simulate/one_clean_class")
     commands = [(run.split(), None) for run in runs]
     commands += [
         ("mcd --data in/huge_cell.csv".split(), "stderr/mcd_huge_cell.txt"),
@@ -187,7 +193,9 @@ def _commands() -> list:
 
 
 def _write_inputs(folder: Path) -> None:
-    from robustqda.sim import two_class_demo
+    from dataclasses import replace
+
+    from robustqda.sim import format_scenario, preset_scenario, two_class_demo
 
     sys.path.insert(0, str(ROOT))
     from bench.inputs import label_preset, write_csv
@@ -246,6 +254,15 @@ def _write_inputs(folder: Path) -> None:
             write_csv(folder / f"label_{seed}{part}.csv", data.X, data.given)
 
     (folder / "huge_cell.csv").write_text('a,b\n"' + "1" * 200_000 + '",2.0\n')
+
+    rng = np.random.default_rng(2025)
+    x = rng.standard_normal(4000)
+    collinear = np.column_stack([x, x + 1e-6 * rng.standard_normal(4000), rng.standard_normal(4000)])
+    collinear[:300] += 5.0
+    write_csv(folder / "collinear.csv", collinear)
+    # floor(0.0003 * 2500) = 0 replaced rows in class 1, one in classes 2 and 3.
+    one_clean = replace(preset_scenario("both", scale=0.01), eps_label=0.0, eps_meas=0.0003)
+    (folder / "one_clean_class.txt").write_text(format_scenario(one_clean))
 
 
 def _hashes(folder: Path) -> dict:

@@ -47,7 +47,7 @@ from robustqda.data_io import write_dataset  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = (20_000, 50_000, 100_000, 150_000, 200_000, 1_000_000)
-BLOCK_ROWS = (1_000, 2_500, 5_000, 10_000, 15_000, 20_000, 25_000)
+BLOCK_ROWS = (1_000, 2_500, 5_000, 10_000, 15_000, 20_000, 25_000, 37_500, 50_000, 62_500, 100_000)
 BLOCKS = 4
 CAPS = ("1", "2")
 P = 5
