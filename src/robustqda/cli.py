@@ -31,12 +31,12 @@ import numpy as np
 
 from . import block_mcd, lbplot, sim
 from ._threads import process_map, worker_count
-from .data_io import encode_labels, encode_with_names, read_dataset, read_rows, write_predictions_csv
+from .data_io import encode_for_model, encode_labels, read_dataset, read_rows, write_predictions_csv
 from .errors import ConfigError, DataError, DimensionMismatch, NumericError, WorkerDied
 from .fileio import read_text, write_text_atomic
 from .model_io import load_model, save_model
 from .presets import preset_names
-from .qda import classify_rows, fit_qda
+from .qda import OUTLIER_LABEL, classify_rows, fit_qda
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -208,7 +208,7 @@ def cmd_predict(args) -> int:
         labels, scores, _, min_rd = classify_rows(model, X)
         text = io.StringIO()
         write_predictions_csv(text, labels, scores, min_rd, label_names, first_row=part.first_row)
-        return text.getvalue(), labels.shape[0], int(np.count_nonzero(labels == 0))
+        return text.getvalue(), labels.shape[0], int(np.count_nonzero(labels == OUTLIER_LABEL))
 
     start = time.perf_counter()
     results = process_map(predict_range, parts)
@@ -240,12 +240,7 @@ def _resolve_class(value: str, label_names, n_classes: int) -> int:
 def cmd_lbplot(args) -> int:
     model, label_names = load_model(args.model)
     dataset = read_dataset(args.data, label_col=args.label_col)
-    if label_names is not None:
-        y = encode_with_names(dataset.labels_raw, label_names)
-    else:
-        y, extra_names = encode_labels(dataset.labels_raw)
-        if extra_names is not None:
-            raise DataError("data has text labels but the model was trained without a name table")
+    y = encode_for_model(dataset.labels_raw, label_names, model.n_classes)
     g = _resolve_class(args.given_class, label_names, model.n_classes)
     spec = lbplot.lb_points(model, dataset.X, y, g)
     if not spec.row.size:

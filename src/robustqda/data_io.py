@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import csv_text, read_text, write_text
+from .qda import OUTLIER_LABEL, _check_class_names
 
 __all__ = [
     "Dataset",
+    "encode_for_model",
     "encode_labels",
-    "encode_with_names",
     "read_dataset",
     "read_rows",
     "write_dataset",
@@ -257,21 +258,29 @@ def encode_labels(labels_raw) -> tuple[np.ndarray, tuple | None]:
     except ValueError:
         pass
     names = tuple(sorted(set(labels_raw)))
-    if "0" in names:
-        raise DataError("no class may be named '0', the outlier class's label")
+    _check_class_names(names)
     index = {name: g for g, name in enumerate(names, start=1)}
     return np.array([index[cell] for cell in labels_raw], dtype=np.int64), names
 
 
-def encode_with_names(labels_raw, label_names) -> np.ndarray:
-    """Encode labels against an existing name table (from a model file)."""
-    index = {name: g for g, name in enumerate(label_names, start=1)}
-    out = np.array([index.get(cell, 0) for cell in labels_raw], dtype=np.int64)
-    if not out.all():
-        i = int(np.argmin(out))  # the first unknown label
+def encode_for_model(labels_raw, label_names, n_classes: int) -> np.ndarray:
+    """Encode labels for a model of ``n_classes`` classes: through its
+    name table if it has one, else as integers.  A label that is not one
+    of the trained classes is refused, naming its row."""
+    if label_names is None:
+        y, names = encode_labels(labels_raw)
+        if names is not None:
+            raise DataError("data has text labels but the model was trained without a name table")
+        label_names = tuple(map(str, range(1, n_classes + 1)))
+    else:
+        index = {name: g for g, name in enumerate(label_names, start=1)}
+        y = np.array([index.get(cell, 0) for cell in labels_raw], dtype=np.int64)
+    unknown = np.flatnonzero((y < 1) | (y > n_classes))
+    if unknown.size:
+        i = int(unknown[0])
         known = ", ".join(label_names)
         raise DataError(f"row {i + 1}: label {labels_raw[i]!r} is not one of the trained classes ({known})")
-    return out
+    return y
 
 
 def write_dataset(target, X, feature_names=None, y=None, label_col: str = "label") -> None:
@@ -322,7 +331,8 @@ def write_predictions_csv(target, labels, scores, min_rd, label_names=None, firs
     min_rd = np.asarray(min_rd, dtype=np.float64)
     G = scores.shape[1]
     header = ["row", "predicted", "min_rd"] + [f"score_{g}" for g in range(1, G + 1)]
-    shown = codes if label_names is None else np.array(["0", *map(_csv_cell, label_names)], object)[codes]
+    shown = codes if label_names is None else np.array(
+        [str(OUTLIER_LABEL), *map(_csv_cell, label_names)], object)[codes]
     columns = [np.arange(first_row, first_row + codes.shape[0]), shown, min_rd, *scores.T]
     head = ",".join(header) if first_row == 1 else None
     write_text(target, csv_text(head, "%d,%s" + ",%.9g" * (G + 1), columns))

@@ -18,7 +18,7 @@ import numpy as np
 from .core import as_data_matrix
 from .errors import DataError, DimensionMismatch
 from .fileio import csv_text, write_text
-from .qda import QdaModel, classify_rows
+from .qda import OUTLIER_LABEL, QdaModel, classify_rows
 
 __all__ = [
     "LB_CUTOFF",
@@ -88,16 +88,16 @@ def lb_points(model: QdaModel, X, y, given_class: int) -> LbPlotSpec:
     if not (1 <= g <= G):
         raise DataError(f"class {given_class} is outside 1..{G}")
     rows = np.flatnonzero(y == g)
-    scores, rd, min_rd = np.empty((0, G)), np.empty((0, G)), np.empty(0)
+    labels, scores, rd = np.empty(0, np.int64), np.empty((0, G)), np.empty((0, G))
     if rows.size:
-        _, scores, rd, min_rd = classify_rows(model, X[rows])
+        labels, scores, rd, _ = classify_rows(model, X[rows])
     return LbPlotSpec(
         given_class=g,
         row=rows,
         rd_own=rd[:, g - 1].copy(),
         lb=np.sqrt(scores.max(axis=1) - scores[:, g - 1]),
         predicted=np.argmax(scores, axis=1) + 1,
-        overall_outlier=min_rd > model.outlier_cutoff,
+        overall_outlier=labels == OUTLIER_LABEL,
         rd_cutoff=float(model.outlier_cutoff),
     )
 

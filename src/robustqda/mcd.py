@@ -139,6 +139,13 @@ def h_from_fraction(n: int, p: int, frac: float) -> int:
     return min(h, n - 1)
 
 
+def _trimmed_normal_factor(ratio: float, p: int) -> float:
+    """``ratio / F_{chi2,p+2}(q)``, ``q`` the chi-square(p) quantile at
+    ``ratio``: the factor that makes the covariance of the central
+    ``ratio`` mass of N(0, I_p) consistent for the truth."""
+    return ratio / chi2_cdf(chi2_quantile(p, ratio), p + 2)
+
+
 def consistency_factor(h: int, n: int, p: int) -> float:
     """Scale factor making the h-subset covariance consistent for normal data.
 
@@ -152,9 +159,7 @@ def consistency_factor(h: int, n: int, p: int) -> float:
         raise DomainError(f"need 0 < h <= n, got h={h}, n={n}")
     if h == n:
         return 1.0
-    ratio = h / n
-    q = chi2_quantile(p, ratio)
-    return ratio / chi2_cdf(q, p + 2)
+    return _trimmed_normal_factor(h / n, p)
 
 
 def raw_from_subset(Z, subset) -> RawEstimate:
@@ -702,5 +707,5 @@ def reweight(Z, raw) -> tuple[LocationScatter, np.ndarray]:
     if kept <= p:
         raise TooFewInliers(f"reweighting kept {kept} rows, need more than p={p}")
     mu, cov = _mean_cov(Z[weights])
-    refined = LocationScatter.from_sigma(mu, REWEIGHT_QUANTILE / chi2_cdf(cutoff, p + 2) * cov)
+    refined = LocationScatter.from_sigma(mu, _trimmed_normal_factor(REWEIGHT_QUANTILE, p) * cov)
     return refined, weights

@@ -14,16 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LocationScatter, check_block_count, check_fraction, check_seed, chi2_quantile
+from .core import LocationScatter, check_block_count, check_fraction, check_seed
 from .errors import DataError, DomainError
 from .fileio import read_text, write_text_atomic
-from .qda import ClassModel, QdaModel, _check_mode
+from .qda import ClassModel, QdaModel, _check_class_names, _check_mode, _outlier_cutoff
 
 __all__ = ["FORMAT_VERSION", "load_model", "model_from_json", "model_to_json", "save_model"]
 
 FORMAT_VERSION = 1
 
-# A stored cutoff must equal sqrt(chi2_quantile(p, outlier_quantile)), as
+# A stored cutoff must equal qda._outlier_cutoff(p, outlier_quantile), as
 # fit_qda writes it.  Files written while that quantile came from SciPy
 # differ from core.chi2_quantile by up to 8e-14 relative, so they still load.
 _CUTOFF_RTOL = 1e-9
@@ -122,7 +122,7 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
     cutoff = float(_require(doc, "outlier_cutoff", (int, float)))
     if not 0.0 < cutoff < math.inf:
         raise _out_of_range("outlier_cutoff", cutoff)
-    expected = math.sqrt(chi2_quantile(p, quantile))
+    expected = _outlier_cutoff(p, quantile)
     if not math.isclose(cutoff, expected, rel_tol=_CUTOFF_RTOL):
         raise DataError(
             f"model file key 'outlier_cutoff' is {cutoff!r}, but outlier_quantile "
@@ -148,8 +148,7 @@ def model_from_json(text: str) -> tuple[QdaModel, tuple | None]:
         names = tuple(str(v) for v in names)
         if len(set(names)) != G:
             raise DataError(f"model file key 'label_names' repeats a name: {list(names)!r}")
-        if "0" in names:
-            raise DataError("no class may be named '0', the outlier class's label")
+        _check_class_names(names)
 
     classes = []
     for g, entry in enumerate(raw_classes, start=1):

@@ -45,6 +45,18 @@ OUTLIER_LABEL = 0
 OUTLIER_QUANTILE = 0.99  # chi-square quantile of every fit's outlier cutoff
 
 
+def _outlier_cutoff(p: int, quantile: float) -> float:
+    """Robust distance beyond which a row is outlying for a class in ``p``
+    dimensions: the square root of the chi-square ``quantile``."""
+    return math.sqrt(chi2_quantile(p, quantile))
+
+
+def _check_class_names(names) -> None:
+    """``DataError`` if a class name would print as the outlier class does."""
+    if str(OUTLIER_LABEL) in names:
+        raise DataError(f"no class may be named '{OUTLIER_LABEL}', the outlier class's label")
+
+
 @dataclass(frozen=True)
 class ClassModel:
     """Per-class Gaussian fit plus bookkeeping counts.  A class's label
@@ -74,10 +86,6 @@ class QdaModel:
     @property
     def p(self) -> int:
         return self.classes[0].loc_scat.p
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([c.prior for c in self.classes])
 
 
 def _validate_labels(y, n: int) -> tuple[np.ndarray, int]:
@@ -152,7 +160,7 @@ def fit_qda(
         if blocks != "auto":
             check_block_count(blocks)
         check_fraction(h_frac)
-    cutoff = math.sqrt(chi2_quantile(p, OUTLIER_QUANTILE))
+    cutoff = _outlier_cutoff(p, OUTLIER_QUANTILE)
 
     fits: list[LocationScatter] = []
     resolved_blocks: list[int] = []

@@ -23,7 +23,7 @@ from .core import LocationScatter, check_seed, distinct, mvn_sample, substream
 from .errors import ConfigError, DataError, DimensionMismatch, ZeroNoise
 from .fileio import csv_text, write_text_atomic
 from .presets import PRESET_EPS, preset_names
-from .qda import classify_rows, fit_qda
+from .qda import OUTLIER_LABEL, classify_rows, fit_qda
 
 __all__ = [
     "ClassSpec",
@@ -232,7 +232,7 @@ class ExtendedConfusion:
             r = self.row_keys.index((origin, given))
         except ValueError:
             raise DataError(f"no subclass row ({origin}, {given})") from None
-        col = self.n_classes if predicted == 0 else predicted - 1
+        col = self.n_classes if predicted == OUTLIER_LABEL else predicted - 1
         return float(self.rates[r, col])
 
 
@@ -255,7 +255,7 @@ def extended_confusion(pred_labels, tags: Tags, n_classes: int) -> ExtendedConfu
     given_key = np.where(tags.kind == KIND_REPLACED, 0, tags.given)
     # origin * (G + 1) + given_key sorts like the (origin, given_key) pair.
     keys, key_row = distinct(tags.origin * (G + 1) + given_key)
-    column = np.where(pred == 0, G, pred - 1)
+    column = np.where(pred == OUTLIER_LABEL, G, pred - 1)
     cells = np.bincount(key_row * (G + 1) + column, minlength=keys.size * (G + 1))
     cells = cells.reshape(keys.size, G + 1)
     counts = cells.sum(axis=1)

@@ -444,6 +444,21 @@ class TestLbplotCommand:
         assert rc == 2
         assert "error: DataError:" in capsys.readouterr().err
 
+    def test_label_the_model_was_not_trained_on(self, demo, tmp_path, capsys):
+        """Rows labeled 3 and 0 after the class-2 rows are refused, as a
+        named model refuses an unknown name, not left out of the plot."""
+        X, y, _ = two_class_demo()
+        n = int(np.count_nonzero(y == 2))
+        data = tmp_path / "extra.csv"
+        write_dataset(data, np.vstack([X[y == 2], X[:2]]), y=np.concatenate([y[y == 2], [3, 0]]))
+        out = tmp_path / "lb.csv"
+        rc = main(["lbplot", "--model", str(demo["model"]), "--data", str(data),
+                   "--label-col", "label", "--class", "2", "--csv", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"row {n + 1}: label '3' is not one of the trained classes (1, 2)" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def scenario_file(self, tmp_path):

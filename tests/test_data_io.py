@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from robustqda import data_io
 from robustqda.data_io import (
+    encode_for_model,
     encode_labels,
-    encode_with_names,
     read_dataset,
     write_dataset,
     write_predictions_csv,
@@ -115,7 +115,7 @@ class TestEncodeLabels:
     def test_encode_with_names_round_trip(self):
         raw = ("b", "a", "b", "c")
         y, names = encode_labels(raw)
-        again = encode_with_names(raw, names)
+        again = encode_for_model(raw, names, len(names))
         assert np.array_equal(y, again)
 
     def test_outlier_name_rejected(self):
@@ -124,7 +124,9 @@ class TestEncodeLabels:
 
     def test_encode_with_names_unknown_label(self):
         with pytest.raises(DataError, match="'d' is not one of the trained classes"):
-            encode_with_names(("a", "d"), ("a", "b", "c"))
+            encode_for_model(("a", "d"), ("a", "b", "c"), 3)
+        with pytest.raises(DataError, match="row 2: label '3' is not one of the trained classes"):
+            encode_for_model(("1", "3"), None, 2)
 
 
 # Class names that a CSV cell must quote, and one that it need not.

@@ -187,7 +187,7 @@ class TestRobustMode:
         X, y = two_gaussians(12)
         model = fit_qda(X, y, mode="robust", blocks=1, seed=0)
         kept = np.array([c.n_inlier for c in model.classes], dtype=float)
-        assert np.allclose(model.priors, kept / kept.sum(), atol=1e-15)
+        assert np.allclose([c.prior for c in model.classes], kept / kept.sum(), atol=1e-15)
         assert all(c.n_inlier <= c.n_raw for c in model.classes)
 
     def test_seed_and_blocks_recorded(self):
@@ -220,7 +220,7 @@ class TestRobustPriors:
             kept.append(int((model.classes[g - 1].loc_scat.distances(rows) <= cutoff).sum()))
         kept = np.array(kept, dtype=float)
         assert 0 < kept.sum() < X.shape[0]
-        assert np.allclose(model.priors, kept / kept.sum(), atol=1e-15)
+        assert np.allclose([c.prior for c in model.classes], kept / kept.sum(), atol=1e-15)
 
     def test_all_trimmed_class_raises(self, monkeypatch):
         X, y = two_gaussians(16)

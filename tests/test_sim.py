@@ -429,7 +429,7 @@ class TestPresets:
         sc = replace(preset_scenario("clean", scale=0.004), seed=0)
         X, tags = generate(sc, substream(sc.seed))
         model = fit_qda(X, tags.given, blocks=1, seed=0)
-        assert np.allclose(model.priors, [0.25, 0.35, 0.40], atol=0.01)
+        assert np.allclose([c.prior for c in model.classes], [0.25, 0.35, 0.40], atol=0.01)
 
 
 class TestScenarioFormat:

@@ -79,8 +79,9 @@ were checked on:
   at caps 2 and 3, and, at ``--reps 2``, of a scenario file holding the
   ``both`` preset with no label noise and ``eps_meas = 0.0003``, whose
   class 1 gets no planted noise;
-- the stderr of the oversized-cell error and of ``lbplot --class 3`` on
-  a two-class model.
+- the stderr of the oversized-cell error, of ``lbplot --class 3`` on
+  a two-class model, and of ``lbplot`` of that model on the demo's class-2
+  rows followed by rows labeled 3 and 0, classes it was not trained on.
 """
 from __future__ import annotations
 
@@ -188,6 +189,8 @@ def _commands() -> list:
         ("mcd --data in/huge_cell.csv".split(), "stderr/mcd_huge_cell.txt"),
         ("lbplot --model model/two_auto.json --data in/two.csv --label-col label --class 3"
          " --csv lbplot/two_auto_3.csv".split(), "stderr/lbplot_two_auto_class_3.txt"),
+        ("lbplot --model model/demo_robust.json --data in/demo_untrained_labels.csv --label-col label"
+         " --class 2 --csv lbplot/demo_untrained_labels.csv".split(), "stderr/lbplot_demo_untrained_labels.txt"),
     ]
     return commands
 
@@ -247,6 +250,8 @@ def _write_inputs(folder: Path) -> None:
 
     X, y, _ = two_class_demo()
     write_csv(folder / "demo.csv", X, y)
+    write_csv(folder / "demo_untrained_labels.csv", np.vstack([X[y == 2], X[:2]]),
+              np.concatenate([y[y == 2], [3, 0]]))
     for seed in (1, 7):
         stream = np.random.default_rng(seed)
         for part in "ab":

@@ -10,11 +10,8 @@ always forks; a cap-2 run that forks no worker stops the tool.  It
 reads the peak RSS of the command's own process from ``VmHWM`` (which,
 unlike ``RUSAGE_SELF``, does not carry the tool's own peak over
 ``exec``) and that of its workers from ``RUSAGE_CHILDREN``.  Each run
-is timed from outside, as the benchmark times a command.  Whether a
-second core was free shows in ``two_spins_over_one``, taken before and
-after the sweeps: two processes spinning at once take about as long as
-one when it is, and twice as long when it is not.  BLAS is pinned to
-one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
+is timed from outside, as the benchmark times a command.  BLAS is
+pinned to one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 
 The record goes to ``BENCH_workers_crossover.json``, with each sweep's
 ``crossover``: the smallest size from which two workers have the lower
@@ -111,31 +108,6 @@ def run(argv: list, cap: str) -> dict:
             "sha256": digest}
 
 
-def spin() -> float:
-    """Count in pure Python for a fixed number of steps; returns the time."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(3_000_000):
-        total += i
-    return time.perf_counter() - start
-
-
-def core_probe() -> float:
-    """Wall time of two forked processes spinning at once over that of
-    one: about 1 when a second core is free, about 2 when it is not."""
-    import multiprocessing
-
-    one = spin()
-    context = multiprocessing.get_context("fork")
-    procs = [context.Process(target=spin) for _ in range(2)]
-    start = time.perf_counter()
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join()
-    return round((time.perf_counter() - start) / one, 2)
-
-
 def spread(values: list) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": [round(v, 4) for v in values], "median": round(med, 4),
@@ -185,7 +157,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
-    probe_before = core_probe()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         data, model = work / "data.csv", work / "model.json"
@@ -214,7 +185,6 @@ def main() -> None:
         "os_cpu_count": os.cpu_count(),
         "sched_affinity": len(os.sched_getaffinity(0)),
         "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
-        "two_spins_over_one": {"before": probe_before, "after": core_probe()},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "stack_rows": mcd._STACK_ROWS,
